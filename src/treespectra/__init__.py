@@ -9,7 +9,7 @@ level sequences.
 from .catalog import CatalogRecord
 from .enumeration import EnumerationCursor, FreeTreeEnumerator, enumerate_free_trees
 from .polys import (DivisibilityError, IntPoly, IsolatingInterval,
-                    PrecisionExhausted, RootCount, SpectrumSummary,
+                    PrecisionExhausted, RealRoot, RootCount, SpectrumSummary,
                     SymmetryError, count_roots_open, even_part, integer_roots,
                     isolate_kth_largest, poly_gcd, rational_root_multiplicity,
                     root_bound, square_free_decomposition, taylor_shift)

@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import isqrt
 from typing import Iterable, NamedTuple, Optional
 
 
@@ -497,7 +498,6 @@ def count_roots_above_quadratic(p: IntPoly, mu, m: int) -> int:
     """
     if p.is_zero:
         raise ValueError("zero polynomial")
-    from math import isqrt
     if m <= 0 or isqrt(m) ** 2 == m:
         raise ValueError("threshold must be irrational; use count_roots_above")
     mu = _as_fraction(mu)
@@ -512,49 +512,38 @@ def count_roots_above_quadratic(p: IntPoly, mu, m: int) -> int:
     return total
 
 
+def _deflate(coeffs: list, t) -> tuple[int, list]:
+    """Divide (x - t) out of ascending coefficients as often as it goes, by
+    Horner synthetic division; returns (times divided, quotient).  An int t
+    keeps the arithmetic in the integers."""
+    mult = 0
+    while len(coeffs) > 1:
+        acc = 0
+        for c in reversed(coeffs):
+            acc = acc * t + c
+        if acc != 0:
+            break
+        quot = []
+        acc = 0
+        for c in reversed(coeffs[1:]):
+            acc = acc * t + c
+            quot.append(acc)
+        quot.reverse()
+        coeffs = quot
+        mult += 1
+    return mult, coeffs
+
+
 def rational_root_multiplicity(p: IntPoly, t) -> int:
     """Multiplicity of the rational number t as a root of p."""
     if p.is_zero:
         raise ValueError("zero polynomial")
     t = _as_fraction(t)
     if t.denominator == 1:
-        # integer fast path: Horner deflation stays in the integers
-        k = t.numerator
-        mult = 0
-        coeffs = list(p.coeffs)
-        while len(coeffs) > 1:
-            acc = 0
-            for c in reversed(coeffs):
-                acc = acc * k + c
-            if acc != 0:
-                break
-            out = []
-            acc = 0
-            for c in reversed(coeffs[1:]):
-                acc = acc * k + c
-                out.append(acc)
-            out.reverse()
-            coeffs = out
-            mult += 1
-        return mult
-    mult = 0
-    coeffs_q: list = list(p.coeffs)
-    while len(coeffs_q) > 1:
-        # synthetic division by (x - t) over the rationals
-        acc = Fraction(0)
-        for c in reversed(coeffs_q):
-            acc = acc * t + c
-        if acc != 0:
-            break
-        acc = Fraction(0)
-        quotient = []
-        for c in reversed(coeffs_q[1:]):
-            acc = acc * t + c
-            quotient.append(acc)
-        quotient.reverse()
-        coeffs_q = quotient
-        mult += 1
-    return mult
+        t = t.numerator  # the deflation stays in the integers
+    elif _eval_scaled(p.coeffs, t.numerator, t.denominator):
+        return 0  # not a root, decided without Fraction arithmetic
+    return _deflate(list(p.coeffs), t)[0]
 
 
 def root_bound(p: IntPoly) -> int:
@@ -620,21 +609,9 @@ def integer_roots(p: IntPoly) -> SpectrumSummary:
                     candidates.add(-c)
         d += 1
     for k in sorted(candidates, key=lambda c: (abs(c), c)):
-        while len(q) > 1:
-            # Horner test, then integer synthetic division by (x - k)
-            acc = 0
-            for c in reversed(q):
-                acc = acc * k + c
-            if acc != 0:
-                break
-            out = []
-            acc = 0
-            for c in reversed(q[1:]):
-                acc = acc * k + c
-                out.append(acc)
-            out.reverse()
-            q = out
-            roots[k] = roots.get(k, 0) + 1
+        mult, q = _deflate(q, k)
+        if mult:
+            roots[k] = mult
     residual = IntPoly(q)
     return SpectrumSummary(roots=roots, residual=residual,
                            is_integral=(residual.degree == 0),
@@ -672,7 +649,171 @@ def taylor_shift(q: IntPoly, r: int) -> IntPoly:
 
 
 # ---------------------------------------------------------------------------
-# k-th largest root isolation
+# the k-th largest real root as one exact comparison object
+
+# The one precision cap: no comparison refines an isolating interval below
+# this width; an unresolved one raises PrecisionExhausted.
+WIDTH_CAP = Fraction(1, 2 ** 64)
+# Comparisons refine through the widths 1/4, 1/16, 1/64, ... down to the cap.
+_FIRST_WIDTH = Fraction(1, 4)
+
+
+def count_roots_at_least(p: IntPoly, t) -> int:
+    """Real roots of p at or above t, counted with multiplicity."""
+    return (count_roots_above(p, t).with_multiplicity
+            + rational_root_multiplicity(p, t))
+
+
+def _sign(x) -> int:
+    return (x > 0) - (x < 0)
+
+
+class RealRoot:
+    """The k-th largest real root of p, counted with multiplicity (k = 1 is
+    the largest), with exact comparisons.
+
+    The root owns an isolating open interval (lo, hi) and refines it in
+    place.  Bisection always starts from (-root_bound, root_bound) and takes
+    the same path, so refining to w and then to w/4 gives the interval a
+    fresh isolation at w/4 gives.  A rational root is held in ``exact``:
+    integer roots of monic input are found at construction, any other
+    rational root when a bisection midpoint hits it.
+    """
+
+    def __init__(self, p: IntPoly, k: int):
+        if p.is_zero:
+            raise ValueError("zero polynomial")
+        if k < 1:
+            raise ValueError("root index starts at 1")
+        bound = root_bound(p)
+        self.poly, self.index = p, k
+        self.lo, self.hi = Fraction(-bound), Fraction(bound)
+        rc = count_roots_open(p, self.lo, self.hi)
+        if k > rc.with_multiplicity:
+            raise ValueError(f"polynomial has only {rc.with_multiplicity} "
+                             f"real roots, asked for #{k}")
+        self._isolated = rc.distinct == 1
+        self.exact: Optional[Fraction] = None
+        if p.is_monic:
+            # monic: every rational root is an integer; scan them downwards
+            # until one is not above the k-th root
+            for rt in sorted(integer_roots(p).roots, reverse=True):
+                sign = self.compare(rt)
+                if sign == 0:
+                    self.exact = Fraction(rt)
+                if sign >= 0:
+                    break
+
+    @property
+    def bounds(self) -> tuple[Fraction, Fraction]:
+        """Closed enclosure: (exact, exact) for a rational root, otherwise
+        the endpoints of the open isolating interval."""
+        if self.exact is not None:
+            return self.exact, self.exact
+        return self.lo, self.hi
+
+    def refine(self, width) -> "RealRoot":
+        """Continue the bisection until the interval isolates the root and
+        is at most ``width`` wide.  A rational root gets the pinch interval
+        (exact - eps, exact + eps), eps the first of width/2, width/4, ...
+        that isolates it."""
+        width = _as_fraction(width)
+        p = self.poly
+        while self.exact is None and not (self._isolated
+                                          and self.hi - self.lo <= width):
+            mid = (self.lo + self.hi) / 2
+            sign = self.compare(mid)
+            if sign == 0:
+                self.exact = mid
+                break
+            if sign > 0:
+                self.lo = mid
+            else:
+                self.hi = mid
+            self._isolated = count_roots_open(p, self.lo, self.hi).distinct == 1
+        if self.exact is not None:
+            eps = width / 2
+            while count_roots_open(p, self.exact - eps,
+                                   self.exact + eps).distinct != 1:
+                eps /= 2
+            self.lo, self.hi = self.exact - eps, self.exact + eps
+        return self
+
+    def compare(self, other) -> int:
+        """Sign of (this root - other), decided exactly.
+
+        ``other`` is a rational, a pair (mu, m) standing for mu + sqrt(m)
+        with m >= 0, or another RealRoot.  Rationals and quadratic
+        irrationals are decided by root counting, never by refinement.
+        """
+        if isinstance(other, RealRoot):
+            return self._compare_root(other)
+        p, k = self.poly, self.index
+        if isinstance(other, tuple):
+            mu, m = _as_fraction(other[0]), other[1]
+            r = isqrt(m)
+            if r * r != m:
+                gt = count_roots_above_quadratic(p, mu, m)
+                if gt >= k:
+                    return 1
+                ge = gt + quadratic_root_multiplicity(p, mu, m)
+                return 0 if ge >= k else -1
+            other = mu + r
+        t = _as_fraction(other)
+        if self.exact is not None:
+            return _sign(self.exact - t)
+        ge = count_roots_at_least(p, t)
+        if ge < k:
+            return -1
+        return 1 if ge - rational_root_multiplicity(p, t) >= k else 0
+
+    def _compare_root(self, other: "RealRoot") -> int:
+        """Refine both roots in lockstep through 1/4, 1/16, ... until their
+        intervals separate, so both are left at the first width that does.
+        Equal roots are found as a root of gcd(p, q) inside both isolating
+        intervals."""
+        common: Optional[IntPoly] = None
+        width = _FIRST_WIDTH
+        while width >= WIDTH_CAP:
+            self.refine(width)
+            other.refine(width)
+            if self.exact is not None:
+                return -other.compare(self.exact)
+            if other.exact is not None:
+                return self.compare(other.exact)
+            if self.hi <= other.lo:
+                return -1
+            if other.hi <= self.lo:
+                return 1
+            if common is None:
+                common = poly_gcd(self.poly, other.poly)
+            if common.degree >= 1 and count_roots_open(
+                    common, max(self.lo, other.lo),
+                    min(self.hi, other.hi)).distinct:
+                return 0
+            width /= 4
+        raise PrecisionExhausted(f"root comparison unresolved at width {WIDTH_CAP}")
+
+
+def compare_sum(root: RealRoot, a: RealRoot, b: RealRoot) -> int:
+    """Sign of root - (a + b), refining the three roots in lockstep.
+
+    A tie is decided only when all three are rational; otherwise it
+    exhausts the width cap and raises PrecisionExhausted.
+    """
+    width = _FIRST_WIDTH
+    while width >= WIDTH_CAP:
+        for r in (root, a, b):
+            r.refine(width)
+        (lo, hi), (alo, ahi), (blo, bhi) = root.bounds, a.bounds, b.bounds
+        if lo == hi and alo == ahi and blo == bhi:
+            return _sign(lo - alo - blo)
+        if lo >= ahi + bhi:
+            return 1
+        if hi <= alo + blo:
+            return -1
+        width /= 4
+    raise PrecisionExhausted(f"sum comparison unresolved at width {WIDTH_CAP}")
 
 
 @dataclass(frozen=True)
@@ -694,12 +835,6 @@ class IsolatingInterval:
         return (self.lo + self.hi) / 2
 
 
-def _count_ge(p: IntPoly, t: Fraction, bound: int) -> int:
-    """Roots of p in [t, bound), counted with multiplicity."""
-    c = count_roots_open(p, t, Fraction(bound)).with_multiplicity
-    return c + rational_root_multiplicity(p, t)
-
-
 def isolate_kth_largest(p: IntPoly, k: int, width) -> IsolatingInterval:
     """Certified interval of length <= width around the k-th largest real root.
 
@@ -707,46 +842,5 @@ def isolate_kth_largest(p: IntPoly, k: int, width) -> IsolatingInterval:
     hit exactly is returned as a degenerate pinch interval with the exact
     value attached.
     """
-    if p.is_zero:
-        raise ValueError("zero polynomial")
-    if k < 1:
-        raise ValueError("root index starts at 1")
-    width = _as_fraction(width)
-    bound = root_bound(p)
-    lo, hi = Fraction(-bound), Fraction(bound)
-    total = count_roots_open(p, lo, hi).with_multiplicity
-    if k > total:
-        raise ValueError(f"polynomial has only {total} real roots, asked for #{k}")
-
-    def pinch(value: Fraction) -> IsolatingInterval:
-        eps = width / 2
-        while count_roots_open(p, value - eps, value + eps).distinct != 1:
-            eps /= 2
-        return IsolatingInterval(value - eps, value + eps, k, True, exact=value)
-
-    if p.is_monic:
-        # monic: every rational root is an integer; pinch if the target is one
-        summary = integer_roots(p)
-        for rt in sorted(summary.roots, reverse=True):
-            ge = _count_ge(p, Fraction(rt), bound)
-            if ge >= k and ge - summary.roots[rt] < k:
-                return pinch(Fraction(rt))
-
-    while True:
-        rc = count_roots_open(p, lo, hi)
-        if rc.distinct == 1 and hi - lo <= width:
-            return IsolatingInterval(lo, hi, k, True)
-        mid = (lo + hi) / 2
-        m = rational_root_multiplicity(p, mid)
-        if m:
-            ge = _count_ge(p, mid, bound)
-            if ge >= k and ge - m < k:
-                return pinch(mid)
-            if ge >= k:
-                lo = mid
-            else:
-                hi = mid
-        elif _count_ge(p, mid, bound) >= k:
-            lo = mid
-        else:
-            hi = mid
+    root = RealRoot(p, k).refine(width)
+    return IsolatingInterval(root.lo, root.hi, k, True, exact=root.exact)

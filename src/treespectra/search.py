@@ -1,9 +1,10 @@
 """Sharded, resumable search over all trees up to a given order.
 
 The search streams CatalogRecords for every tree passing the configured
-filters.  A cursor file makes interrupted runs restartable without emitting
-duplicates; shards partition the emitted stream round-robin so that the
-union over shards equals an unsharded run.
+filters.  A cursor file makes interrupted runs restartable; it records how
+far the output file had got, and a resumed run cuts that file back to it, so
+no record is written twice.  Shards partition the emitted stream round-robin
+so that the union over shards equals an unsharded run.
 """
 
 from __future__ import annotations
@@ -67,6 +68,10 @@ def _load_resume(config: SearchConfig) -> Optional[dict]:
             raise CursorError(
                 "cursor file was written by a search with different "
                 "parameters; delete it or point --resume elsewhere")
+        if "out_offset" not in state:
+            raise CursorError(
+                "cursor file has no output offset (an older cursor format); "
+                "delete it and the output file to start over")
         state["cursor"] = (EnumerationCursor.from_json(json.dumps(state["cursor"]))
                           if state.get("cursor") else None)
         return state
@@ -77,8 +82,12 @@ def _load_resume(config: SearchConfig) -> Optional[dict]:
             f"cursor file {path!r} is corrupt ({exc}); delete it to start over")
 
 
-def _save_cursor(config: SearchConfig, order: int,
+def _save_cursor(config: SearchConfig, out: TextIO, order: int,
                  cursor: Optional[EnumerationCursor], complete: bool) -> None:
+    """Flush the records, then persist the resume state together with the
+    output file and the byte offset the records reached in it (both None
+    without an --out file)."""
+    out.flush()
     path = config.resume_path
     if not path:
         return
@@ -87,6 +96,8 @@ def _save_cursor(config: SearchConfig, order: int,
         "order": order,
         "cursor": json.loads(cursor.to_json()) if cursor else None,
         "complete": complete,
+        "out_path": os.path.abspath(config.out_path) if config.out_path else None,
+        "out_offset": out.tell() if config.out_path else None,
     }
     tmp = path + ".tmp"
     with open(tmp, "w", encoding="utf-8") as fh:
@@ -105,6 +116,22 @@ def run_search(config: SearchConfig, out: TextIO, err: TextIO) -> dict:
             return {"per_order": {}, "scanned": 0, "resumed_complete": True}
         start_order = resume["order"]
         start_cursor = resume["cursor"]
+        offset = resume["out_offset"]
+        if config.out_path and offset is not None:
+            # drop records written after the last cursor save; the resumed
+            # enumeration emits them again
+            if resume.get("out_path") != os.path.abspath(config.out_path):
+                raise CursorError(
+                    f"cursor file belongs to the output file "
+                    f"{resume.get('out_path')!r}; pass that as --out or "
+                    "delete the cursor to start over")
+            if out.seek(0, os.SEEK_END) < offset:
+                raise CursorError(
+                    f"output file {config.out_path!r} is shorter than the "
+                    "cursor file records; restore it or delete the cursor "
+                    "to start over")
+            out.seek(offset)
+            out.truncate()
 
     shard_text = f"{config.shard[0]}/{config.shard[1]}"
     per_order: dict = {}
@@ -138,12 +165,11 @@ def run_search(config: SearchConfig, out: TextIO, err: TextIO) -> dict:
                     out.write(record.to_json() + "\n")
                     hits += 1
             if since_save >= config.cursor_every:
-                out.flush()
-                _save_cursor(config, n, enum.cursor(), complete=False)
+                _save_cursor(config, out, n, enum.cursor(), complete=False)
                 since_save = 0
         per_order[n] = hits
         print(f"order {n}: {hits} matching trees", file=err)
-        _save_cursor(config, min(n + 1, config.max_order), None,
+        _save_cursor(config, out, min(n + 1, config.max_order), None,
                      complete=(n == config.max_order))
     print("order | matches", file=err)
     for n, hits in per_order.items():

@@ -9,18 +9,14 @@ its polynomial from an exact integer Faddeev-LeVerrier determinant.
 
 from __future__ import annotations
 
-import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Optional, Sequence
+from functools import cached_property
+from typing import Sequence
 
-from .polys import (IntPoly, PrecisionExhausted, SpectrumSummary,
-                    count_roots_above, count_roots_above_quadratic,
+from .polys import (IntPoly, RealRoot, SpectrumSummary, compare_sum,
                     count_roots_open, even_part, integer_roots,
-                    isolate_kth_largest, poly_gcd,
-                    quadratic_root_multiplicity,
-                    rational_root_multiplicity, root_bound, taylor_shift)
+                    rational_root_multiplicity, taylor_shift)
 from .trees import Tree, attach_pendants, bipartition, delete_vertex
 
 _X = IntPoly.x()
@@ -28,19 +24,16 @@ _ONE = IntPoly.one()
 
 _MEMO_LIMIT = 20000
 _memo: "OrderedDict[tuple, IntPoly]" = OrderedDict()
-_memo_lock = threading.Lock()
 
 
 def clear_char_poly_cache() -> None:
-    with _memo_lock:
-        _memo.clear()
+    _memo.clear()
 
 
 def char_poly(tree: Tree) -> IntPoly:
     """Monic characteristic polynomial of the tree's adjacency matrix."""
     key = tree.canonical_code
-    with _memo_lock:
-        hit = _memo.get(key)
+    hit = _memo.get(key)
     if hit is not None:
         return hit
     n, adj = tree.n, tree.adj
@@ -76,10 +69,9 @@ def char_poly(tree: Tree) -> IntPoly:
         a[v] = _X * prod_all - acc
         b[v] = prod_all
     phi = a[0]
-    with _memo_lock:
-        _memo[key] = phi
-        while len(_memo) > _MEMO_LIMIT:
-            _memo.popitem(last=False)
+    _memo[key] = phi
+    while len(_memo) > _MEMO_LIMIT:
+        _memo.popitem(last=False)
     return phi
 
 
@@ -239,7 +231,6 @@ class TreeSpectrum:
     code: tuple
     char_poly: IntPoly
     summary: SpectrumSummary
-    m_value: int
     nullity: int
 
     @classmethod
@@ -247,8 +238,12 @@ class TreeSpectrum:
         phi = char_poly(tree)
         summary = integer_roots(phi)
         return cls(code=tree.canonical_code, char_poly=phi, summary=summary,
-                   m_value=count_roots_open(phi, -1, 1).with_multiplicity,
                    nullity=summary.nullity)
+
+    @cached_property
+    def m_value(self) -> int:
+        """Eigenvalues in (-1, 1), counted on first read only."""
+        return count_roots_open(self.char_poly, -1, 1).with_multiplicity
 
 
 # ---------------------------------------------------------------------------
@@ -270,43 +265,7 @@ def join_formula(t1: Tree, v1: int, t2: Tree, v2: int, k: int) -> IntPoly:
 
 
 # ---------------------------------------------------------------------------
-# exact comparison helpers for algebraic numbers
-
-
-_WIDTH_CAP = Fraction(1, 2 ** 64)
-
-
-def _count_ge(p: IntPoly, t: Fraction) -> int:
-    return (count_roots_above(p, t).with_multiplicity
-            + rational_root_multiplicity(p, t))
-
-
-def compare_root_to_rational(p: IntPoly, k: int, t: Fraction) -> int:
-    """Sign of (k-th largest real root of p) - t, decided exactly."""
-    t = Fraction(t)
-    ge = _count_ge(p, t)
-    if ge < k:
-        return -1
-    gt = ge - rational_root_multiplicity(p, t)
-    if gt >= k:
-        return 1
-    return 0
-
-
-def _interval_of(p: IntPoly, k: int, width: Fraction) -> tuple[Fraction, Fraction]:
-    box = isolate_kth_largest(p, k, width)
-    if box.exact is not None:
-        return box.exact, box.exact
-    return box.lo, box.hi
-
-
-def sqrt_interval(value: int, width: Fraction) -> tuple[Fraction, Fraction]:
-    """Enclosure of sqrt(value) for a nonnegative integer, exact on squares."""
-    if value < 0:
-        raise ValueError("negative radicand")
-    if value == 0:
-        return Fraction(0), Fraction(0)
-    return _interval_of(IntPoly((-value, 0, 1)), 1, width)
+# exact comparisons of eigenvalues
 
 
 def courant_weyl_check(tree: Tree, spec: Sequence[tuple[int, int]]) -> list[bool]:
@@ -314,57 +273,27 @@ def courant_weyl_check(tree: Tree, spec: Sequence[tuple[int, int]]) -> list[bool
     where T' attaches s_i pendant length-2 paths at the i-th spec vertex and
     the spec is taken in nonincreasing order of s.
 
-    Comparisons are exact: when the right-hand side is rational the verdict
-    comes from root counting; otherwise isolating intervals are refined until
+    Comparisons are exact: when lambda_n(T) is rational the verdict comes
+    from root counting; otherwise isolating intervals are refined until
     conclusive (PrecisionExhausted beyond the width cap).
     """
     if not spec:
         raise ValueError("empty attachment spec")
     ordered = sorted(spec, key=lambda it: -it[1])
-    grown = attach_pendants(tree, ordered)
-    phi_grown = char_poly(grown)
-    phi_base = char_poly(tree)
-    n = tree.n
-    lam_min = isolate_kth_largest(phi_base, n, Fraction(1, 16))
+    phi_grown = char_poly(attach_pendants(tree, ordered))
+    lam_min = RealRoot(char_poly(tree), tree.n)
 
     verdicts = []
     for i, (_, s) in enumerate(ordered, start=1):
-        root = _isqrt_exact(s + 1)
+        top = RealRoot(phi_grown, i)
         if lam_min.exact is not None:
-            # rational smallest eigenvalue: the comparison is exact, either
-            # against a rational target or in the quadratic field of sqrt(s+1)
-            if root is not None:
-                target = root + lam_min.exact
-                verdicts.append(compare_root_to_rational(phi_grown, i, target) >= 0)
-            else:
-                ge = (count_roots_above_quadratic(phi_grown, lam_min.exact, s + 1)
-                      + quadratic_root_multiplicity(phi_grown, lam_min.exact, s + 1))
-                verdicts.append(ge >= i)
-            continue
-        width = Fraction(1, 4)
-        decided: Optional[bool] = None
-        while width >= _WIDTH_CAP:
-            llo, lhi = _interval_of(phi_grown, i, width)
-            mlo, mhi = _interval_of(phi_base, n, width)
-            slo, shi = sqrt_interval(s + 1, width)
-            if llo >= shi + mhi:
-                decided = True
-                break
-            if lhi <= slo + mlo:
-                decided = False
-                break
-            width /= 4
-        if decided is None:
-            raise PrecisionExhausted(
-                f"inequality for index {i} unresolved at width {_WIDTH_CAP}")
-        verdicts.append(decided)
+            # against a rational, or in the quadratic field of sqrt(s+1)
+            sign = top.compare((lam_min.exact, s + 1))
+        else:
+            sign = compare_sum(top, RealRoot(IntPoly((-(s + 1), 0, 1)), 1),
+                               lam_min)
+        verdicts.append(sign >= 0)
     return verdicts
-
-
-def _isqrt_exact(v: int) -> Optional[int]:
-    from math import isqrt
-    r = isqrt(v)
-    return r if r * r == v else None
 
 
 # ---------------------------------------------------------------------------
@@ -377,8 +306,8 @@ def squared_shift_check(tree: Tree, side: int, r: int) -> bool:
     (k = number of positive eigenvalues of the original tree).
 
     Tries the exact divisibility certificate first and falls back to per-root
-    interval matching when the extra eigenvalues of the grown tree get in the
-    way of a clean split.
+    matching when the extra eigenvalues of the grown tree get in the way of
+    a clean split.
     """
     if side not in (0, 1):
         raise ValueError("side selects bipartition class 0 or 1")
@@ -404,40 +333,12 @@ def squared_shift_check(tree: Tree, side: int, r: int) -> bool:
 
     if shifted.divides(q_grown):
         cof = q_grown.exact_divide(shifted)
-        if cof.degree == 0:
+        # every root of q_grown is real, so the cofactor has a largest root;
+        # below the k-th root of the shifted factor it splits off cleanly
+        if (cof.degree == 0
+                or RealRoot(cof, 1).compare(RealRoot(shifted, k)) < 0):
             return True
-        width = Fraction(1, 4)
-        while width >= Fraction(1, 2 ** 40):
-            low = isolate_kth_largest(shifted, k, width)
-            t = low.exact if low.exact is not None else low.lo
-            if cof.evaluate(t) != 0 and count_roots_above(cof, t).distinct == 0:
-                return True
-            width /= 4
         # fall through to per-root matching on ties
 
-    for j in range(1, k + 1):
-        if not _kth_roots_equal(q_grown, shifted, j):
-            return False
-    return True
-
-
-def _kth_roots_equal(p: IntPoly, q: IntPoly, j: int) -> bool:
-    """Whether the j-th largest real roots of p and q coincide, exactly."""
-    common = poly_gcd(p, q)
-    width = Fraction(1, 4)
-    while True:
-        plo, phi_ = _interval_of(p, j, width)
-        qlo, qhi = _interval_of(q, j, width)
-        if plo == phi_ and qlo == qhi:
-            return plo == qlo
-        if phi_ <= qlo or qhi <= plo:
-            return False
-        lo = max(plo, qlo) - width / 2
-        hi = min(phi_, qhi) + width / 2
-        if common.degree >= 1 and count_roots_open(common, lo, hi).distinct >= 1:
-            if (count_roots_open(p, lo, hi).distinct == 1
-                    and count_roots_open(q, lo, hi).distinct == 1):
-                return True
-        width /= 4
-        if width < Fraction(1, 2 ** 128):
-            raise PrecisionExhausted("root matching did not converge")
+    return all(RealRoot(q_grown, j).compare(RealRoot(shifted, j)) == 0
+               for j in range(1, k + 1))

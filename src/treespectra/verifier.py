@@ -11,15 +11,14 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass, field
-from fractions import Fraction
 from itertools import product
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from .catalog import CatalogRecord
 from .enumeration import enumerate_free_trees
-from .polys import (IntPoly, PrecisionExhausted, count_roots_above,
-                    count_roots_open, even_part, isolate_kth_largest,
-                    poly_gcd, rational_root_multiplicity, root_bound)
+from .polys import (IntPoly, RealRoot, count_roots_above,
+                    count_roots_at_least, count_roots_open, even_part,
+                    poly_gcd, root_bound)
 from .reduction import (pendant_report, pendant_growth_holds,
                         strip_monotonicity_holds)
 from .spectra import (TreeSpectrum, char_poly, char_poly_adjacency,
@@ -54,24 +53,6 @@ class VerdictRecord:
         return json.dumps(payload, sort_keys=True)
 
 
-def _count_at_least(q: IntPoly, threshold, needed: int) -> bool:
-    """Whether q has >= needed roots (with multiplicity) at or above threshold."""
-    c = count_roots_above(q, threshold).with_multiplicity
-    return c + rational_root_multiplicity(q, threshold) >= needed
-
-
-def _max_root_below(q: IntPoly, threshold) -> bool:
-    """Whether every real root of q is strictly below threshold."""
-    if q.evaluate(Fraction(threshold)) == 0:
-        return False
-    return count_roots_above(q, threshold).with_multiplicity == 0
-
-
-def _max_root_above(q: IntPoly, threshold) -> bool:
-    """Whether the largest real root of q is strictly above threshold."""
-    return count_roots_above(q, threshold).with_multiplicity >= 1
-
-
 # ---------------------------------------------------------------------------
 # largest-eigenvalue bounds for the caterpillar family
 
@@ -84,9 +65,9 @@ def eigencat_check(r: Sequence[int]) -> VerdictRecord:
     tree = c_tree(r)
     s, t = sorted(r, reverse=True)[:2]
     _, q = even_part(char_poly(tree))
-    lower = _max_root_above(q, s + 2)
-    upper = _max_root_below(q, s + 4)
-    second = _count_at_least(q, t, 2)
+    lower = count_roots_above(q, s + 2).with_multiplicity >= 1
+    upper = count_roots_at_least(q, s + 4) == 0
+    second = count_roots_at_least(q, t) >= 2
     return VerdictRecord(
         check="eigencat",
         instance={"r": list(r), "s": s, "t": t},
@@ -109,7 +90,7 @@ def rhocat_check(n: int, j: int) -> VerdictRecord:
     r[j - 1] = 2
     tree = c_tree(r)
     _, q = even_part(char_poly(tree))
-    ok = _max_root_below(q, 5)
+    ok = count_roots_at_least(q, 5) == 0
     return VerdictRecord(
         check="rhocat",
         instance={"n": n, "j": j},
@@ -146,23 +127,13 @@ def ring_subdivision_check(steps: int) -> VerdictRecord:
 
 
 def _strictly_smaller_largest_root(qa: IntPoly, qb: IntPoly):
-    """Certify max-root(qa) < max-root(qb) by interval refinement."""
-    width = Fraction(1, 4)
-    while width >= Fraction(1, 2 ** 64):
-        ia = isolate_kth_largest(qa, 1, width)
-        ib = isolate_kth_largest(qb, 1, width)
-        a_hi = ia.exact if ia.exact is not None else ia.hi
-        b_lo = ib.exact if ib.exact is not None else ib.lo
-        if a_hi <= b_lo and not (ia.exact is not None and ia.exact == ib.exact):
-            return True, {"upper": [str(ia.lo), str(ia.hi)],
-                          "lower": [str(ib.lo), str(ib.hi)]}
-        a_lo = ia.exact if ia.exact is not None else ia.lo
-        b_hi = ib.exact if ib.exact is not None else ib.hi
-        if b_hi <= a_lo:
-            return False, {"upper": [str(ia.lo), str(ia.hi)],
-                           "lower": [str(ib.lo), str(ib.hi)]}
-        width /= 4
-    raise PrecisionExhausted("largest-root comparison did not separate")
+    """Certify max-root(qa) < max-root(qb); the certificate holds both
+    isolating intervals at the first width 1/4, 1/16, ... that separates
+    them."""
+    a, b = RealRoot(qa, 1), RealRoot(qb, 1)
+    smaller = a.compare(b) < 0
+    return smaller, {"upper": [str(a.lo), str(a.hi)],
+                     "lower": [str(b.lo), str(b.hi)]}
 
 
 # ---------------------------------------------------------------------------
@@ -203,19 +174,25 @@ def parter_witness(tree: Tree, eigenvalue: int) -> Optional[int]:
     return None
 
 
+def _parter_scan(trees: Iterable[Tree]) -> tuple[int, list]:
+    """Witness search for every integer eigenvalue of multiplicity at least
+    two of each tree; returns (pairs checked, misses)."""
+    misses = []
+    checked = 0
+    for tree in trees:
+        for eig, mult in is_integral(tree).roots.items():
+            if mult >= 2:
+                checked += 1
+                if parter_witness(tree, eig) is None:
+                    misses.append({"code": tree.code_str(), "eigenvalue": eig})
+    return checked, misses
+
+
 def parter_sweep(order_cap: int) -> VerdictRecord:
     """Exhaustive witness search over every tree up to the cap and every
     integer eigenvalue of multiplicity at least two."""
-    misses = []
-    checked = 0
-    for n in range(1, order_cap + 1):
-        for tree in enumerate_free_trees(n):
-            summary = is_integral(tree)
-            for eig, mult in summary.roots.items():
-                if mult >= 2:
-                    checked += 1
-                    if parter_witness(tree, eig) is None:
-                        misses.append({"code": tree.code_str(), "eigenvalue": eig})
+    checked, misses = _parter_scan(tree for n in range(1, order_cap + 1)
+                                   for tree in enumerate_free_trees(n))
     return VerdictRecord(
         check="parter_sweep",
         instance={"order_cap": order_cap, "pairs_checked": checked},
@@ -574,16 +551,8 @@ def _suite_inttr(rng: random.Random, trials: int) -> list[VerdictRecord]:
 
 def _suite_parter(rng: random.Random, trials: int) -> list[VerdictRecord]:
     out = [_timed(lambda: parter_sweep(10))]
-    misses = []
-    checked = 0
-    for _ in range(trials):
-        tree = random_tree(rng, rng.randrange(4, 15))
-        summary = is_integral(tree)
-        for eig, mult in summary.roots.items():
-            if mult >= 2:
-                checked += 1
-                if parter_witness(tree, eig) is None:
-                    misses.append({"code": tree.code_str(), "eigenvalue": eig})
+    checked, misses = _parter_scan(random_tree(rng, rng.randrange(4, 15))
+                                   for _ in range(trials))
     out.append(VerdictRecord(
         check="parter_random",
         instance={"trials": trials, "pairs_checked": checked},

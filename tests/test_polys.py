@@ -3,7 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from treespectra.polys import (DivisibilityError, IntPoly, SymmetryError,
+from treespectra.polys import (DivisibilityError, IntPoly, PrecisionExhausted,
+                               RealRoot, SymmetryError, compare_sum,
                                count_roots_open, even_part, integer_roots,
                                isolate_kth_largest, poly_gcd,
                                rational_root_multiplicity, root_bound,
@@ -260,3 +261,93 @@ class TestIsolation:
                 p = p * lin(rng.randrange(-9, 10))
             bound = root_bound(p)
             assert count_roots_open(p, -bound, bound).with_multiplicity == p.degree
+
+
+def _random_real_rooted(rng):
+    """Product of linear factors (some non-monic, so bisection midpoints can
+    hit rational roots) and x^2 - m factors with nonsquare m."""
+    p = IntPoly.one()
+    for _ in range(rng.randrange(1, 5)):
+        if rng.random() < 0.5:
+            p = p * IntPoly((-rng.randrange(-7, 8), rng.choice((1, 1, 2, 3, 4))))
+        else:
+            p = p * IntPoly((-rng.choice((2, 3, 5, 6, 7, 10)), 0, 1))
+    return p
+
+
+class TestRealRoot:
+    def test_stepwise_refinement_matches_fresh_isolation(self):
+        rng = random.Random(2012)
+        for _ in range(60):
+            p = _random_real_rooted(rng)
+            k = rng.randrange(1, p.degree + 1)
+            widths = sorted((Fraction(1, rng.randrange(1, 5000))
+                             for _ in range(rng.randrange(1, 5))), reverse=True)
+            root = RealRoot(p, k)
+            for w in widths:
+                root.refine(w)
+            fresh = isolate_kth_largest(p, k, widths[-1])
+            assert (root.lo, root.hi, root.exact) == (fresh.lo, fresh.hi,
+                                                       fresh.exact), (p, k)
+
+    def test_quartering_matches_fresh_isolation(self):
+        root = RealRoot(IntPoly((-5, 0, 1)), 1)
+        width = Fraction(1, 4)
+        while width >= Fraction(1, 2 ** 20):
+            root.refine(width)
+            fresh = isolate_kth_largest(IntPoly((-5, 0, 1)), 1, width)
+            assert (root.lo, root.hi) == (fresh.lo, fresh.hi)
+            width /= 4
+
+    def test_same_validation_as_isolation(self):
+        for p, k, message in ((IntPoly(), 1, "zero polynomial"),
+                              (IntPoly((-1, 0, 1)), 0, "root index starts at 1"),
+                              (IntPoly((-1, 0, 1)), 3, "only 2 real roots")):
+            with pytest.raises(ValueError, match=message):
+                RealRoot(p, k)
+            with pytest.raises(ValueError, match=message):
+                isolate_kth_largest(p, k, 1)
+
+    def test_integer_root_exact_at_construction(self):
+        assert RealRoot(lin(2) * lin(1) ** 2, 3).exact == 1
+        assert RealRoot(IntPoly((-5, 0, 1)), 1).exact is None
+
+    def test_compare_sqrt_against_quadratic_irrational(self):
+        assert RealRoot(IntPoly((-5, 0, 1)), 1).compare((0, 5)) == 0
+        assert RealRoot(IntPoly((-5, 0, 1)), 2).compare((0, 5)) == -1
+        assert RealRoot(IntPoly((-5, 0, 1)), 1).compare((Fraction(-1, 3), 5)) == 1
+        # a square radicand is a rational threshold
+        assert RealRoot(IntPoly((-9, 0, 1)), 1).compare((1, 4)) == 0
+
+    def test_compare_roots_sharing_a_factor(self):
+        shared = IntPoly((-5, 0, 1))
+        p, q = shared * lin(3), shared * lin(-1)
+        assert RealRoot(p, 2).compare(RealRoot(q, 1)) == 0
+        assert RealRoot(p, 1).compare(RealRoot(q, 1)) == 1
+        assert RealRoot(q, 2).compare(RealRoot(p, 2)) == -1
+
+    def test_compare_rational_root_hit_exactly(self):
+        p = IntPoly((-1, 2)) * IntPoly((-3, 0, 1))  # roots sqrt(3), 1/2, -sqrt(3)
+        root = RealRoot(p, 2)
+        assert root.exact is None
+        assert root.compare(Fraction(1, 2)) == 0
+        assert root.compare(Fraction(1, 3)) == 1
+        assert root.compare(1) == -1
+        # bisection from the root bound lands on the dyadic root exactly
+        assert root.refine(Fraction(1, 64)).exact == Fraction(1, 2)
+        assert root.compare(RealRoot(lin(1) * IntPoly((-1, 2)), 2)) == 0
+
+    def test_compare_unequal_coprime_roots(self):
+        sqrt5, sqrt6 = RealRoot(IntPoly((-5, 0, 1)), 1), RealRoot(IntPoly((-6, 0, 1)), 1)
+        assert sqrt5.compare(sqrt6) == -1
+        assert sqrt5.hi <= sqrt6.lo
+
+    def test_compare_sum(self):
+        def sqrt(m):
+            return RealRoot(IntPoly((-m, 0, 1)), 1)
+        assert compare_sum(sqrt(10), sqrt(2), sqrt(3)) == 1
+        assert compare_sum(sqrt(11), sqrt(3), sqrt(5)) == -1
+        assert compare_sum(RealRoot(lin(5), 1), RealRoot(lin(2), 1),
+                           sqrt(9)) == 0
+        with pytest.raises(PrecisionExhausted):
+            compare_sum(sqrt(8), sqrt(2), sqrt(2))

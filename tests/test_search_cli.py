@@ -19,6 +19,36 @@ def run_engine(tmp_path, **kwargs):
     return records, summary
 
 
+class _Interrupted(Exception):
+    pass
+
+
+class _InterruptingWriter:
+    """Text stream that raises instead of performing write number limit+1."""
+
+    def __init__(self, fh, limit):
+        self._fh = fh
+        self._left = limit
+
+    def write(self, text):
+        if self._left == 0:
+            raise _Interrupted
+        self._left -= 1
+        return self._fh.write(text)
+
+    def __getattr__(self, name):
+        return getattr(self._fh, name)
+
+
+def records_without_timestamp(path):
+    out = []
+    for line in path.read_text(encoding="utf-8").splitlines():
+        data = json.loads(line)
+        data.pop("timestamp")
+        out.append(data)
+    return out
+
+
 class TestSearchEngine:
     def test_nullity_two_integral(self, tmp_path):
         records, _ = run_engine(tmp_path, max_order=10, nullity=2,
@@ -62,6 +92,65 @@ class TestSearchEngine:
                                  fh, io.StringIO())
         assert summary.get("resumed_complete")
         assert open(out_path).read().splitlines() == first
+
+    @pytest.mark.parametrize("every", [2, 3])
+    def test_resume_after_interrupt_at_every_record(self, tmp_path, every):
+        def cli_args(out_path, cursor):
+            return ["search", "--max-order", "8", "--out", str(out_path),
+                    "--resume", str(cursor), "--cursor-every", str(every)]
+
+        full = tmp_path / "full.jsonl"
+        assert main(cli_args(full, tmp_path / "full.json")) == 0
+        expected = records_without_timestamp(full)
+        assert len(expected) == 48  # every tree of order 1..8
+        for limit in range(len(expected)):
+            out_path = tmp_path / f"out{limit}.jsonl"
+            cursor = tmp_path / f"cursor{limit}.json"
+            config = SearchConfig(max_order=8, out_path=str(out_path),
+                                  resume_path=str(cursor), cursor_every=every)
+            with open(out_path, "w", encoding="utf-8") as fh:
+                with pytest.raises(_Interrupted):
+                    run_search(config, _InterruptingWriter(fh, limit),
+                               io.StringIO())
+            assert main(cli_args(out_path, cursor)) == 0
+            assert records_without_timestamp(out_path) == expected, limit
+
+    def test_cursor_without_offset_refused(self, tmp_path):
+        cursor = tmp_path / "cursor.json"
+        config = SearchConfig(max_order=5, resume_path=str(cursor),
+                              cursor_every=2)
+        run_search(config, io.StringIO(), io.StringIO())
+        state = json.loads(cursor.read_text())
+        del state["out_offset"]
+        cursor.write_text(json.dumps(state))
+        with pytest.raises(CursorError, match="delete it"):
+            run_search(config, io.StringIO(), io.StringIO())
+
+    def test_resume_refuses_shortened_output(self, tmp_path):
+        out_path = tmp_path / "cat.jsonl"
+        cursor = tmp_path / "cursor.json"
+        config = SearchConfig(max_order=6, out_path=str(out_path),
+                              resume_path=str(cursor), cursor_every=2)
+        with open(out_path, "w", encoding="utf-8") as fh:
+            with pytest.raises(_Interrupted):
+                run_search(config, _InterruptingWriter(fh, 8), io.StringIO())
+        out_path.write_text("")
+        with open(out_path, "a", encoding="utf-8") as fh:
+            with pytest.raises(CursorError, match="shorter"):
+                run_search(config, fh, io.StringIO())
+
+    def test_resume_into_other_file_refused(self, tmp_path):
+        cursor = tmp_path / "cursor.json"
+        config = SearchConfig(max_order=6, out_path=str(tmp_path / "a.jsonl"),
+                              resume_path=str(cursor), cursor_every=2)
+        with open(config.out_path, "w", encoding="utf-8") as fh:
+            with pytest.raises(_Interrupted):
+                run_search(config, _InterruptingWriter(fh, 8), io.StringIO())
+        other = tmp_path / "other.txt"
+        other.write_text("x" * 10000)
+        assert main(["search", "--max-order", "6", "--out", str(other),
+                     "--resume", str(cursor), "--cursor-every", "2"]) == 2
+        assert other.read_text() == "x" * 10000
 
     def test_cursor_mismatch_refused(self, tmp_path):
         cursor = str(tmp_path / "cursor.json")

@@ -66,6 +66,23 @@ class TestRingSubdivision:
         assert v.certificate["largest_squared_is_5"]
         assert len(v.certificate["pairwise"]) == 6
 
+    def test_pairwise_endpoints_pinned(self):
+        pairs = ring_subdivision_check(6).certificate["pairwise"]
+        assert pairs == [
+            {"lower": ["9153/4096", "4581/2048"],
+             "upper": ["2275/1024", "18225/8192"]},
+            {"lower": ["2275/1024", "18225/8192"],
+             "upper": ["9065/4096", "36297/16384"]},
+            {"lower": ["9065/4096", "36297/16384"],
+             "upper": ["36173/16384", "18117/8192"]},
+            {"lower": ["36173/16384", "18117/8192"],
+             "upper": ["9021/4096", "72261/32768"]},
+            {"lower": ["288951/131072", "72261/32768"],
+             "upper": ["72159/32768", "288703/131072"]},
+            {"lower": ["72159/32768", "36113/16384"],
+             "upper": ["72049/32768", "36079/16384"]},
+        ]
+
     def test_needs_step(self):
         with pytest.raises(ValueError):
             ring_subdivision_check(0)
