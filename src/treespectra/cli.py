@@ -113,6 +113,11 @@ def _parse_shard(text: str) -> tuple:
 
 
 def _cmd_search(args) -> int:
+    if args.resume and not args.out:
+        raise ValueError(
+            "--resume needs --out: records already written to standard "
+            "output cannot be taken back, so a resumed run would print "
+            "again every record after the last cursor save")
     config = SearchConfig(
         max_order=args.max_order,
         nullity=args.nullity,
@@ -189,7 +194,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--shard", type=_parse_shard, default=(0, 1),
                    metavar="i/m")
     p.add_argument("--out", help="JSONL output path (default: stdout)")
-    p.add_argument("--resume", help="cursor file for restartable runs")
+    p.add_argument("--resume", help="cursor file for restartable runs "
+                                    "(requires --out)")
     p.add_argument("--cursor-every", type=int, default=100000,
                    help="persist the cursor every N enumerated trees")
     p.set_defaults(fn=_cmd_search)

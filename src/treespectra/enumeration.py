@@ -3,10 +3,13 @@
 Canonical rooted level sequences are generated in lexicographically
 decreasing order by the classic successor rule (copy the block between the
 deepest vertex and its parent cyclically over the tail).  A candidate is
-emitted as a free tree exactly when it coincides with the center-rooted
-canonical code of the tree it describes, so each isomorphism class appears
-once.  Sharding hands out emitted trees round-robin by emission index, which
-keeps shard unions exactly equal to the unsharded stream.
+emitted as a free tree exactly when its root is a center and, when vertex 1
+is the other center, the sequence is at least the code rooted there; both
+are read off the depths of the root's first two subtrees, so each
+isomorphism class appears once, as its canonical code.  Sharding hands out
+emitted trees round-robin by emission index, which keeps shard unions
+exactly equal to the unsharded stream; a Tree is built only for the trees
+the shard owns.
 """
 
 from __future__ import annotations
@@ -39,54 +42,40 @@ def _successor(seq: list[int]) -> Optional[list[int]]:
     return out
 
 
-def _parents(seq: list[int]) -> list[int]:
-    stack = [0]
-    parents = [-1] * len(seq)
-    for v, depth in enumerate(seq[1:], start=1):
-        del stack[depth:]
-        parents[v] = stack[depth - 1]
-        stack.append(v)
-    return parents
+def _is_center_code(seq: list[int]) -> bool:
+    """Whether a canonical rooted level sequence is the canonical code of
+    the free tree it describes, i.e. rooted at the (larger) center.
 
-
-def _root_is_center(seq: list[int], parents: list[int]) -> bool:
-    """Cheap rejection: the root's eccentricity (= height) must equal the
-    tree radius, found from the diameter by two sweeps."""
-    n = len(seq)
-    if n <= 2:
+    Canonical order puts the deepest subtree of every vertex first.  Let
+    the root's second subtree start at position k (the second 1 in seq), and
+    let its first branch reach depth H = max(seq) and its other branches
+    depth d = max(seq[k:]).  The root has eccentricity H and vertex 1 has
+    max(H - 1, d + 1).  With no second subtree the root is a leaf, which is
+    no center once n > 2.  If d == H, two branches of depth H meet at the
+    root, which is the only center.  If d < H - 1, vertex 1 has the smaller
+    eccentricity, so the root is no center.  If d == H - 1, the diameter is
+    2H - 1 and the centers are the root and vertex 1; the code is the larger
+    of their rooted codes.  Rooted at vertex 1, the root's side comes first
+    (it is deeper than any subtree of vertex 1), then the subtrees of
+    vertex 1 in their order in seq.
+    """
+    if len(seq) <= 2:
         return True
-    children: list[list[int]] = [[] for _ in range(n)]
-    for v in range(1, n):
-        children[parents[v]].append(v)
-
-    def farthest(src: int) -> tuple[int, int]:
-        dist = [-1] * n
-        dist[src] = 0
-        queue = [src]
-        best = src
-        for u in queue:
-            step = dist[u] + 1
-            for w in children[u]:
-                if dist[w] == -1:
-                    dist[w] = step
-                    queue.append(w)
-            pw = parents[u]
-            if pw != -1 and dist[pw] == -1:
-                dist[pw] = step
-                queue.append(pw)
-        for v in range(n):
-            if dist[v] > dist[best]:
-                best = v
-        return best, dist[best]
-
-    far, _ = farthest(0)
-    _, diameter = farthest(far)
-    return max(seq) == (diameter + 1) // 2
+    try:
+        k = seq.index(1, 2)
+    except ValueError:
+        return False
+    h = max(seq)
+    d = max(seq[k:])
+    if d == h:
+        return True
+    if d < h - 1:
+        return False
+    return seq >= [0, 1] + [x + 1 for x in seq[k:]] + [x - 1 for x in seq[2:k]]
 
 
 def _tree_from_sequence(seq: list[int]) -> Tree:
-    parents = _parents(seq)
-    return Tree(len(seq), [(parents[v], v) for v in range(1, len(seq))])
+    return Tree.from_code(seq)
 
 
 @dataclass
@@ -138,12 +127,10 @@ class FreeTreeEnumerator:
             self._seq = list(cursor.sequence) if cursor.sequence is not None else None
             self._emitted = cursor.emitted
             self._exhausted = cursor.exhausted
-            self._started = cursor.sequence is not None or cursor.exhausted
         else:
             self._seq = None
             self._emitted = 0
             self._exhausted = False
-            self._started = False
 
     def cursor(self) -> EnumerationCursor:
         return EnumerationCursor(
@@ -159,23 +146,17 @@ class FreeTreeEnumerator:
             return
         index, count = self.shard
         while True:
-            if not self._started:
-                seq = _initial_sequence(self.n)
-                self._started = True
-            else:
-                seq = _successor(self._seq) if self._seq is not None else None
+            seq = (_initial_sequence(self.n) if self._seq is None
+                   else _successor(self._seq))
             if seq is None:
                 self._exhausted = True
                 return
             self._seq = seq
-            parents = _parents(seq)
-            if _root_is_center(seq, parents):
-                tree = _tree_from_sequence(seq)
-                if tree.canonical_code == tuple(seq):
-                    take = self._emitted % count == index
-                    self._emitted += 1
-                    if take:
-                        yield tree
+            if _is_center_code(seq):
+                take = self._emitted % count == index
+                self._emitted += 1
+                if take:
+                    yield _tree_from_sequence(seq)
 
 
 def enumerate_free_trees(n: int, shard: tuple = (0, 1)) -> Iterator[Tree]:

@@ -19,6 +19,7 @@ from .catalog import CatalogRecord
 from .enumeration import EnumerationCursor, FreeTreeEnumerator
 from .reduction import pendant_report
 from .spectra import TreeSpectrum, nullity_matching
+from .trees import Tree
 
 
 class CursorError(ValueError):
@@ -47,6 +48,12 @@ class SearchConfig:
         if self.cursor_every < 1:
             raise ValueError("cursor interval must be positive")
 
+    def orders(self, start: int = 1) -> list[int]:
+        """Orders from start to max_order that can hold a match: a tree's
+        nullity always has the parity of its order."""
+        return [n for n in range(start, self.max_order + 1)
+                if self.nullity is None or (n - self.nullity) % 2 == 0]
+
     def filters_key(self) -> dict:
         return {
             "max_order": self.max_order,
@@ -55,6 +62,22 @@ class SearchConfig:
             "reduced_only": self.reduced_only,
             "shard": list(self.shard),
         }
+
+
+def analyze_match(tree: Tree, config: SearchConfig) -> Optional[TreeSpectrum]:
+    """The tree's spectrum analysis if it passes the config's filters, else
+    None.  The matching-number nullity and the reduced test run first, so
+    the characteristic polynomial is only computed for trees they keep."""
+    if config.nullity is not None and nullity_matching(tree) != config.nullity:
+        return None
+    if config.reduced_only and not pendant_report(tree).is_reduced:
+        return None
+    analysis = TreeSpectrum.analyze(tree)
+    if config.nullity is not None and analysis.nullity != config.nullity:
+        raise AssertionError(f"nullity routes disagree on {tree.code_str()}")
+    if config.integral_only and not analysis.summary.is_integral:
+        return None
+    return analysis
 
 
 def _load_resume(config: SearchConfig) -> Optional[dict]:
@@ -136,9 +159,7 @@ def run_search(config: SearchConfig, out: TextIO, err: TextIO) -> dict:
     shard_text = f"{config.shard[0]}/{config.shard[1]}"
     per_order: dict = {}
     scanned = 0
-    for n in range(start_order, config.max_order + 1):
-        if config.nullity is not None and (n - config.nullity) % 2:
-            continue  # tree nullity always matches the order's parity
+    for n in config.orders(start_order):
         cursor = start_cursor if n == start_order else None
         start_cursor = None
         enum = FreeTreeEnumerator(n, config.shard, cursor=cursor)
@@ -147,23 +168,15 @@ def run_search(config: SearchConfig, out: TextIO, err: TextIO) -> dict:
         for tree in enum:
             scanned += 1
             since_save += 1
-            if config.nullity is not None and nullity_matching(tree) != config.nullity:
-                pass
-            elif config.reduced_only and not pendant_report(tree).is_reduced:
-                pass
-            else:
-                analysis = TreeSpectrum.analyze(tree)
-                if config.nullity is not None and analysis.nullity != config.nullity:
-                    raise AssertionError(
-                        f"nullity routes disagree on {tree.code_str()}")
-                if not config.integral_only or analysis.summary.is_integral:
-                    record = CatalogRecord.from_tree(
-                        tree, analysis, order_cap=config.max_order,
-                        shard=shard_text,
-                        timestamp=datetime.now(timezone.utc).isoformat(
-                            timespec="seconds"))
-                    out.write(record.to_json() + "\n")
-                    hits += 1
+            analysis = analyze_match(tree, config)
+            if analysis is not None:
+                record = CatalogRecord.from_tree(
+                    tree, analysis, order_cap=config.max_order,
+                    shard=shard_text,
+                    timestamp=datetime.now(timezone.utc).isoformat(
+                        timespec="seconds"))
+                out.write(record.to_json() + "\n")
+                hits += 1
             if since_save >= config.cursor_every:
                 _save_cursor(config, out, n, enum.cursor(), complete=False)
                 since_save = 0

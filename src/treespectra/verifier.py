@@ -21,7 +21,8 @@ from .polys import (IntPoly, RealRoot, count_roots_above,
                     poly_gcd, root_bound)
 from .reduction import (pendant_report, pendant_growth_holds,
                         strip_monotonicity_holds)
-from .spectra import (TreeSpectrum, char_poly, char_poly_adjacency,
+from .search import SearchConfig, analyze_match
+from .spectra import (char_poly, char_poly_adjacency,
                       courant_weyl_check, forest_multiplicity,
                       is_integral, join_formula, multiplicity,
                       nullity_matching, ring_with_pendants_matrix,
@@ -206,25 +207,15 @@ def parter_sweep(order_cap: int) -> VerdictRecord:
 
 def nullity_classification(h: int, order_cap: int,
                            shard: tuple = (0, 1)) -> list[CatalogRecord]:
-    """All integral trees with the given nullity up to the order cap.
-
-    Orders of the wrong parity are skipped outright (nullity and order agree
-    mod 2 for trees, via the matching formula).
-    """
-    if h < 0:
-        raise ValueError("nullity must be nonnegative")
+    """All integral trees with the given nullity up to the order cap, through
+    the search's filters (orders of the wrong parity are skipped)."""
+    config = SearchConfig(max_order=order_cap, nullity=h, integral_only=True,
+                          shard=shard)
     records = []
-    for n in range(1, order_cap + 1):
-        if (n - h) % 2:
-            continue
+    for n in config.orders():
         for tree in enumerate_free_trees(n, shard):
-            if nullity_matching(tree) != h:
-                continue
-            analysis = TreeSpectrum.analyze(tree)
-            if analysis.nullity != h:
-                raise AssertionError(
-                    f"nullity routes disagree on {tree.code_str()}")
-            if analysis.summary.is_integral:
+            analysis = analyze_match(tree, config)
+            if analysis is not None:
                 records.append(CatalogRecord.from_tree(
                     tree, analysis, order_cap=order_cap,
                     shard=f"{shard[0]}/{shard[1]}"))

@@ -2,7 +2,8 @@
 
 Nothing here shares code paths with the package internals being tested:
 characteristic polynomials come from matching counts, tree counts come from
-labeled-tree dedup and from the rooted-tree counting recurrence, and maximum
+labeled-tree dedup and from the rooted-tree counting recurrence, free-tree
+codes come from networkx and from building each candidate tree, and maximum
 matchings come from subset enumeration.
 """
 
@@ -69,6 +70,21 @@ def labeled_tree_codes(n: int) -> set:
 
     rec(1)
     return codes
+
+
+def is_free_tree_code(seq) -> bool:
+    """Whether a level sequence is the canonical code of the tree it
+    describes, by building the tree and computing its code."""
+    return Tree.from_code(seq).canonical_code == tuple(seq)
+
+
+def free_tree_codes_networkx(n: int) -> set:
+    """Canonical codes of the free trees networkx generates (WROM
+    algorithm, independent of this package's successor rule)."""
+    import networkx as nx
+
+    return {Tree(n, list(g.edges())).canonical_code
+            for g in nx.nonisomorphic_trees(n)}
 
 
 def free_tree_counts_by_recurrence(n_max: int) -> list[int]:

@@ -2,10 +2,12 @@ import random
 
 import pytest
 
-from oracles import free_tree_counts_by_recurrence, labeled_tree_codes
+from oracles import (free_tree_codes_networkx, free_tree_counts_by_recurrence,
+                     is_free_tree_code, labeled_tree_codes)
 from treespectra.enumeration import (EnumerationCursor, FreeTreeEnumerator,
-                                     _initial_sequence, _successor,
-                                     _tree_from_sequence, enumerate_free_trees)
+                                     _initial_sequence, _is_center_code,
+                                     _successor, _tree_from_sequence,
+                                     enumerate_free_trees)
 
 # counts for n = 1..12, from the labeled-tree dedup oracle (live below for
 # n <= 8) and the counting recurrence (cross-checked live for all 12)
@@ -30,6 +32,14 @@ class TestSuccessorRule:
                 assert tree.rooted_code(0) == tuple(seq)
                 seq = _successor(seq)
 
+    def test_emission_rule_matches_built_tree(self):
+        # the sequence-level rule against building every candidate tree
+        for n in range(1, 13):
+            seq = _initial_sequence(n)
+            while seq is not None:
+                assert _is_center_code(seq) == is_free_tree_code(seq), seq
+                seq = _successor(seq)
+
 
 class TestFreeTreeStream:
     def test_counts_match_recurrence(self):
@@ -45,6 +55,12 @@ class TestFreeTreeStream:
         for n in range(1, 9):
             ours = {t.canonical_code for t in enumerate_free_trees(n)}
             assert ours == labeled_tree_codes(n)
+
+    @pytest.mark.parametrize("n", range(9, 14))
+    def test_codes_match_networkx(self, n):
+        pytest.importorskip("networkx")
+        ours = {t.canonical_code for t in enumerate_free_trees(n)}
+        assert ours == free_tree_codes_networkx(n)
 
     def test_no_duplicates_and_sorted(self):
         for n in range(1, 10):

@@ -242,6 +242,16 @@ class TestCli:
         orders = [json.loads(l)["order"] for l in first.splitlines()]
         assert orders == [1, 2, 5, 6, 7]
 
+    def test_search_resume_without_out_refused(self, tmp_path, capsys):
+        cursor = tmp_path / "cur.json"
+        assert main(["search", "--max-order", "5",
+                     "--resume", str(cursor)]) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert "--resume needs --out" in out.err
+        assert "standard output" in out.err
+        assert not cursor.exists()
+
     def test_verify_cli(self, capsys):
         assert main(["verify", "rhocat", "--trials", "2"]) == 0
         out = capsys.readouterr()
