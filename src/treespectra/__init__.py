@@ -1,9 +1,9 @@
 """Exact integer spectral analysis of trees.
 
-Everything is computed over the integers and rationals: characteristic
-polynomials by the pendant recurrence, root counting by Sturm chains,
-integrality verdicts by exact division, and tree enumeration by canonical
-level sequences.
+Everything is computed over the integers and rationals: tree characteristic
+polynomials from matching numbers, tree eigenvalue counts by exact inertia,
+root counting of general polynomials by Sturm chains, integrality verdicts
+by exact division, and tree enumeration by canonical level sequences.
 """
 
 from .catalog import CatalogRecord
@@ -19,9 +19,10 @@ from .reduction import (PendantReport, pendant_growth_holds, pendant_report,
 from .search import CursorError, SearchConfig, run_search
 from .spectra import (TreeSpectrum, char_poly, char_poly_adjacency,
                       char_poly_forest, char_poly_ring_with_pendants,
-                      courant_weyl_check, forest_multiplicity, is_integral,
-                      join_formula, m_value, max_matching_size, multiplicity,
-                      nullity_matching, nullity_poly, squared_shift_check)
+                      courant_weyl_check, forest_multiplicity, inertia,
+                      is_integral, join_formula, m_value, max_matching_size,
+                      multiplicity, nullity_matching, nullity_poly,
+                      squared_shift_check)
 from .trees import (Tree, TreeFormatError, attach_pendants, bipartition,
                     c_tree, delete_vertex, format_tree_text, hub_vertices,
                     join_trees, parse_tree_text, path, s_tree, star)

@@ -9,7 +9,7 @@ are read off the depths of the root's first two subtrees, so each
 isomorphism class appears once, as its canonical code.  Sharding hands out
 emitted trees round-robin by emission index, which keeps shard unions
 exactly equal to the unsharded stream; a Tree is built only for the trees
-the shard owns.
+the shard owns, and it keeps the sequence as its canonical code.
 """
 
 from __future__ import annotations
@@ -75,7 +75,8 @@ def _is_center_code(seq: list[int]) -> bool:
 
 
 def _tree_from_sequence(seq: list[int]) -> Tree:
-    return Tree.from_code(seq)
+    """The tree of an emitted sequence, which is its canonical code."""
+    return Tree._from_canonical_code(seq)
 
 
 @dataclass

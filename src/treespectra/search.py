@@ -183,7 +183,9 @@ def run_search(config: SearchConfig, out: TextIO, err: TextIO) -> dict:
         per_order[n] = hits
         print(f"order {n}: {hits} matching trees", file=err)
         _save_cursor(config, out, min(n + 1, config.max_order), None,
-                     complete=(n == config.max_order))
+                     complete=False)
+    # also when the nullity's parity skips the last orders, or all of them
+    _save_cursor(config, out, config.max_order, None, complete=True)
     print("order | matches", file=err)
     for n, hits in per_order.items():
         print(f"{n:5d} | {hits}", file=err)

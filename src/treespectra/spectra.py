@@ -1,25 +1,32 @@
 """Characteristic polynomials of trees and the spectral statistics built on them.
 
-The tree characteristic polynomial is computed by the pendant-vertex
-recurrence phi(G) = x*phi(G-v) - phi(G-v-u), organized as a single rooted
-bottom-up pass; results are memoized on canonical codes in a bounded cache.
-The one non-tree graph needed anywhere (an even cycle with two pendants) gets
-its polynomial from an exact integer Faddeev-LeVerrier determinant.
+A tree's characteristic polynomial is sum (-1)^k m_k x^(n-2k), with the
+matching numbers m_k counted in one bottom-up pass; results are memoized on
+canonical codes in a bounded cache.  Tree spectra need no Sturm chain: the
+integer eigenvalues are +-k with k^2 <= n-1 (the trace bound), found by
+deflation in y = x^2, and the eigenvalues below or at a rational t are
+counted by the inertia of A - tI, read off an exact tree diagonalisation
+(Jacobs-Trevisan); by Sylvester's law of inertia those counts are
+certificates.  Sturm chains stay for general polynomials, such as the
+eigenvalue comparisons below.  The one non-tree graph needed anywhere (an
+even cycle with two pendants) gets its polynomial from an exact integer
+Faddeev-LeVerrier determinant.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from fractions import Fraction
 from functools import cached_property
+from math import isqrt
 from typing import Sequence
 
-from .polys import (IntPoly, RealRoot, SpectrumSummary, compare_sum,
-                    count_roots_open, even_part, integer_roots,
-                    rational_root_multiplicity, taylor_shift)
+from .polys import (IntPoly, RealRoot, SpectrumSummary, _deflate,
+                    compare_sum, even_part, rational_root_multiplicity,
+                    taylor_shift)
 from .trees import Tree, attach_pendants, bipartition, delete_vertex
 
-_X = IntPoly.x()
 _ONE = IntPoly.one()
 
 _MEMO_LIMIT = 20000
@@ -31,48 +38,62 @@ def clear_char_poly_cache() -> None:
 
 
 def char_poly(tree: Tree) -> IntPoly:
-    """Monic characteristic polynomial of the tree's adjacency matrix."""
+    """Monic characteristic polynomial of the tree's adjacency matrix,
+    sum over k of (-1)^k m_k x^(n-2k) with m_k the k-edge matchings."""
     key = tree.canonical_code
     hit = _memo.get(key)
     if hit is not None:
         return hit
-    n, adj = tree.n, tree.adj
-    parent = [-1] * n
-    order = [0]
-    parent[0] = 0
-    for u in order:
-        for w in adj[u]:
-            if parent[w] == -1:
-                parent[w] = u
-                order.append(w)
-    parent[0] = -1
-    # a[v] = phi(subtree at v), b[v] = phi(subtree at v minus v)
-    a: list = [None] * n
-    b: list = [None] * n
-    for v in reversed(order):
-        kids = [w for w in adj[v] if parent[w] == v]
-        if not kids:
-            a[v], b[v] = _X, _ONE
-            continue
-        ka = [a[w] for w in kids]
-        prefix = [_ONE]
-        for p in ka:
-            prefix.append(prefix[-1] * p)
-        suffix = [_ONE]
-        for p in reversed(ka):
-            suffix.append(suffix[-1] * p)
-        suffix.reverse()
-        prod_all = prefix[-1]
-        acc = IntPoly.zero()
-        for j, w in enumerate(kids):
-            acc = acc + b[w] * (prefix[j] * suffix[j + 1])
-        a[v] = _X * prod_all - acc
-        b[v] = prod_all
-    phi = a[0]
+    n = tree.n
+    phi = [0] * (n + 1)
+    for k, m in enumerate(_matching_numbers(tree)):
+        phi[n - 2 * k] = -m if k & 1 else m
+    phi = IntPoly(phi)
     _memo[key] = phi
     while len(_memo) > _MEMO_LIMIT:
         _memo.popitem(last=False)
     return phi
+
+
+def _matching_numbers(tree: Tree) -> list[int]:
+    """[m_0, m_1, ...]: the tree's k-edge matchings, by one bottom-up pass.
+
+    Lists are indexed by matching size.  For v with children c, let A_c
+    count the matchings of c's subtree and B_c those that leave c
+    uncovered.  Then B_v = P = prod A_c, and a matching that covers v uses
+    one edge vc: S = sum B_c prod_{c' != c} A_c' counts the rest of it, so
+    A_v is P plus S shifted up one size.  P and S are updated child by
+    child: S <- S*A_c + P*B_c, then P <- P*A_c.
+    """
+    order, parent = tree.rooted_order()
+    prod = [[1] for _ in order]  # P of each vertex so far
+    cover = [[] for _ in order]  # S of each vertex so far
+    for v in reversed(order):
+        a = _add(prod[v], [0] + cover[v])
+        u = parent[v]
+        if u < 0:
+            return a
+        cover[u] = _add(_mul(cover[u], a), _mul(prod[u], prod[v]))
+        prod[u] = _mul(prod[u], a)
+
+
+def _mul(f: list, g: list) -> list:
+    if not f or not g:
+        return []
+    out = [0] * (len(f) + len(g) - 1)
+    for i, fi in enumerate(f):
+        for j, gj in enumerate(g):
+            out[i + j] += fi * gj
+    return out
+
+
+def _add(f: list, g: list) -> list:
+    if len(f) < len(g):
+        f, g = g, f
+    out = f[:]
+    for i, gi in enumerate(g):
+        out[i] += gi
+    return out
 
 
 def char_poly_forest(components: Sequence[Tree]) -> IntPoly:
@@ -162,9 +183,42 @@ def char_poly_ring_with_pendants(extra: int = 0) -> IntPoly:
 # spectral statistics
 
 
+def inertia(tree: Tree, t) -> tuple[int, int]:
+    """(eigenvalues below t, multiplicity of t), both with multiplicity, for
+    a rational t: the negative and zero counts of a diagonal matrix
+    congruent to A - tI (Sylvester's law of inertia).
+
+    The diagonal comes from the Jacobs-Trevisan tree diagonalisation: every
+    vertex starts at -t, and bottom-up each vertex v subtracts 1/d(c) for
+    its children c.  If some child has d(c) = 0, that child becomes 2, v
+    becomes -1/2 and the edge from v to its parent is dropped, so v adds
+    nothing to its parent.
+    """
+    t = Fraction(t)
+    order, parent = tree.rooted_order()
+    d = [-t] * tree.n
+    zero_child = [-1] * tree.n
+    for v in reversed(order):
+        if zero_child[v] >= 0:
+            d[zero_child[v]] = Fraction(2)
+            d[v] = Fraction(-1, 2)
+            continue
+        p = parent[v]
+        if p >= 0:
+            if d[v]:
+                d[p] -= 1 / d[v]
+            else:
+                zero_child[p] = v
+    below = sum(1 for x in d if x < 0)
+    return below, d.count(0)
+
+
 def m_value(tree: Tree) -> int:
-    """Eigenvalues in the open interval (-1, 1), counted with multiplicity."""
-    return count_roots_open(char_poly(tree), -1, 1).with_multiplicity
+    """Eigenvalues in the open interval (-1, 1), counted with multiplicity.
+
+    The spectrum is symmetric, so as many eigenvalues lie at or below -1 as
+    at or above 1, which leaves 2 * (eigenvalues below 1) - n in (-1, 1)."""
+    return 2 * inertia(tree, 1)[0] - tree.n
 
 
 def multiplicity(tree: Tree, eigenvalue: int) -> int:
@@ -221,7 +275,7 @@ def nullity_matching(tree: Tree) -> int:
 def is_integral(tree: Tree) -> SpectrumSummary:
     """Integer-root extraction of the char polynomial; the verdict is the
     summary's is_integral flag (residual of degree zero)."""
-    return integer_roots(char_poly(tree))
+    return TreeSpectrum.analyze(tree).summary
 
 
 @dataclass(frozen=True)
@@ -232,18 +286,40 @@ class TreeSpectrum:
     char_poly: IntPoly
     summary: SpectrumSummary
     nullity: int
+    tree: Tree = field(repr=False, compare=False)
 
     @classmethod
     def analyze(cls, tree: Tree) -> "TreeSpectrum":
+        """Integer roots of the characteristic polynomial, exactly as
+        integer_roots reports them, found in y = x^2.
+
+        With phi = x^h q(x^2), an integer root +-k != 0 of phi is a root
+        k^2 of q, and both signs have its multiplicity there.  The trace
+        bound limits k: tr A^2 = 2(n-1) is the sum of the squared
+        eigenvalues, and the spectrum is symmetric, so an eigenvalue
+        lambda != 0 and its mirror -lambda give 2 lambda^2 <= 2(n-1).
+        Hence deflating q by y - k^2 for k = 1..isqrt(n-1) removes every
+        integer root, and what is left is the residual.
+        """
         phi = char_poly(tree)
-        summary = integer_roots(phi)
+        h, q = even_part(phi)
+        roots: dict = {0: h} if h else {}
+        q = list(q.coeffs)
+        for k in range(1, isqrt(tree.n - 1) + 1):
+            mult, q = _deflate(q, k * k)
+            if mult:
+                roots[-k] = roots[k] = mult
+        residual = [0] * (2 * len(q) - 1)
+        residual[::2] = q
+        summary = SpectrumSummary(roots=roots, residual=IntPoly(residual),
+                                  is_integral=len(q) == 1, nullity=h)
         return cls(code=tree.canonical_code, char_poly=phi, summary=summary,
-                   nullity=summary.nullity)
+                   nullity=h, tree=tree)
 
     @cached_property
     def m_value(self) -> int:
         """Eigenvalues in (-1, 1), counted on first read only."""
-        return count_roots_open(self.char_poly, -1, 1).with_multiplicity
+        return m_value(self.tree)
 
 
 # ---------------------------------------------------------------------------

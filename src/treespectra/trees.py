@@ -109,10 +109,11 @@ class Tree:
             layer = nxt
         return tuple(sorted(layer))
 
-    def rooted_code(self, root: int) -> tuple[int, ...]:
-        """Canonical level sequence of the tree rooted at the given vertex."""
-        n, adj = self.n, self.adj
-        parent = [-1] * n
+    def rooted_order(self, root: int = 0) -> tuple[list[int], list[int]]:
+        """Vertices in breadth-first order from root, and each vertex's
+        parent (-1 for the root); reversed, the order is bottom-up."""
+        adj = self.adj
+        parent = [-1] * self.n
         order = [root]
         parent[root] = root
         for u in order:
@@ -121,7 +122,13 @@ class Tree:
                     parent[w] = u
                     order.append(w)
         parent[root] = -1
-        codes: list = [None] * n
+        return order, parent
+
+    def rooted_code(self, root: int) -> tuple[int, ...]:
+        """Canonical level sequence of the tree rooted at the given vertex."""
+        adj = self.adj
+        order, parent = self.rooted_order(root)
+        codes: list = [None] * self.n
         for v in reversed(order):
             kids = [codes[w] for w in adj[v] if parent[w] == v]
             if not kids:
@@ -166,6 +173,14 @@ class Tree:
             edges.append((stack[depth - 1], v))
             stack.append(v)
         return cls(len(code), edges)
+
+    @classmethod
+    def _from_canonical_code(cls, code: Sequence[int]) -> "Tree":
+        """from_code for a sequence known to be the canonical code, which
+        the tree keeps instead of computing it again."""
+        tree = cls.from_code(code)
+        object.__setattr__(tree, "_code", tuple(code))
+        return tree
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,7 @@ from .reduction import (pendant_report, pendant_growth_holds,
                         strip_monotonicity_holds)
 from .search import SearchConfig, analyze_match
 from .spectra import (char_poly, char_poly_adjacency,
-                      courant_weyl_check, forest_multiplicity,
+                      courant_weyl_check, forest_multiplicity, inertia,
                       is_integral, join_formula, multiplicity,
                       nullity_matching, ring_with_pendants_matrix,
                       squared_shift_check)
@@ -233,10 +233,11 @@ def nullity_one_class_check(order_cap: int) -> VerdictRecord:
         for tree in enumerate_free_trees(n):
             if nullity_matching(tree) != 1:
                 continue
-            phi = char_poly(tree)
-            if count_roots_open(phi, 0, 1).with_multiplicity:
+            below0, at0 = inertia(tree, 0)
+            below1, at1 = inertia(tree, 1)
+            if below1 - below0 - at0:  # eigenvalues in (0, 1)
                 continue
-            if count_roots_open(phi, 1, 2).with_multiplicity:
+            if inertia(tree, 2)[0] - below1 - at1:  # eigenvalues in (1, 2)
                 continue
             members.append(tree)
             if n == 1:

@@ -48,6 +48,26 @@ def char_poly_from_matchings(tree: Tree) -> IntPoly:
     return IntPoly(coeffs)
 
 
+def prufer_tree(rng, n: int) -> Tree:
+    """Uniformly random labeled tree of order n, decoded from a random
+    Prufer sequence."""
+    if n <= 2:
+        return Tree(n, [(0, 1)] if n == 2 else [])
+    seq = [rng.randrange(n) for _ in range(n - 2)]
+    degree = [1] * n
+    for v in seq:
+        degree[v] += 1
+    edges = []
+    for v in seq:
+        leaf = degree.index(1)
+        edges.append((leaf, v))
+        degree[leaf] -= 1
+        degree[v] -= 1
+    u = degree.index(1)
+    edges.append((u, degree.index(1, u + 1)))
+    return Tree(n, edges)
+
+
 def max_matching_brute(tree: Tree) -> int:
     return len(matchings_by_size(tree)) - 1
 

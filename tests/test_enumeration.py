@@ -62,6 +62,14 @@ class TestFreeTreeStream:
         ours = {t.canonical_code for t in enumerate_free_trees(n)}
         assert ours == free_tree_codes_networkx(n)
 
+    def test_emitted_code_is_recomputed_code(self):
+        # the enumerator hands each tree its code; it must be the one the
+        # tree would compute from its centers
+        for n in range(1, 13):
+            for tree in enumerate_free_trees(n):
+                assert tree._code == max(tree.rooted_code(c)
+                                         for c in tree.centers())
+
     def test_no_duplicates_and_sorted(self):
         for n in range(1, 10):
             codes = [t.canonical_code for t in enumerate_free_trees(n)]

@@ -242,6 +242,22 @@ class TestCli:
         orders = [json.loads(l)["order"] for l in first.splitlines()]
         assert orders == [1, 2, 5, 6, 7]
 
+    @pytest.mark.parametrize("max_order, nullity", [(6, 1), (1, 0)])
+    def test_search_nullity_other_parity_completes(self, tmp_path, capsys,
+                                                   max_order, nullity):
+        # the last order of a nullity-1 search to 6 is 5, not 6; a
+        # nullity-0 search to 1 has no order at all
+        out_file = tmp_path / "cat.jsonl"
+        args = ["search", "--max-order", str(max_order),
+                "--nullity", str(nullity), "--out", str(out_file),
+                "--resume", str(tmp_path / "cur.json")]
+        assert main(args) == 0
+        first = out_file.read_text()
+        capsys.readouterr()
+        assert main(args) == 0
+        assert "search already complete" in capsys.readouterr().err
+        assert out_file.read_text() == first
+
     def test_search_resume_without_out_refused(self, tmp_path, capsys):
         cursor = tmp_path / "cur.json"
         assert main(["search", "--max-order", "5",

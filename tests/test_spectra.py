@@ -3,15 +3,18 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import char_poly_from_matchings, max_matching_brute
+from oracles import char_poly_from_matchings, max_matching_brute, prufer_tree
 from treespectra.enumeration import enumerate_free_trees
-from treespectra.polys import (IntPoly, count_roots_above, count_roots_open,
-                               even_part, root_bound)
+from treespectra.polys import (IntPoly, count_roots_above,
+                               count_roots_at_least, count_roots_open,
+                               even_part, integer_roots,
+                               rational_root_multiplicity, root_bound)
 from treespectra.spectra import (TreeSpectrum, char_poly, char_poly_adjacency,
                                  char_poly_forest,
                                  char_poly_ring_with_pendants,
-                                 courant_weyl_check, is_integral, join_formula,
-                                 m_value, max_matching_size, multiplicity,
+                                 courant_weyl_check, inertia, is_integral,
+                                 join_formula, m_value, max_matching_size,
+                                 multiplicity,
                                  nullity_matching, nullity_poly,
                                  squared_shift_check)
 from treespectra.trees import (Tree, delete_vertex, join_trees, path, s_tree,
@@ -58,6 +61,49 @@ class TestCharPoly:
             t = random_tree(rng, rng.randrange(1, 15))
             phi = char_poly(t)
             assert phi.is_monic and phi.degree == t.n
+
+
+def oracle_trees():
+    """Every tree of orders 1-12 plus seeded Prufer trees of orders 13-80."""
+    trees = [t for n in range(1, 13) for t in enumerate_free_trees(n)]
+    rng = random.Random(4)
+    trees += [prufer_tree(rng, n) for n in range(13, 81, 2)]
+    return trees
+
+
+class TestTreeRoutesAgainstPolynomialRoutes:
+    """The tree-only routes (integer roots in y = x^2, inertia) against the
+    general polynomial routes (divisor scan, Sturm counts, deflation)."""
+
+    @pytest.fixture(scope="class")
+    def trees(self):
+        return oracle_trees()
+
+    def test_analyze_equals_integer_roots(self, trees):
+        for tree in trees:
+            summary = TreeSpectrum.analyze(tree).summary
+            expected = integer_roots(char_poly(tree))
+            assert summary == expected
+            assert list(summary.roots.items()) == list(expected.roots.items())
+
+    def test_m_value_equals_sturm_count(self, trees):
+        for tree in trees:
+            expected = count_roots_open(char_poly(tree), -1, 1).with_multiplicity
+            assert m_value(tree) == expected
+            assert TreeSpectrum.analyze(tree).m_value == expected
+
+    def test_inertia_equals_sturm_and_deflation(self, trees):
+        for tree in trees:
+            phi = char_poly(tree)
+            for t in (-2, -1, 0, 1, 2):
+                at = rational_root_multiplicity(phi, t)
+                below = tree.n - count_roots_at_least(phi, t)
+                assert inertia(tree, t) == (below, at), (tree, t)
+
+    def test_inertia_at_a_fraction(self):
+        # path P_4: eigenvalues +-(1 +- sqrt 5)/2, i.e. +-1.618 and +-0.618
+        assert inertia(path(4), Fraction(1, 2)) == (2, 0)
+        assert inertia(path(3), Fraction(0)) == (1, 1)
 
 
 class TestRingGraph:
