@@ -6,10 +6,23 @@ deepest vertex and its parent cyclically over the tail).  A candidate is
 emitted as a free tree exactly when its root is a center and, when vertex 1
 is the other center, the sequence is at least the code rooted there; both
 are read off the depths of the root's first two subtrees, so each
-isomorphism class appears once, as its canonical code.  Sharding hands out
-emitted trees round-robin by emission index, which keeps shard unions
-exactly equal to the unsharded stream; a Tree is built only for the trees
-the shard owns, and it keeps the sequence as its canonical code.
+isomorphism class appears once, as its canonical code.
+
+Runs of candidates that cannot be center-rooted are jumped over whole.  With
+k the position of the second 1 (n if none) and H = max(seq), the root is a
+center only when the rest seq[k:] reaches depth H - 1, which needs H - 1
+vertices:
+
+- Rule A, the rest is too shallow (max(seq[k:]) < H - 1): every later
+  candidate with the prefix seq[:k] has a smaller rest, which is no deeper.
+- Rule B, the first subtree is too big (k + H - 1 > n, a leaf root
+  included): every candidate that keeps a long enough prefix of the first
+  subtree leaves too few vertices for the rest.
+
+Sharding hands out emitted trees round-robin by emission index, which keeps
+shard unions exactly equal to the unsharded stream; a Tree is built only for
+the trees the shard owns, straight from the sequence, which it keeps as its
+canonical code.
 """
 
 from __future__ import annotations
@@ -72,6 +85,41 @@ def _is_center_code(seq: list[int]) -> bool:
     if d < h - 1:
         return False
     return seq >= [0, 1] + [x + 1 for x in seq[k:]] + [x - 1 for x in seq[2:k]]
+
+
+def _doomed_run_end(seq: list[int]) -> Optional[list[int]]:
+    """The end of the run of candidates, from seq on, whose root cannot be
+    a center, or None when seq's root may be one; the walk goes on at the
+    successor of the end.
+
+    The root is a center only when the rest seq[k:] reaches depth H - 1,
+    which takes H - 1 vertices.  A canonical code of height H starts
+    0, 1, ..., H, because the deepest subtree comes first at every vertex;
+    so max(seq[:i]) = min(i - 1, H), and a smaller rest is no deeper.
+
+    Rule B (k + H - 1 > n): let i be the largest in [2, k) with
+    n - i >= max(seq[:i]) - 1.  Every candidate from seq down to
+    seq[:i+1] + [1]*(n-i-1) keeps seq[:i+1], so its second 1 comes after
+    position i and its height is at least max(seq[:i+1]); by the choice of
+    i (or, when i + 1 == k, as for seq itself) too few vertices are left
+    for its rest.  Rule A (max(seq[k:]) < H - 1): every candidate from seq
+    down to seq[:k] + [1]*(n-k) keeps seq[:k], hence k and H, and has a
+    smaller, so no deeper, rest.
+    """
+    n = len(seq)
+    try:
+        k = seq.index(1, 2)
+    except ValueError:
+        k = n
+    h = max(seq)
+    if k + h - 1 > n:
+        i = k - 1
+        while n - i < min(i - 1, h) - 1:
+            i -= 1
+        return seq[:i + 1] + [1] * (n - i - 1)
+    if k < n and max(seq[k:]) < h - 1:
+        return seq[:k] + [1] * (n - k)
+    return None
 
 
 def _tree_from_sequence(seq: list[int]) -> Tree:
@@ -146,12 +194,17 @@ class FreeTreeEnumerator:
         if self._exhausted:
             return
         index, count = self.shard
+        seq = self._seq
         while True:
-            seq = (_initial_sequence(self.n) if self._seq is None
-                   else _successor(self._seq))
+            seq = (_initial_sequence(self.n) if seq is None
+                   else _successor(seq))
             if seq is None:
                 self._exhausted = True
                 return
+            doomed = _doomed_run_end(seq)
+            if doomed is not None:
+                seq = doomed
+                continue
             self._seq = seq
             if _is_center_code(seq):
                 take = self._emitted % count == index

@@ -113,6 +113,8 @@ def reduced_census(k: int, order_cap: int) -> list[Tree]:
     given order, sorted by (order, canonical code)."""
     if k < 0:
         raise ValueError("k must be nonnegative")
+    if order_cap < 1:
+        raise ValueError("max order must be at least 1")
     found = []
     for n in range(1, order_cap + 1):
         for tree in enumerate_free_trees(n):

@@ -176,9 +176,26 @@ class Tree:
 
     @classmethod
     def _from_canonical_code(cls, code: Sequence[int]) -> "Tree":
-        """from_code for a sequence known to be the canonical code, which
-        the tree keeps instead of computing it again."""
-        tree = cls.from_code(code)
+        """The tree of a level sequence known to be its canonical code,
+        which the tree keeps instead of computing it again.  Unlike
+        from_code it does not validate: the sequences come from the
+        enumerator, which only produces level sequences of trees.
+
+        The parent of vertex v is the last earlier vertex one level up, and
+        labels are in preorder, so adj[v] is (parent, children ascending)
+        and comes out sorted."""
+        n = len(code)
+        adj: list[list[int]] = [[] for _ in range(n)]
+        last = [0] * n  # last[d] = most recent vertex at depth d
+        for v in range(1, n):
+            depth = code[v]
+            parent = last[depth - 1]
+            adj[parent].append(v)
+            adj[v].append(parent)
+            last[depth] = v
+        tree = object.__new__(cls)
+        object.__setattr__(tree, "n", n)
+        object.__setattr__(tree, "adj", tuple(map(tuple, adj)))
         object.__setattr__(tree, "_code", tuple(code))
         return tree
 

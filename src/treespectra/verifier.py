@@ -685,6 +685,8 @@ SUITES: dict = {
 
 def run_suite(name: str, seed: int = 0, trials: int = 50) -> list[VerdictRecord]:
     """Run one named suite (or all of them) deterministically for a seed."""
+    if trials < 0:
+        raise ValueError("trial count must be nonnegative")
     if name == "all":
         out = []
         for key in SUITES:

@@ -8,6 +8,7 @@ from treespectra.enumeration import (EnumerationCursor, FreeTreeEnumerator,
                                      _initial_sequence, _is_center_code,
                                      _successor, _tree_from_sequence,
                                      enumerate_free_trees)
+from treespectra.trees import Tree
 
 # counts for n = 1..12, from the labeled-tree dedup oracle (live below for
 # n <= 8) and the counting recurrence (cross-checked live for all 12)
@@ -39,6 +40,61 @@ class TestSuccessorRule:
             while seq is not None:
                 assert _is_center_code(seq) == is_free_tree_code(seq), seq
                 seq = _successor(seq)
+
+
+    def test_direct_build_matches_validated_build(self):
+        # every rooted candidate, center-rooted or not, builds the same tree
+        # with and without validation
+        for n in range(1, 11):
+            seq = _initial_sequence(n)
+            while seq is not None:
+                direct = Tree._from_canonical_code(seq)
+                checked = Tree.from_code(seq)
+                assert (direct.n, direct.adj) == (checked.n, checked.adj), seq
+                assert direct.edges() == checked.edges(), seq
+                seq = _successor(seq)
+
+
+def reference_codes(n, shard=(0, 1)):
+    """The emitted stream without skipping: _is_center_code on every
+    candidate of the successor walk, then the round-robin shard rule."""
+    index, count = shard
+    codes = []
+    emitted = 0
+    seq = _initial_sequence(n)
+    while seq is not None:
+        if _is_center_code(seq):
+            if emitted % count == index:
+                codes.append(tuple(seq))
+            emitted += 1
+        seq = _successor(seq)
+    return codes
+
+
+class TestSkippingWalk:
+    def test_stream_matches_reference_walk(self):
+        for n in range(1, 15):
+            ours = [t.canonical_code for t in enumerate_free_trees(n)]
+            assert ours == reference_codes(n), n
+
+    def test_shards_match_reference_walk(self):
+        for n in range(1, 13):
+            for i in range(3):
+                ours = [t.canonical_code
+                        for t in enumerate_free_trees(n, (i, 3))]
+                assert ours == reference_codes(n, (i, 3)), (n, i)
+
+    def test_resume_after_every_emitted_tree(self):
+        full = reference_codes(10, (1, 3))
+        enum = FreeTreeEnumerator(10, (1, 3))
+        for done, tree in enumerate(enum, start=1):
+            cursor = EnumerationCursor.from_json(enum.cursor().to_json())
+            # the cursor holds the last emitted owned sequence
+            assert cursor.sequence == tree.canonical_code
+            rest = [t.canonical_code
+                    for t in FreeTreeEnumerator(10, (1, 3), cursor=cursor)]
+            assert rest == full[done:], done
+        assert enum.cursor().exhausted
 
 
 class TestFreeTreeStream:

@@ -286,5 +286,17 @@ class TestCli:
         lines = capsys.readouterr().out.splitlines()
         assert len(lines) == 1 and json.loads(lines[0])["code"] == "0,1"
 
+    def test_verify_negative_trials_refused(self, capsys):
+        assert main(["verify", "rhocat", "--trials", "-3"]) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert "trial count must be nonnegative" in out.err
+
+    def test_census_order_cap_below_one_refused(self, capsys):
+        assert main(["census", "--m-value", "0", "--max-order", "0"]) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert "max order must be at least 1" in out.err
+
     def test_missing_input(self, capsys):
         assert main(["charpoly"]) == 2
