@@ -20,9 +20,9 @@ from .search import CursorError, SearchConfig, run_search
 from .spectra import (TreeSpectrum, char_poly, char_poly_adjacency,
                       char_poly_forest, char_poly_ring_with_pendants,
                       courant_weyl_check, forest_multiplicity, inertia,
-                      is_integral, join_formula, m_value, max_matching_size,
-                      multiplicity, nullity_matching, nullity_poly,
-                      squared_shift_check)
+                      inertia_integrality, is_integral, join_formula,
+                      m_value, max_matching_size, multiplicity,
+                      nullity_matching, nullity_poly, squared_shift_check)
 from .trees import (Tree, TreeFormatError, attach_pendants, bipartition,
                     c_tree, delete_vertex, format_tree_text, hub_vertices,
                     join_trees, parse_tree_text, path, s_tree, star)

@@ -18,7 +18,7 @@ from typing import Optional, TextIO
 from .catalog import CatalogRecord
 from .enumeration import EnumerationCursor, FreeTreeEnumerator
 from .reduction import pendant_report
-from .spectra import TreeSpectrum, nullity_matching
+from .spectra import TreeSpectrum, inertia_integrality, nullity_matching
 from .trees import Tree
 
 
@@ -66,17 +66,26 @@ class SearchConfig:
 
 def analyze_match(tree: Tree, config: SearchConfig) -> Optional[TreeSpectrum]:
     """The tree's spectrum analysis if it passes the config's filters, else
-    None.  The matching-number nullity and the reduced test run first, so
-    the characteristic polynomial is only computed for trees they keep."""
+    None.  The matching-number nullity and the reduced test run first;
+    with integral_only, the inertia counts decide integrality next, so the
+    characteristic polynomial is only computed for trees that are kept.
+    Where two routes compute the same fact, they must agree."""
     if config.nullity is not None and nullity_matching(tree) != config.nullity:
         return None
     if config.reduced_only and not pendant_report(tree).is_reduced:
         return None
+    if config.integral_only:
+        nullity, integral = inertia_integrality(tree)
+        if config.nullity is not None and nullity != config.nullity:
+            raise AssertionError(f"nullity routes disagree on {tree.code_str()}")
+        if not integral:
+            return None
     analysis = TreeSpectrum.analyze(tree)
     if config.nullity is not None and analysis.nullity != config.nullity:
         raise AssertionError(f"nullity routes disagree on {tree.code_str()}")
     if config.integral_only and not analysis.summary.is_integral:
-        return None
+        raise AssertionError(
+            f"integrality routes disagree on {tree.code_str()}")
     return analysis
 
 

@@ -6,9 +6,10 @@ canonical codes in a bounded cache.  Tree spectra need no Sturm chain: the
 integer eigenvalues are +-k with k^2 <= n-1 (the trace bound), found by
 deflation in y = x^2, and the eigenvalues below or at a rational t are
 counted by the inertia of A - tI, read off an exact tree diagonalisation
-(Jacobs-Trevisan); by Sylvester's law of inertia those counts are
-certificates.  Sturm chains stay for general polynomials, such as the
-eigenvalue comparisons below.  The one non-tree graph needed anywhere (an
+(Jacobs-Trevisan) kept in integer pairs; by Sylvester's law of inertia
+those counts are certificates, and the counts at t = 0, 1, ..., isqrt(n-1)
+decide integrality without the polynomial.  Sturm chains stay for general
+polynomials, such as the eigenvalue comparisons below.  The one non-tree graph needed anywhere (an
 even cycle with two pendants) gets its polynomial from an exact integer
 Faddeev-LeVerrier determinant.
 """
@@ -23,8 +24,7 @@ from math import isqrt
 from typing import Sequence
 
 from .polys import (IntPoly, RealRoot, SpectrumSummary, _deflate,
-                    compare_sum, even_part, rational_root_multiplicity,
-                    taylor_shift)
+                    compare_sum, even_part, taylor_shift)
 from .trees import Tree, attach_pendants, bipartition, delete_vertex
 
 _ONE = IntPoly.one()
@@ -186,31 +186,76 @@ def char_poly_ring_with_pendants(extra: int = 0) -> IntPoly:
 def inertia(tree: Tree, t) -> tuple[int, int]:
     """(eigenvalues below t, multiplicity of t), both with multiplicity, for
     a rational t: the negative and zero counts of a diagonal matrix
-    congruent to A - tI (Sylvester's law of inertia).
+    congruent to A - tI (Sylvester's law of inertia)."""
+    t = Fraction(t)
+    order, parent = tree.rooted_order()
+    return _signature(order, parent, t.numerator, t.denominator)
+
+
+def _signature(order: list, parent: list, num: int, den: int
+               ) -> tuple[int, int]:
+    """inertia at t = num/den on one rooted order.
 
     The diagonal comes from the Jacobs-Trevisan tree diagonalisation: every
     vertex starts at -t, and bottom-up each vertex v subtracts 1/d(c) for
     its children c.  If some child has d(c) = 0, that child becomes 2, v
     becomes -1/2 and the edge from v to its parent is dropped, so v adds
-    nothing to its parent.
+    nothing to its parent.  Each d(v) is kept as an integer pair a/b with
+    no gcd: a/b - 1/(a_c/b_c) = (a a_c - b b_c) / (b a_c), so the sign of
+    d(v) is the sign of a b and d(v) = 0 exactly when a = 0.
     """
-    t = Fraction(t)
-    order, parent = tree.rooted_order()
-    d = [-t] * tree.n
-    zero_child = [-1] * tree.n
+    n = len(order)
+    a = [-num] * n
+    b = [den] * n
+    zero_child = [-1] * n
+    below = at = 0
     for v in reversed(order):
         if zero_child[v] >= 0:
-            d[zero_child[v]] = Fraction(2)
-            d[v] = Fraction(-1, 2)
+            # the zero child counted at 0 turns to 2, v to -1/2
+            at -= 1
+            below += 1
             continue
+        av = a[v]
         p = parent[v]
-        if p >= 0:
-            if d[v]:
-                d[p] -= 1 / d[v]
-            else:
+        if av:
+            bv = b[v]
+            if (av < 0) != (bv < 0):
+                below += 1
+            if p >= 0:
+                bp = b[p]
+                a[p] = a[p] * av - bp * bv
+                b[p] = bp * av
+        else:
+            at += 1
+            if p >= 0:
                 zero_child[p] = v
-    below = sum(1 for x in d if x < 0)
-    return below, d.count(0)
+    return below, at
+
+
+def inertia_integrality(tree: Tree) -> tuple[int, bool]:
+    """(nullity, whether every eigenvalue is an integer), from the inertia
+    of A - kI for k = 0, 1, ..., isqrt(n-1) on one rooted order.
+
+    The trace bound of TreeSpectrum.analyze puts every integer eigenvalue
+    at +-k with k^2 <= n-1, and the spectrum is symmetric, so the tree is
+    integral exactly when at(0) + 2 * sum of at(k) over those k is n.  An
+    eigenvalue in (k-1, k) shows as below(k) != below(k-1) + at(k-1) and
+    ends the test early; so does reaching n.
+    """
+    n = tree.n
+    order, parent = tree.rooted_order()
+    below, nullity = _signature(order, parent, 0, 1)
+    counted = nullity
+    last = below + nullity
+    for k in range(1, isqrt(n - 1) + 1):
+        if counted == n:
+            break
+        below, at = _signature(order, parent, k, 1)
+        if below != last:
+            return nullity, False
+        counted += 2 * at
+        last = below + at
+    return nullity, counted == n
 
 
 def m_value(tree: Tree) -> int:
@@ -222,8 +267,8 @@ def m_value(tree: Tree) -> int:
 
 
 def multiplicity(tree: Tree, eigenvalue: int) -> int:
-    """Exact multiplicity of an integer eigenvalue."""
-    return rational_root_multiplicity(char_poly(tree), eigenvalue)
+    """Exact multiplicity of an integer eigenvalue, by inertia."""
+    return inertia(tree, eigenvalue)[1]
 
 
 def forest_multiplicity(components: Sequence[Tree], eigenvalue: int) -> int:

@@ -8,7 +8,6 @@ trees are isomorphic exactly when their codes are equal.
 
 from __future__ import annotations
 
-from itertools import chain as _chain
 from typing import Iterable, Sequence
 
 
@@ -125,19 +124,53 @@ class Tree:
         return order, parent
 
     def rooted_code(self, root: int) -> tuple[int, ...]:
-        """Canonical level sequence of the tree rooted at the given vertex."""
-        adj = self.adj
+        """Canonical level sequence of the tree rooted at the given vertex:
+        the depths in preorder, with children visited in decreasing order
+        of their subtree codes.
+
+        Siblings share a depth, so their codes need only be ranked against
+        vertices of the same depth.  Deepest level first, a vertex's key is
+        its children's ranks in decreasing order; comparing keys as tuples
+        compares the codes (a code that is a proper prefix of another is
+        the smaller one, and so is a shorter key), so sorting one level by
+        key ranks it for the level above.
+        """
+        n = self.n
         order, parent = self.rooted_order(root)
-        codes: list = [None] * self.n
-        for v in reversed(order):
-            kids = [codes[w] for w in adj[v] if parent[w] == v]
-            if not kids:
-                codes[v] = (0,)
-            else:
-                shifted = sorted((tuple(d + 1 for d in k) for k in kids),
-                                 reverse=True)
-                codes[v] = (0,) + tuple(_chain.from_iterable(shifted))
-        return codes[root]
+        depth = [0] * n
+        kids: list = [[] for _ in range(n)]
+        for v in order[1:]:
+            depth[v] = depth[parent[v]] + 1
+            kids[parent[v]].append(v)
+        rank = [0] * n
+        key: list = [()] * n
+        end = n
+        while end:  # breadth-first order: one level is one slice
+            start = end - 1
+            level_depth = depth[order[start]]
+            while start and depth[order[start - 1]] == level_depth:
+                start -= 1
+            level = order[start:end]
+            for v in level:
+                ks = kids[v]
+                if ks:
+                    ks.sort(key=rank.__getitem__, reverse=True)
+                    key[v] = tuple([rank[c] for c in ks])
+            level.sort(key=key.__getitem__)
+            r, last = 0, None
+            for v in level:
+                if key[v] != last:
+                    r += 1
+                    last = key[v]
+                rank[v] = r
+            end = start
+        code = []
+        stack = [root]
+        while stack:
+            v = stack.pop()
+            code.append(depth[v])
+            stack.extend(reversed(kids[v]))
+        return tuple(code)
 
     @property
     def canonical_code(self) -> tuple[int, ...]:

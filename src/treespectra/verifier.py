@@ -684,9 +684,12 @@ SUITES: dict = {
 
 
 def run_suite(name: str, seed: int = 0, trials: int = 50) -> list[VerdictRecord]:
-    """Run one named suite (or all of them) deterministically for a seed."""
-    if trials < 0:
-        raise ValueError("trial count must be nonnegative")
+    """Run one named suite (or all of them) deterministically for a seed.
+    A trial count below 1 is refused: checks over no trials would report
+    passes that checked nothing."""
+    if trials < 1:
+        raise ValueError("trial count must be nonnegative and nonzero: "
+                         "a check over no trials checks nothing")
     if name == "all":
         out = []
         for key in SUITES:

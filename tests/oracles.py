@@ -10,7 +10,7 @@ matchings come from subset enumeration.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations
 
 from treespectra.polys import IntPoly
 from treespectra.trees import Tree
@@ -66,6 +66,20 @@ def prufer_tree(rng, n: int) -> Tree:
     u = degree.index(1)
     edges.append((u, degree.index(1, u + 1)))
     return Tree(n, edges)
+
+
+def rooted_code_by_shifting(tree: Tree, root: int) -> tuple[int, ...]:
+    """Level sequence of the tree rooted at root, built bottom-up: a
+    vertex's code is 0 followed by its children's codes, each shifted one
+    level down, in decreasing order."""
+    order, parent = tree.rooted_order(root)
+    codes: list = [None] * tree.n
+    for v in reversed(order):
+        kids = [codes[w] for w in tree.adj[v] if parent[w] == v]
+        shifted = sorted((tuple(d + 1 for d in k) for k in kids),
+                         reverse=True)
+        codes[v] = (0,) + tuple(chain.from_iterable(shifted))
+    return codes[root]
 
 
 def max_matching_brute(tree: Tree) -> int:

@@ -1,0 +1,78 @@
+"""The integer-pair inertia routes against the polynomial routes, and the
+search's cross-checks between them."""
+
+import io
+
+import pytest
+
+from treespectra import search
+from treespectra.enumeration import enumerate_free_trees
+from treespectra.polys import rational_root_multiplicity
+from treespectra.search import SearchConfig, analyze_match, run_search
+from treespectra.spectra import (TreeSpectrum, char_poly, inertia,
+                                 inertia_integrality, multiplicity)
+from treespectra.trees import path, s_tree, star
+
+
+class TestInertiaIntegrality:
+    def test_equals_analyze_on_every_tree_up_to_order_14(self):
+        checked = 0
+        for n in range(1, 15):
+            for tree in enumerate_free_trees(n):
+                summary = TreeSpectrum.analyze(tree).summary
+                assert inertia_integrality(tree) == (
+                    summary.nullity, summary.is_integral), tree.code_str()
+                checked += 1
+        assert checked == 5447  # A000055, orders 1-14
+
+    def test_small_cases(self):
+        assert inertia_integrality(star(4)) == (3, True)  # 0^3, +-2
+        assert inertia_integrality(path(3)) == (1, False)  # 0, +-sqrt 2
+        assert inertia_integrality(path(1)) == (1, True)
+        assert inertia_integrality(s_tree([1])) == (1, True)
+
+    def test_multiplicity_equals_deflation(self):
+        for n in range(1, 11):
+            for tree in enumerate_free_trees(n):
+                phi = char_poly(tree)
+                for k in range(-3, 4):
+                    assert multiplicity(tree, k) == rational_root_multiplicity(
+                        phi, k), (tree.code_str(), k)
+
+    def test_inertia_accepts_fraction_text(self):
+        # path P_4: eigenvalues +-1.618 and +-0.618
+        assert inertia(path(4), "1/2") == inertia(path(4), 0.5) == (2, 0)
+
+
+class TestSearchRoutesAgree:
+    def test_integrality_routes_disagree_is_raised(self, monkeypatch):
+        monkeypatch.setattr(search, "inertia_integrality",
+                            lambda tree: (1, True))
+        config = SearchConfig(max_order=3, integral_only=True)
+        with pytest.raises(AssertionError,
+                           match="integrality routes disagree on 0,1,1"):
+            analyze_match(path(3), config)
+
+    def test_inertia_nullity_is_checked_on_rejected_trees(self, monkeypatch):
+        # the verdict says "not integral", yet the wrong nullity is caught
+        monkeypatch.setattr(search, "inertia_integrality",
+                            lambda tree: (3, False))
+        config = SearchConfig(max_order=3, nullity=1, integral_only=True)
+        with pytest.raises(AssertionError,
+                           match="nullity routes disagree on 0,1,1"):
+            analyze_match(path(3), config)
+
+    def test_polynomial_only_for_records(self, monkeypatch):
+        calls = []
+        analyze = TreeSpectrum.analyze
+
+        def counting(tree):
+            calls.append(tree.code_str())
+            return analyze(tree)
+
+        monkeypatch.setattr(search.TreeSpectrum, "analyze", counting)
+        out = io.StringIO()
+        run_search(SearchConfig(max_order=10, integral_only=True), out,
+                   io.StringIO())
+        records = out.getvalue().splitlines()
+        assert len(records) == len(calls) == 6  # A077027, orders 1-10

@@ -292,6 +292,12 @@ class TestCli:
         assert out.out == ""
         assert "trial count must be nonnegative" in out.err
 
+    def test_verify_zero_trials_refused(self, capsys):
+        assert main(["verify", "parter", "--trials", "0"]) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert "a check over no trials checks nothing" in out.err
+
     def test_census_order_cap_below_one_refused(self, capsys):
         assert main(["census", "--m-value", "0", "--max-order", "0"]) == 2
         out = capsys.readouterr()

@@ -17,3 +17,22 @@ def test_char_poly_equals_determinant_route(picks):
     tree = Tree(len(picks) + 1,
                 [(p % (v + 1), v + 1) for v, p in enumerate(picks)])
     assert char_poly(tree) == char_poly_adjacency(tree.adjacency_matrix())
+
+
+@hypothesis.settings(max_examples=60, deadline=None)
+@hypothesis.given(st.integers(min_value=0, max_value=10 ** 6),
+                  st.integers(min_value=1, max_value=40),
+                  st.fractions(min_value=-6, max_value=6, max_denominator=12)
+                  .filter(lambda t: t.denominator > 1))
+def test_inertia_at_non_integer_rationals(seed, n, t):
+    import random
+
+    from oracles import prufer_tree
+    from treespectra.polys import (count_roots_at_least,
+                                   rational_root_multiplicity)
+    from treespectra.spectra import inertia
+
+    tree = prufer_tree(random.Random(seed), n)
+    phi = char_poly(tree)
+    below = n - count_roots_at_least(phi, t)
+    assert inertia(tree, t) == (below, rational_root_multiplicity(phi, t))

@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from oracles import eccentricities
+from oracles import eccentricities, prufer_tree, rooted_code_by_shifting
+from treespectra.enumeration import enumerate_free_trees
 from treespectra.trees import (Tree, TreeFormatError, attach_pendants,
                                bipartition, c_tree, delete_vertex,
                                format_tree_text, hub_vertices, join_trees,
@@ -173,6 +174,29 @@ class TestCanonicalCodes:
             ecc = eccentricities(t)
             radius = min(ecc)
             assert set(t.centers()) == {v for v in range(n) if ecc[v] == radius}
+
+
+class TestRootedCodeBuilders:
+    """The one-pass rooted code against the bottom-up builder that shifts
+    and concatenates child codes (tests/oracles.py)."""
+
+    def test_every_root_of_every_tree_up_to_order_12(self):
+        for n in range(1, 13):
+            for code in enumerate_free_trees(n):
+                tree = Tree(code.n, code.edges())  # no code kept
+                for root in range(n):
+                    assert tree.rooted_code(root) == rooted_code_by_shifting(
+                        tree, root), (code.code_str(), root)
+
+    def test_seeded_prufer_trees_up_to_order_180(self):
+        rng = random.Random(12)
+        for n in list(range(13, 181, 7)) + [180] * 5:
+            tree = prufer_tree(rng, n)
+            for center in tree.centers():
+                assert tree.rooted_code(center) == rooted_code_by_shifting(
+                    tree, center)
+            relabelled = shuffled_copy(tree, rng)
+            assert relabelled.canonical_code == tree.canonical_code
 
 
 class TestTreeValidation:

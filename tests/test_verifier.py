@@ -235,6 +235,10 @@ class TestSuiteRunner:
         with pytest.raises(KeyError):
             run_suite("nope")
 
+    def test_zero_trials_refused(self):
+        with pytest.raises(ValueError, match="nonzero"):
+            run_suite("all", trials=0)
+
     def test_record_json_fields(self):
         record = run_suite("rhocat", seed=0, trials=1)[0]
         data = json.loads(record.to_json(with_timing=True))
