@@ -78,7 +78,7 @@ def _cmd_spectrum(args) -> int:
         "residual": analysis.summary.residual.to_text(),
         "is_integral": analysis.summary.is_integral,
         "nullity": analysis.nullity,
-        "eigenvalues_in_unit_gap": analysis.m_value,
+        "eigenvalues_in_unit_gap": m_value(tree),
     }, sort_keys=True))
     return EXIT_OK
 

@@ -34,10 +34,6 @@ from typing import Iterator, Optional
 from .trees import Tree
 
 
-def _initial_sequence(n: int) -> list[int]:
-    return list(range(n))
-
-
 def _successor(seq: list[int]) -> Optional[list[int]]:
     """Next canonical rooted level sequence in decreasing lex order."""
     p = len(seq) - 1
@@ -122,11 +118,6 @@ def _doomed_run_end(seq: list[int]) -> Optional[list[int]]:
     return None
 
 
-def _tree_from_sequence(seq: list[int]) -> Tree:
-    """The tree of an emitted sequence, which is its canonical code."""
-    return Tree._from_canonical_code(seq)
-
-
 @dataclass
 class EnumerationCursor:
     """Restart point: the last candidate sequence examined plus the global
@@ -196,8 +187,7 @@ class FreeTreeEnumerator:
         index, count = self.shard
         seq = self._seq
         while True:
-            seq = (_initial_sequence(self.n) if seq is None
-                   else _successor(seq))
+            seq = list(range(self.n)) if seq is None else _successor(seq)
             if seq is None:
                 self._exhausted = True
                 return
@@ -210,7 +200,7 @@ class FreeTreeEnumerator:
                 take = self._emitted % count == index
                 self._emitted += 1
                 if take:
-                    yield _tree_from_sequence(seq)
+                    yield Tree._from_canonical_code(seq)
 
 
 def enumerate_free_trees(n: int, shard: tuple = (0, 1)) -> Iterator[Tree]:

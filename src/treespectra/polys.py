@@ -287,14 +287,6 @@ def poly_gcd(p: IntPoly, q: IntPoly) -> IntPoly:
     return a.primitive()
 
 
-def square_free_part(p: IntPoly) -> IntPoly:
-    """Product of the distinct irreducible factors of p (primitive)."""
-    if p.degree <= 0:
-        return p.primitive() if not p.is_zero else p
-    g = poly_gcd(p, p.derivative())
-    return p.primitive().exact_divide(g)
-
-
 def square_free_decomposition(p: IntPoly) -> list[tuple[IntPoly, int]]:
     """Musser decomposition: [(f_i, i)] with primitive(p) = prod f_i^i.
 
@@ -762,10 +754,10 @@ class RealRoot:
         t = _as_fraction(other)
         if self.exact is not None:
             return _sign(self.exact - t)
-        ge = count_roots_at_least(p, t)
-        if ge < k:
-            return -1
-        return 1 if ge - rational_root_multiplicity(p, t) >= k else 0
+        above = count_roots_above(p, t).with_multiplicity
+        if above >= k:
+            return 1
+        return 0 if above + rational_root_multiplicity(p, t) >= k else -1
 
     def _compare_root(self, other: "RealRoot") -> int:
         """Refine both roots in lockstep through 1/4, 1/16, ... until their
@@ -814,33 +806,3 @@ def compare_sum(root: RealRoot, a: RealRoot, b: RealRoot) -> int:
             return -1
         width /= 4
     raise PrecisionExhausted(f"sum comparison unresolved at width {WIDTH_CAP}")
-
-
-@dataclass(frozen=True)
-class IsolatingInterval:
-    """Certified open interval around the k-th largest real root."""
-
-    lo: Fraction
-    hi: Fraction
-    index: int
-    certified: bool
-    exact: Optional[Fraction] = None
-
-    @property
-    def width(self) -> Fraction:
-        return self.hi - self.lo
-
-    @property
-    def midpoint(self) -> Fraction:
-        return (self.lo + self.hi) / 2
-
-
-def isolate_kth_largest(p: IntPoly, k: int, width) -> IsolatingInterval:
-    """Certified interval of length <= width around the k-th largest real root.
-
-    Roots are ranked with multiplicity (index 1 = largest).  A rational root
-    hit exactly is returned as a degenerate pinch interval with the exact
-    value attached.
-    """
-    root = RealRoot(p, k).refine(width)
-    return IsolatingInterval(root.lo, root.hi, k, True, exact=root.exact)

@@ -70,17 +70,19 @@ def reduce_with_trace(tree: Tree) -> tuple[Tree, list[dict]]:
     """reduce_core plus one trace entry per strip (vertex and m before/after)."""
     steps = []
     current = tree
+    m_after = None
     while True:
         report = pendant_report(current)
         if report.is_reduced:
             return current, steps
         v = next(i for i, c in enumerate(report.per_vertex) if c)
-        m_before = m_value(current)
+        m_before = m_value(current) if m_after is None else m_after
         current = strip_pendant_p2(current, v)
+        m_after = m_value(current)
         steps.append({
             "vertex": v,
             "m_before": m_before,
-            "m_after": m_value(current),
+            "m_after": m_after,
             "code_after": current.code_str(),
         })
 

@@ -104,8 +104,20 @@ def _load_resume(config: SearchConfig) -> Optional[dict]:
             raise CursorError(
                 "cursor file has no output offset (an older cursor format); "
                 "delete it and the output file to start over")
-        state["cursor"] = (EnumerationCursor.from_json(json.dumps(state["cursor"]))
-                          if state.get("cursor") else None)
+        # refuse what no search writes: _successor would fail on it, or
+        # end the order early
+        order, cursor = state["order"], state.get("cursor")
+        if not 1 <= order <= config.max_order:
+            raise ValueError(f"order {order} is outside 1..{config.max_order}")
+        if cursor:
+            cursor = EnumerationCursor.from_json(json.dumps(cursor))
+            seq = cursor.sequence
+            if (cursor.n != order or cursor.shard != tuple(config.shard)
+                    or cursor.exhausted or cursor.emitted < 0
+                    or len(seq) != order
+                    or Tree.from_code(seq).rooted_code(0) != seq):
+                raise ValueError("the cursor is no position of this search")
+        state["cursor"] = cursor or None
         return state
     except CursorError:
         raise

@@ -17,9 +17,8 @@ Faddeev-LeVerrier determinant.
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from math import isqrt
 from typing import Sequence
 
@@ -151,9 +150,9 @@ def _mat_mul(a, b):
     return out
 
 
-def ring_with_pendants_matrix(extra: int = 0) -> list[list[int]]:
-    """Adjacency matrix of a cycle of length 6+extra with two pendant
-    vertices attached to one cycle vertex.
+def char_poly_ring_with_pendants(extra: int = 0) -> IntPoly:
+    """Exact characteristic polynomial of a cycle of length 6+extra with two
+    pendant vertices attached to one cycle vertex.
 
     extra=0 is the 8-vertex graph whose largest eigenvalue is exactly sqrt(5);
     each increment corresponds to one subdivision of a cycle edge.
@@ -171,12 +170,7 @@ def ring_with_pendants_matrix(extra: int = 0) -> list[list[int]]:
         link(i, (i + 1) % cycle)
     link(0, cycle)
     link(0, cycle + 1)
-    return mat
-
-
-def char_poly_ring_with_pendants(extra: int = 0) -> IntPoly:
-    """Exact characteristic polynomial of the cycle-with-two-pendants family."""
-    return char_poly_adjacency(ring_with_pendants_matrix(extra))
+    return char_poly_adjacency(mat)
 
 
 # ---------------------------------------------------------------------------
@@ -317,12 +311,6 @@ def nullity_matching(tree: Tree) -> int:
     return tree.n - 2 * max_matching_size(tree)
 
 
-def is_integral(tree: Tree) -> SpectrumSummary:
-    """Integer-root extraction of the char polynomial; the verdict is the
-    summary's is_integral flag (residual of degree zero)."""
-    return TreeSpectrum.analyze(tree).summary
-
-
 @dataclass(frozen=True)
 class TreeSpectrum:
     """Bundle of the spectral facts the search and verifier care about."""
@@ -331,7 +319,6 @@ class TreeSpectrum:
     char_poly: IntPoly
     summary: SpectrumSummary
     nullity: int
-    tree: Tree = field(repr=False, compare=False)
 
     @classmethod
     def analyze(cls, tree: Tree) -> "TreeSpectrum":
@@ -359,12 +346,7 @@ class TreeSpectrum:
         summary = SpectrumSummary(roots=roots, residual=IntPoly(residual),
                                   is_integral=len(q) == 1, nullity=h)
         return cls(code=tree.canonical_code, char_poly=phi, summary=summary,
-                   nullity=h, tree=tree)
-
-    @cached_property
-    def m_value(self) -> int:
-        """Eigenvalues in (-1, 1), counted on first read only."""
-        return m_value(self.tree)
+                   nullity=h)
 
 
 # ---------------------------------------------------------------------------

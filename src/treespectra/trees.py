@@ -67,9 +67,6 @@ class Tree:
 
     # -- basic structure ----------------------------------------------
 
-    def neighbors(self, v: int) -> tuple[int, ...]:
-        return self.adj[v]
-
     def degree(self, v: int) -> int:
         return len(self.adj[v])
 
@@ -378,14 +375,10 @@ def join_trees(t1: Tree, v1: int, t2: Tree, v2: int, k: int) -> Tree:
 
 def bipartition(tree: Tree) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """The two color classes by distance parity from vertex 0."""
-    color = [-1] * tree.n
-    color[0] = 0
-    queue = [0]
-    for u in queue:
-        for w in tree.adj[u]:
-            if color[w] == -1:
-                color[w] = 1 - color[u]
-                queue.append(w)
+    order, parent = tree.rooted_order()
+    color = [0] * tree.n
+    for v in order[1:]:
+        color[v] = 1 - color[parent[v]]
     side0 = tuple(v for v in range(tree.n) if color[v] == 0)
     side1 = tuple(v for v in range(tree.n) if color[v] == 1)
     return side0, side1

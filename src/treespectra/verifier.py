@@ -16,16 +16,15 @@ from typing import Callable, Iterable, Optional, Sequence
 
 from .catalog import CatalogRecord
 from .enumeration import enumerate_free_trees
-from .polys import (IntPoly, RealRoot, count_roots_above,
-                    count_roots_at_least, count_roots_open, even_part,
-                    poly_gcd, root_bound)
+from .polys import (DivisibilityError, IntPoly, RealRoot,
+                    count_roots_above, count_roots_at_least,
+                    count_roots_open, even_part, poly_gcd, root_bound)
 from .reduction import (pendant_report, pendant_growth_holds,
                         strip_monotonicity_holds)
 from .search import SearchConfig, analyze_match
-from .spectra import (char_poly, char_poly_adjacency,
+from .spectra import (TreeSpectrum, char_poly, char_poly_ring_with_pendants,
                       courant_weyl_check, forest_multiplicity, inertia,
-                      is_integral, join_formula, multiplicity,
-                      nullity_matching, ring_with_pendants_matrix,
+                      join_formula, multiplicity, nullity_matching,
                       squared_shift_check)
 from .trees import (Tree, attach_pendants, c_tree, delete_vertex,
                     hub_vertices, join_trees, s_tree)
@@ -105,7 +104,7 @@ def ring_subdivision_check(steps: int) -> VerdictRecord:
     sqrt(5) at the start and strictly decreases with each cycle subdivision."""
     if steps < 1:
         raise ValueError("needs at least one subdivision step")
-    phi0 = char_poly_adjacency(ring_with_pendants_matrix(0))
+    phi0 = char_poly_ring_with_pendants(0)
     _, q0 = even_part(phi0)  # the starting graph is bipartite
     start_exact = (q0.evaluate(5) == 0
                    and count_roots_above(q0, 5).with_multiplicity == 0)
@@ -114,7 +113,7 @@ def ring_subdivision_check(steps: int) -> VerdictRecord:
     prev = phi0
     for k in range(1, steps + 1):
         # odd cycles appear after one subdivision, so compare full polynomials
-        phik = char_poly_adjacency(ring_with_pendants_matrix(k))
+        phik = char_poly_ring_with_pendants(k)
         dec, cert = _strictly_smaller_largest_root(phik, prev)
         intervals.append(cert)
         chain_ok = chain_ok and dec
@@ -150,7 +149,7 @@ def s_nonintegral_scan(n: int, r_max: int) -> VerdictRecord:
     total = 0
     for r in product(range(r_max + 1), repeat=n):
         total += 1
-        if is_integral(s_tree(list(r))).is_integral:
+        if TreeSpectrum.analyze(s_tree(list(r))).summary.is_integral:
             bad.append(list(r))
     return VerdictRecord(
         check="s_nonintegral_scan",
@@ -181,7 +180,7 @@ def _parter_scan(trees: Iterable[Tree]) -> tuple[int, list]:
     misses = []
     checked = 0
     for tree in trees:
-        for eig, mult in is_integral(tree).roots.items():
+        for eig, mult in TreeSpectrum.analyze(tree).summary.roots.items():
             if mult >= 2:
                 checked += 1
                 if parter_witness(tree, eig) is None:
@@ -245,7 +244,7 @@ def nullity_one_class_check(order_cap: int) -> VerdictRecord:
             p = (n - 5) // 2
             if n < 5 or tree.canonical_code != s_tree([p]).canonical_code:
                 violations.append(tree.code_str())
-            elif is_integral(tree).is_integral:
+            elif TreeSpectrum.analyze(tree).summary.is_integral:
                 integral_spiders.append({"legs": p + 2, "order": n,
                                          "code": tree.code_str()})
     return VerdictRecord(
@@ -263,31 +262,21 @@ def nullity_one_class_check(order_cap: int) -> VerdictRecord:
 # the displayed polynomials in the nullity-3 argument
 
 
-def _spider_with_port(p: int) -> tuple[Tree, int]:
-    """Length-2 spider s_tree([p]) and one leg midpoint (vertex 0)."""
-    return s_tree([p]), 0
-
-
 def _attach_cases(p: int, q: int, r: int):
     """Build the three case trees; returns (case_i, case_ii_a, case_ii_b,
     case_ii_latter, case_iii)."""
-    sp, port_p = _spider_with_port(p)
-    sq, port_q = _spider_with_port(q)
+    def with_p2s(tree: Tree, v: int) -> Tree:
+        return attach_pendants(tree, [(v, r)] if r else [])
 
-    # case (i): new vertex joined to leg midpoints of two spiders, plus r
-    # pendant P2s; should reproduce the three-group construction
-    edges = []
-    off_p = 1
+    # case (i): new vertex joined to leg midpoints (vertex 0) of the
+    # spiders s_tree([p]) and s_tree([q]), plus r pendant P2s; should
+    # reproduce the three-group construction
+    sp, sq = s_tree([p]), s_tree([q])
     off_q = 1 + sp.n
-    edges.extend((off_p + a, off_p + b) for a, b in sp.edges())
+    edges = [(1 + a, 1 + b) for a, b in sp.edges()]
     edges.extend((off_q + a, off_q + b) for a, b in sq.edges())
-    edges.append((0, off_p + port_p))
-    edges.append((0, off_q + port_q))
-    nxt = 1 + sp.n + sq.n
-    for _ in range(r):
-        edges.extend(((0, nxt), (nxt, nxt + 1)))
-        nxt += 2
-    case_i = Tree(nxt, edges)
+    edges += [(0, 1), (0, off_q)]
+    case_i = with_p2s(Tree(off_q + sq.n, edges), 0)
 
     # case (ii), former option: a new vertex on one leg midpoint of the
     # two-group tree (both sides, since the displayed polynomial is one-sided)
@@ -297,24 +286,13 @@ def _attach_cases(p: int, q: int, r: int):
 
     # case (ii), latter option: new vertex on the common neighbor of the two
     # hubs (label 2), carrying r pendant P2s
-    v = base.n
-    edges = base.edges() + [(2, v)]
-    nxt = base.n + 1
-    for _ in range(r):
-        edges.extend(((v, nxt), (nxt, nxt + 1)))
-        nxt += 2
-    case_ii_latter = Tree(nxt, edges)
+    case_ii_latter = with_p2s(Tree(base.n + 1, base.edges() + [(2, base.n)]),
+                              base.n)
 
     # case (iii): double star plus a new vertex at a degree-3 center,
     # carrying r pendant P2s
     y_edges = [(0, 1), (0, 2), (0, 3), (1, 4), (1, 5)]
-    v = 6
-    edges = y_edges + [(0, v)]
-    nxt = 7
-    for _ in range(r):
-        edges.extend(((v, nxt), (nxt, nxt + 1)))
-        nxt += 2
-    case_iii = Tree(nxt, edges)
+    case_iii = with_p2s(Tree(7, y_edges + [(0, 6)]), 6)
     return case_i, case_ii_a, case_ii_b, case_ii_latter, case_iii
 
 
@@ -448,7 +426,7 @@ def pendant_bundle_shape_check(r: Sequence[int],
         divisor = (IntPoly((-1, 0, 1))) ** e
         try:
             cof = phi.exact_divide(divisor)
-        except Exception:
+        except DivisibilityError:
             return grown, None
         return grown, cof
 

@@ -5,8 +5,7 @@ import pytest
 from oracles import (free_tree_codes_networkx, free_tree_counts_by_recurrence,
                      is_free_tree_code, labeled_tree_codes)
 from treespectra.enumeration import (EnumerationCursor, FreeTreeEnumerator,
-                                     _initial_sequence, _is_center_code,
-                                     _successor, _tree_from_sequence,
+                                     _is_center_code, _successor,
                                      enumerate_free_trees)
 from treespectra.trees import Tree
 
@@ -18,7 +17,7 @@ FREE_TREE_COUNTS = [1, 1, 1, 2, 3, 6, 11, 23, 47, 106, 235, 551]
 class TestSuccessorRule:
     def test_order_four_walk(self):
         seqs = []
-        seq = _initial_sequence(4)
+        seq = list(range(4))
         while seq is not None:
             seqs.append(tuple(seq))
             seq = _successor(seq)
@@ -27,16 +26,16 @@ class TestSuccessorRule:
     def test_candidates_are_canonical(self):
         # every generated rooted sequence is its own root-0 canonical code
         for n in range(1, 8):
-            seq = _initial_sequence(n)
+            seq = list(range(n))
             while seq is not None:
-                tree = _tree_from_sequence(seq)
+                tree = Tree._from_canonical_code(seq)
                 assert tree.rooted_code(0) == tuple(seq)
                 seq = _successor(seq)
 
     def test_emission_rule_matches_built_tree(self):
         # the sequence-level rule against building every candidate tree
         for n in range(1, 13):
-            seq = _initial_sequence(n)
+            seq = list(range(n))
             while seq is not None:
                 assert _is_center_code(seq) == is_free_tree_code(seq), seq
                 seq = _successor(seq)
@@ -46,7 +45,7 @@ class TestSuccessorRule:
         # every rooted candidate, center-rooted or not, builds the same tree
         # with and without validation
         for n in range(1, 11):
-            seq = _initial_sequence(n)
+            seq = list(range(n))
             while seq is not None:
                 direct = Tree._from_canonical_code(seq)
                 checked = Tree.from_code(seq)
@@ -61,7 +60,7 @@ def reference_codes(n, shard=(0, 1)):
     index, count = shard
     codes = []
     emitted = 0
-    seq = _initial_sequence(n)
+    seq = list(range(n))
     while seq is not None:
         if _is_center_code(seq):
             if emitted % count == index:

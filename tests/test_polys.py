@@ -6,9 +6,9 @@ import pytest
 from treespectra.polys import (DivisibilityError, IntPoly, PrecisionExhausted,
                                RealRoot, SymmetryError, compare_sum,
                                count_roots_open, even_part, integer_roots,
-                               isolate_kth_largest, poly_gcd,
-                               rational_root_multiplicity, root_bound,
-                               square_free_decomposition, taylor_shift)
+                               poly_gcd, rational_root_multiplicity,
+                               root_bound, square_free_decomposition,
+                               taylor_shift)
 
 X = IntPoly.x()
 
@@ -228,30 +228,30 @@ class TestTaylorShift:
 
 class TestIsolation:
     def test_rational_root_pinched(self):
-        box = isolate_kth_largest(IntPoly((-4, 0, 1)), 1, Fraction(1, 8))
-        assert box.exact == 2 and box.certified
-        assert box.lo < 2 < box.hi and box.width <= Fraction(1, 8)
+        box = RealRoot(IntPoly((-4, 0, 1)), 1).refine(Fraction(1, 8))
+        assert box.exact == 2
+        assert box.lo < 2 < box.hi and box.hi - box.lo <= Fraction(1, 8)
 
     def test_second_root(self):
-        box = isolate_kth_largest(IntPoly((-1, 0, 1)), 2, Fraction(1, 4))
+        box = RealRoot(IntPoly((-1, 0, 1)), 2).refine(Fraction(1, 4))
         assert box.exact == -1
 
     def test_sqrt5(self):
-        box = isolate_kth_largest(IntPoly((-5, 0, 1)), 1, Fraction(1, 64))
-        assert box.certified and box.width <= Fraction(1, 64)
+        box = RealRoot(IntPoly((-5, 0, 1)), 1).refine(Fraction(1, 64))
+        assert box.exact is None and box.hi - box.lo <= Fraction(1, 64)
         assert 0 < box.lo and box.lo ** 2 < 5 < box.hi ** 2
-        tight = isolate_kth_largest(IntPoly((-5, 0, 1)), 1, Fraction(1, 512))
+        tight = RealRoot(IntPoly((-5, 0, 1)), 1).refine(Fraction(1, 512))
         assert Fraction(223, 100) < tight.lo < tight.hi < Fraction(224, 100)
 
     def test_index_too_large(self):
         with pytest.raises(ValueError):
-            isolate_kth_largest(IntPoly((-1, 0, 1)), 3, 1)
+            RealRoot(IntPoly((-1, 0, 1)), 3)
 
     def test_multiplicity_ranking(self):
         p = lin(2) * lin(1) ** 2
-        assert isolate_kth_largest(p, 2, Fraction(1, 4)).exact == 1
-        assert isolate_kth_largest(p, 3, Fraction(1, 4)).exact == 1
-        assert isolate_kth_largest(p, 1, Fraction(1, 4)).exact == 2
+        assert RealRoot(p, 2).refine(Fraction(1, 4)).exact == 1
+        assert RealRoot(p, 3).refine(Fraction(1, 4)).exact == 1
+        assert RealRoot(p, 1).refine(Fraction(1, 4)).exact == 2
 
     def test_root_bound_contains_roots(self):
         rng = random.Random(9)
@@ -286,7 +286,7 @@ class TestRealRoot:
             root = RealRoot(p, k)
             for w in widths:
                 root.refine(w)
-            fresh = isolate_kth_largest(p, k, widths[-1])
+            fresh = RealRoot(p, k).refine(widths[-1])
             assert (root.lo, root.hi, root.exact) == (fresh.lo, fresh.hi,
                                                        fresh.exact), (p, k)
 
@@ -295,7 +295,7 @@ class TestRealRoot:
         width = Fraction(1, 4)
         while width >= Fraction(1, 2 ** 20):
             root.refine(width)
-            fresh = isolate_kth_largest(IntPoly((-5, 0, 1)), 1, width)
+            fresh = RealRoot(IntPoly((-5, 0, 1)), 1).refine(width)
             assert (root.lo, root.hi) == (fresh.lo, fresh.hi)
             width /= 4
 
@@ -305,8 +305,6 @@ class TestRealRoot:
                               (IntPoly((-1, 0, 1)), 3, "only 2 real roots")):
             with pytest.raises(ValueError, match=message):
                 RealRoot(p, k)
-            with pytest.raises(ValueError, match=message):
-                isolate_kth_largest(p, k, 1)
 
     def test_integer_root_exact_at_construction(self):
         assert RealRoot(lin(2) * lin(1) ** 2, 3).exact == 1

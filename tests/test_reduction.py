@@ -69,6 +69,14 @@ class TestReduceCore:
         core, steps = reduce_with_trace(path(5))
         assert core.n == 1 and len(steps) == 2
         assert all(s["m_after"] <= s["m_before"] for s in steps)
+        # each step's counts are those of the trees on either side of it
+        for n in range(1, 10):
+            for tree in enumerate_free_trees(n):
+                m = m_value(tree)
+                for step in reduce_with_trace(tree)[1]:
+                    assert step["m_before"] == m
+                    m = m_value(Tree.from_code(step["code_after"]))
+                    assert step["m_after"] == m
 
     def test_idempotent(self):
         for n in range(1, 10):

@@ -152,6 +152,39 @@ class TestSearchEngine:
                      "--resume", str(cursor), "--cursor-every", "2"]) == 2
         assert other.read_text() == "x" * 10000
 
+    @pytest.mark.parametrize("field, value", [
+        ("sequence", [0, 5, 1, 1, 1, 1, 1, 1, 1]),  # no level sequence
+        ("sequence", [0, 1]),  # the wrong length
+        ("sequence", [0, 1, 1, 2, 1, 1, 1, 1, 1]),  # not canonical
+        ("sequence", None),
+        ("n", 8),
+        ("shard", [1, 2]),
+        ("exhausted", True),
+        ("emitted", -1),
+        ("order", 10),
+        ("order", 0),
+    ])
+    def test_mutated_cursor_refused(self, tmp_path, capsys, field, value):
+        out_path = tmp_path / "cat.jsonl"
+        cursor = tmp_path / "cursor.json"
+        config = SearchConfig(max_order=9, out_path=str(out_path),
+                              resume_path=str(cursor), cursor_every=2)
+        with open(out_path, "w", encoding="utf-8") as fh:
+            with pytest.raises(_Interrupted):
+                run_search(config, _InterruptingWriter(fh, 60), io.StringIO())
+        state = json.loads(cursor.read_text())
+        assert state["order"] == 9 and state["cursor"]["n"] == 9
+        if field == "order":  # as saved at an order boundary
+            state.update(order=value, cursor=None)
+        else:
+            state["cursor"][field] = value
+        cursor.write_text(json.dumps(state))
+        before = out_path.read_bytes()
+        assert main(["search", "--max-order", "9", "--out", str(out_path),
+                     "--resume", str(cursor), "--cursor-every", "2"]) == 2
+        assert out_path.read_bytes() == before
+        assert "delete it" in capsys.readouterr().err
+
     def test_cursor_mismatch_refused(self, tmp_path):
         cursor = str(tmp_path / "cursor.json")
         run_search(SearchConfig(max_order=5, resume_path=cursor),

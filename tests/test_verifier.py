@@ -3,8 +3,8 @@ import random
 
 import pytest
 
-from treespectra.polys import IntPoly, count_roots_open
-from treespectra.spectra import char_poly, is_integral
+from treespectra.polys import DivisibilityError, IntPoly, count_roots_open
+from treespectra.spectra import TreeSpectrum, char_poly
 from treespectra.trees import Tree, path, s_tree, star
 from treespectra.verifier import (SUITES, eigencat_check,
                                   nullity3_case_polynomials,
@@ -100,7 +100,7 @@ class TestNonIntegralScan:
         # the one-group family has integral members, so the scan refuses it
         with pytest.raises(ValueError):
             s_nonintegral_scan(1, 5)
-        assert is_integral(s_tree([1])).is_integral
+        assert TreeSpectrum.analyze(s_tree([1])).summary.is_integral
 
 
 class TestParterWitness:
@@ -213,6 +213,20 @@ class TestBundleShape:
     def test_bad_bundle(self):
         with pytest.raises(ValueError):
             pendant_bundle_shape_check([1], [0])
+
+    def test_indivisible_is_a_failed_verdict(self, monkeypatch):
+        def refuse(self, divisor):
+            raise DivisibilityError("planted")
+        monkeypatch.setattr(IntPoly, "exact_divide", refuse)
+        v = pendant_bundle_shape_check([1], [3])
+        assert not v.passed and v.certificate["divisible"] is False
+
+    def test_other_errors_propagate(self, monkeypatch):
+        def broken(self, divisor):
+            raise RuntimeError("planted")
+        monkeypatch.setattr(IntPoly, "exact_divide", broken)
+        with pytest.raises(RuntimeError, match="planted"):
+            pendant_bundle_shape_check([1], [3])
 
 
 class TestSuiteRunner:
