@@ -20,9 +20,10 @@ vertices:
   subtree leaves too few vertices for the rest.
 
 Sharding hands out emitted trees round-robin by emission index, which keeps
-shard unions exactly equal to the unsharded stream; a Tree is built only for
-the trees the shard owns, straight from the sequence, which it keeps as its
-canonical code.
+shard unions exactly equal to the unsharded stream.  The enumerator yields
+the canonical codes of the trees the shard owns, as tuples; a caller that
+needs the Tree builds it from the code, which the tree keeps as its
+canonical code (enumerate_free_trees does so for every code).
 """
 
 from __future__ import annotations
@@ -150,7 +151,8 @@ class EnumerationCursor:
 
 
 class FreeTreeEnumerator:
-    """Single-consumer stream of all free trees of order n (one shard)."""
+    """Single-consumer stream of the canonical codes of all free trees of
+    order n (one shard)."""
 
     def __init__(self, n: int, shard: tuple = (0, 1),
                  cursor: Optional[EnumerationCursor] = None):
@@ -181,7 +183,7 @@ class FreeTreeEnumerator:
             shard=self.shard,
         )
 
-    def __iter__(self) -> Iterator[Tree]:
+    def __iter__(self) -> Iterator[tuple]:
         if self._exhausted:
             return
         index, count = self.shard
@@ -200,9 +202,9 @@ class FreeTreeEnumerator:
                 take = self._emitted % count == index
                 self._emitted += 1
                 if take:
-                    yield Tree._from_canonical_code(seq)
+                    yield tuple(seq)
 
 
 def enumerate_free_trees(n: int, shard: tuple = (0, 1)) -> Iterator[Tree]:
     """All free trees of order n, one per isomorphism class."""
-    return iter(FreeTreeEnumerator(n, shard))
+    return map(Tree._from_canonical_code, FreeTreeEnumerator(n, shard))

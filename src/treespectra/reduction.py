@@ -3,16 +3,17 @@ without them.
 
 A pendant P2 at v is a two-vertex path hanging off v; in degree terms, a
 neighbor w of v with degree 2 whose other neighbor is a leaf.  A tree is
-reduced when no vertex carries one.
+reduced when no vertex carries one, that is, when no vertex of degree 2 has
+a leaf neighbor.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .enumeration import enumerate_free_trees
-from .spectra import m_value, multiplicity
-from .trees import Tree, attach_pendants
+from .enumeration import FreeTreeEnumerator
+from .spectra import _m_value, m_value, multiplicity
+from .trees import Tree, attach_pendants, code_parents
 
 
 @dataclass(frozen=True)
@@ -40,6 +41,18 @@ def pendant_report(tree: Tree) -> PendantReport:
     counts = tuple(len(_pendant_midpoints(tree, v)) for v in range(tree.n))
     total = sum(counts)
     return PendantReport(per_vertex=counts, total=total, is_reduced=(total == 0))
+
+
+def _is_reduced(parent: list) -> bool:
+    """pendant_report(tree).is_reduced on a parent array (-1 for the
+    root): no edge joins a vertex of degree 2 to a leaf, that is, no edge
+    has end degrees of product 2."""
+    degree = [1] * len(parent)
+    degree[0] = 0
+    for p in parent[1:]:
+        degree[p] += 1
+    return all(degree[v] * degree[parent[v]] != 2
+               for v in range(1, len(parent)))
 
 
 def strip_pendant_p2(tree: Tree, v: int) -> Tree:
@@ -119,8 +132,9 @@ def reduced_census(k: int, order_cap: int) -> list[Tree]:
         raise ValueError("max order must be at least 1")
     found = []
     for n in range(1, order_cap + 1):
-        for tree in enumerate_free_trees(n):
-            if pendant_report(tree).is_reduced and m_value(tree) == k:
-                found.append(tree)
+        for code in FreeTreeEnumerator(n):
+            parent = code_parents(code)
+            if _is_reduced(parent) and _m_value(range(n), parent) == k:
+                found.append(Tree._from_canonical_code(code))
     found.sort(key=lambda t: (t.n, t.canonical_code))
     return found

@@ -11,15 +11,16 @@ from __future__ import annotations
 
 import json
 import os
+import zlib
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from typing import Optional, TextIO
 
 from .catalog import CatalogRecord
 from .enumeration import EnumerationCursor, FreeTreeEnumerator
-from .reduction import pendant_report
-from .spectra import TreeSpectrum, inertia_integrality, nullity_matching
-from .trees import Tree
+from .reduction import _is_reduced
+from .spectra import TreeSpectrum, _integrality, _matching_nullity
+from .trees import Tree, code_parents
 
 
 class CursorError(ValueError):
@@ -64,29 +65,42 @@ class SearchConfig:
         }
 
 
-def analyze_match(tree: Tree, config: SearchConfig) -> Optional[TreeSpectrum]:
-    """The tree's spectrum analysis if it passes the config's filters, else
-    None.  The matching-number nullity and the reduced test run first;
-    with integral_only, the inertia counts decide integrality next, so the
-    characteristic polynomial is only computed for trees that are kept.
+def analyze_match(code: tuple, config: SearchConfig
+                  ) -> Optional[tuple[Tree, TreeSpectrum]]:
+    """The tree of a canonical code and its spectrum analysis if it passes
+    the config's filters, else None.  The filters run on the code's parent
+    array, bottom-up: the matching-number nullity and the reduced test
+    first, then, with integral_only, the inertia counts, so a Tree and its
+    characteristic polynomial are built only for trees that are kept.
     Where two routes compute the same fact, they must agree."""
-    if config.nullity is not None and nullity_matching(tree) != config.nullity:
-        return None
-    if config.reduced_only and not pendant_report(tree).is_reduced:
-        return None
-    if config.integral_only:
-        nullity, integral = inertia_integrality(tree)
-        if config.nullity is not None and nullity != config.nullity:
-            raise AssertionError(f"nullity routes disagree on {tree.code_str()}")
-        if not integral:
+    if config.nullity is not None or config.reduced_only or config.integral_only:
+        parent = code_parents(code)
+        if (config.nullity is not None
+                and _matching_nullity(parent) != config.nullity):
             return None
+        if config.reduced_only and not _is_reduced(parent):
+            return None
+        if config.integral_only:
+            nullity, integral = _integrality(range(len(code)), parent)
+            if config.nullity is not None and nullity != config.nullity:
+                raise AssertionError(f"nullity routes disagree on "
+                                     f"{','.join(map(str, code))}")
+            if not integral:
+                return None
+    tree = Tree._from_canonical_code(code)
     analysis = TreeSpectrum.analyze(tree)
     if config.nullity is not None and analysis.nullity != config.nullity:
         raise AssertionError(f"nullity routes disagree on {tree.code_str()}")
     if config.integral_only and not analysis.summary.is_integral:
         raise AssertionError(
             f"integrality routes disagree on {tree.code_str()}")
-    return analysis
+    return tree, analysis
+
+
+def _cursor_check(cursor: Optional[dict]) -> int:
+    """CRC-32 of an enumeration cursor's canonical JSON (None included)."""
+    text = json.dumps(cursor, sort_keys=True, separators=(",", ":"))
+    return zlib.crc32(text.encode("utf-8"))
 
 
 def _load_resume(config: SearchConfig) -> Optional[dict]:
@@ -104,6 +118,11 @@ def _load_resume(config: SearchConfig) -> Optional[dict]:
             raise CursorError(
                 "cursor file has no output offset (an older cursor format); "
                 "delete it and the output file to start over")
+        if state.get("cursor_check") != _cursor_check(state.get("cursor")):
+            raise CursorError(
+                "cursor file's enumeration cursor does not match its "
+                "check (it was edited, or has no check); delete it and the "
+                "output file to start over")
         # refuse what no search writes: _successor would fail on it, or
         # end the order early
         order, cursor = state["order"], state.get("cursor")
@@ -135,10 +154,12 @@ def _save_cursor(config: SearchConfig, out: TextIO, order: int,
     path = config.resume_path
     if not path:
         return
+    cursor_data = json.loads(cursor.to_json()) if cursor else None
     state = {
         "filters": config.filters_key(),
         "order": order,
-        "cursor": json.loads(cursor.to_json()) if cursor else None,
+        "cursor": cursor_data,
+        "cursor_check": _cursor_check(cursor_data),
         "complete": complete,
         "out_path": os.path.abspath(config.out_path) if config.out_path else None,
         "out_offset": out.tell() if config.out_path else None,
@@ -186,11 +207,12 @@ def run_search(config: SearchConfig, out: TextIO, err: TextIO) -> dict:
         enum = FreeTreeEnumerator(n, config.shard, cursor=cursor)
         hits = 0
         since_save = 0
-        for tree in enum:
+        for code in enum:
             scanned += 1
             since_save += 1
-            analysis = analyze_match(tree, config)
-            if analysis is not None:
+            match = analyze_match(code, config)
+            if match is not None:
+                tree, analysis = match
                 record = CatalogRecord.from_tree(
                     tree, analysis, order_cap=config.max_order,
                     shard=shard_text,

@@ -8,8 +8,13 @@ deflation in y = x^2, and the eigenvalues below or at a rational t are
 counted by the inertia of A - tI, read off an exact tree diagonalisation
 (Jacobs-Trevisan) kept in integer pairs; by Sylvester's law of inertia
 those counts are certificates, and the counts at t = 0, 1, ..., isqrt(n-1)
-decide integrality without the polynomial.  Sturm chains stay for general
-polynomials, such as the eigenvalue comparisons below.  The one non-tree graph needed anywhere (an
+decide integrality without the polynomial.  These folds take no Tree:
+_signature, _integrality and _m_value take a bottom-up order and a parent
+array, which the public functions get from Tree.rooted_order() and the
+search from a canonical code (range(n) and trees.code_parents), so it
+builds no Tree to filter; the greedy _matching_nullity takes the parents of
+a code alone.  Sturm chains stay for general polynomials, such as the
+eigenvalue comparisons below.  The one non-tree graph needed anywhere (an
 even cycle with two pendants) gets its polynomial from an exact integer
 Faddeev-LeVerrier determinant.
 """
@@ -227,6 +232,11 @@ def _signature(order: list, parent: list, num: int, den: int
 
 
 def inertia_integrality(tree: Tree) -> tuple[int, bool]:
+    """(nullity, whether every eigenvalue is an integer); see _integrality."""
+    return _integrality(*tree.rooted_order())
+
+
+def _integrality(order, parent: list) -> tuple[int, bool]:
     """(nullity, whether every eigenvalue is an integer), from the inertia
     of A - kI for k = 0, 1, ..., isqrt(n-1) on one rooted order.
 
@@ -236,8 +246,7 @@ def inertia_integrality(tree: Tree) -> tuple[int, bool]:
     eigenvalue in (k-1, k) shows as below(k) != below(k-1) + at(k-1) and
     ends the test early; so does reaching n.
     """
-    n = tree.n
-    order, parent = tree.rooted_order()
+    n = len(order)
     below, nullity = _signature(order, parent, 0, 1)
     counted = nullity
     last = below + nullity
@@ -253,11 +262,15 @@ def inertia_integrality(tree: Tree) -> tuple[int, bool]:
 
 
 def m_value(tree: Tree) -> int:
-    """Eigenvalues in the open interval (-1, 1), counted with multiplicity.
+    """Eigenvalues in the open interval (-1, 1), counted with multiplicity."""
+    return _m_value(*tree.rooted_order())
 
-    The spectrum is symmetric, so as many eigenvalues lie at or below -1 as
-    at or above 1, which leaves 2 * (eigenvalues below 1) - n in (-1, 1)."""
-    return 2 * inertia(tree, 1)[0] - tree.n
+
+def _m_value(order, parent: list) -> int:
+    """m_value on one rooted order.  The spectrum is symmetric, so as many
+    eigenvalues lie at or below -1 as at or above 1, which leaves
+    2 * (eigenvalues below 1) - n in (-1, 1)."""
+    return 2 * _signature(order, parent, 1, 1)[0] - len(order)
 
 
 def multiplicity(tree: Tree, eigenvalue: int) -> int:
@@ -309,6 +322,21 @@ def max_matching_size(tree: Tree) -> int:
 def nullity_matching(tree: Tree) -> int:
     """Nullity as order minus twice the maximum matching size."""
     return tree.n - 2 * max_matching_size(tree)
+
+
+def _matching_nullity(parent: list) -> int:
+    """nullity_matching on a parent array whose vertices come after their
+    parents (code_parents).  Bottom-up, each vertex still free is matched
+    to its parent if that is free too: a leaf of what is left is always
+    matchable to its neighbor without loss, so the matching is maximum."""
+    free = bytearray([1]) * len(parent)
+    unmatched = len(parent)
+    for v in range(len(parent) - 1, 0, -1):
+        p = parent[v]
+        if free[v] and free[p]:
+            free[v] = free[p] = 0
+            unmatched -= 2
+    return unmatched
 
 
 @dataclass(frozen=True)

@@ -230,6 +230,20 @@ class Tree:
         return tree
 
 
+def code_parents(code: Sequence[int]) -> list[int]:
+    """The parent of each vertex of a level sequence, labels in preorder
+    (-1 for the root): the parent of v is the last earlier vertex one
+    level up.  Every vertex comes after its parent, so range(n - 1, -1, -1)
+    walks the tree bottom-up."""
+    parent = [-1] * len(code)
+    last = [0] * len(code)  # last[d] = most recent vertex at depth d
+    for v in range(1, len(code)):
+        depth = code[v]
+        parent[v] = last[depth - 1]
+        last[depth] = v
+    return parent
+
+
 # ---------------------------------------------------------------------------
 # constructors
 

@@ -15,7 +15,7 @@ from itertools import product
 from typing import Callable, Iterable, Optional, Sequence
 
 from .catalog import CatalogRecord
-from .enumeration import enumerate_free_trees
+from .enumeration import FreeTreeEnumerator, enumerate_free_trees
 from .polys import (DivisibilityError, IntPoly, RealRoot,
                     count_roots_above, count_roots_at_least,
                     count_roots_open, even_part, poly_gcd, root_bound)
@@ -212,11 +212,11 @@ def nullity_classification(h: int, order_cap: int,
                           shard=shard)
     records = []
     for n in config.orders():
-        for tree in enumerate_free_trees(n, shard):
-            analysis = analyze_match(tree, config)
-            if analysis is not None:
+        for code in FreeTreeEnumerator(n, shard):
+            match = analyze_match(code, config)
+            if match is not None:
                 records.append(CatalogRecord.from_tree(
-                    tree, analysis, order_cap=order_cap,
+                    *match, order_cap=order_cap,
                     shard=f"{shard[0]}/{shard[1]}"))
     return records
 

@@ -2,29 +2,37 @@
 
 Tracer.install looks up each dotted tracing target as a class member and
 the workloads clear the char_poly memo between repetitions, with no
-fallback: a rename here would fail every benchmark operation.
+fallback: a rename here would fail every benchmark operation.  The
+workloads also count trees at the yields of FreeTreeEnumerator.__iter__,
+and perfbench's own tests plant a dropped tree by rewriting one line of
+the enumerator.
 """
 
 import ast
 import importlib
 import importlib.util
+import io
 from pathlib import Path
 
 import pytest
 
-PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+from treespectra.enumeration import FreeTreeEnumerator
+from treespectra.search import SearchConfig, run_search
+
+ROOT = Path(__file__).resolve().parents[1]
+PERFBENCH = ROOT / "perfbench"
 
 
-def _load_tracing():
+def _load_perfbench(name):
     spec = importlib.util.spec_from_file_location(
-        "perfbench_tracing", PERFBENCH / "tracing.py")
+        f"perfbench_{name}", PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
 @pytest.mark.parametrize("name, module_name, attr", [
-    target for target in _load_tracing().TARGETS if "." in target[2]])
+    target for target in _load_perfbench("tracing").TARGETS if "." in target[2]])
 def test_dotted_trace_target_is_a_class_member(name, module_name, attr):
     cls_name, member = attr.split(".")
     cls = getattr(importlib.import_module(module_name), cls_name)
@@ -44,3 +52,36 @@ def test_names_imported_from_the_package_exist():
                 module = importlib.import_module(node.module)
                 for alias in node.names:
                     assert hasattr(module, alias.name), (path.name, alias.name)
+
+
+def test_enumerator_keeps_the_planted_mutant_line():
+    # perfbench's planted wrong-answer test rewrites this line
+    text = (ROOT / "src" / "treespectra" / "enumeration.py").read_text(
+        encoding="utf-8")
+    assert "if take:" in text
+
+
+@pytest.mark.parametrize("shard, integral", [((0, 1), True), ((1, 4), False)])
+def test_one_enumerator_yield_per_owned_tree(monkeypatch, shard, integral):
+    """The per-order yield counts of FreeTreeEnumerator.__iter__ during a
+    search pass perfbench's check_search: the shard's share of A000055,
+    and records as the workloads expect them."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))  # workloads imports calibrate
+    workloads = _load_perfbench("workloads")
+    counts: dict = {}
+    inner = FreeTreeEnumerator.__iter__
+
+    def counted(enumerator):
+        for item in inner(enumerator):
+            counts[enumerator.n] = counts.get(enumerator.n, 0) + 1
+            yield item
+
+    monkeypatch.setattr(FreeTreeEnumerator, "__iter__", counted)
+    out = io.StringIO()
+    run_search(SearchConfig(max_order=9, integral_only=integral, shard=shard),
+               out, io.StringIO())
+    for n in range(1, 10):
+        assert counts.get(n, 0) == workloads.shard_share(
+            workloads.A000055[n], *shard), n
+    assert workloads.check_search(out.getvalue().splitlines(), counts, 9,
+                                  shard, integral=integral) == 0

@@ -86,12 +86,11 @@ class TestSkippingWalk:
     def test_resume_after_every_emitted_tree(self):
         full = reference_codes(10, (1, 3))
         enum = FreeTreeEnumerator(10, (1, 3))
-        for done, tree in enumerate(enum, start=1):
+        for done, code in enumerate(enum, start=1):
             cursor = EnumerationCursor.from_json(enum.cursor().to_json())
             # the cursor holds the last emitted owned sequence
-            assert cursor.sequence == tree.canonical_code
-            rest = [t.canonical_code
-                    for t in FreeTreeEnumerator(10, (1, 3), cursor=cursor)]
+            assert cursor.sequence == code
+            rest = list(FreeTreeEnumerator(10, (1, 3), cursor=cursor))
             assert rest == full[done:], done
         assert enum.cursor().exhausted
 
@@ -162,20 +161,20 @@ class TestCursorResume:
             stop = rng.randrange(1, len(full))
             enum = FreeTreeEnumerator(n)
             first = []
-            for tree in enum:
-                first.append(tree.canonical_code)
+            for code in enum:
+                first.append(code)
                 if len(first) == stop:
                     break
             cursor = enum.cursor()
             # serialize through JSON like the search engine does
             cursor = EnumerationCursor.from_json(cursor.to_json())
-            rest = [t.canonical_code for t in FreeTreeEnumerator(n, cursor=cursor)]
+            rest = list(FreeTreeEnumerator(n, cursor=cursor))
             assert first + rest == full
 
     def test_fresh_cursor_resumes_from_start(self):
         enum = FreeTreeEnumerator(5)
         cursor = enum.cursor()
-        assert [t.n for t in FreeTreeEnumerator(5, cursor=cursor)] == [5, 5, 5]
+        assert [len(c) for c in FreeTreeEnumerator(5, cursor=cursor)] == [5, 5, 5]
 
     def test_exhausted_cursor(self):
         enum = FreeTreeEnumerator(3)

@@ -6,12 +6,15 @@ import io
 import pytest
 
 from treespectra import search
-from treespectra.enumeration import enumerate_free_trees
+from treespectra.enumeration import FreeTreeEnumerator, enumerate_free_trees
 from treespectra.polys import rational_root_multiplicity
+from treespectra.reduction import _is_reduced, pendant_report
 from treespectra.search import SearchConfig, analyze_match, run_search
-from treespectra.spectra import (TreeSpectrum, char_poly, inertia,
-                                 inertia_integrality, multiplicity)
-from treespectra.trees import path, s_tree, star
+from treespectra.spectra import (TreeSpectrum, _integrality,
+                                 _matching_nullity, _signature, char_poly,
+                                 inertia, inertia_integrality, multiplicity,
+                                 nullity_matching)
+from treespectra.trees import Tree, code_parents, path, s_tree, star
 
 
 class TestInertiaIntegrality:
@@ -44,23 +47,48 @@ class TestInertiaIntegrality:
         assert inertia(path(4), "1/2") == inertia(path(4), 0.5) == (2, 0)
 
 
+class TestCodeRoute:
+    def test_equals_tree_route_on_every_tree_up_to_order_14(self):
+        # the folds on a code's parent array against the Tree-based routes;
+        # nullity_matching is the independent leaf-stripping oracle
+        checked = 0
+        for n in range(1, 15):
+            for code in FreeTreeEnumerator(n):
+                tree = Tree._from_canonical_code(code)
+                parent = code_parents(code)
+                order = range(n)
+                assert _matching_nullity(parent) == nullity_matching(tree), code
+                assert _is_reduced(parent) == pendant_report(tree).is_reduced, code
+                assert _integrality(order, parent) == inertia_integrality(tree), code
+                for t in (0, 1, 2):
+                    assert _signature(order, parent, t, 1) == inertia(tree, t), (
+                        code, t)
+                checked += 1
+        assert checked == 5447  # A000055, orders 1-14
+
+    def test_code_parents(self):
+        # vertices 2 and 3 hang off 1, vertices 1 and 4 off the root
+        assert code_parents((0, 1, 2, 2, 1)) == [-1, 0, 1, 1, 0]
+        assert code_parents((0,)) == [-1]
+
+
 class TestSearchRoutesAgree:
     def test_integrality_routes_disagree_is_raised(self, monkeypatch):
-        monkeypatch.setattr(search, "inertia_integrality",
-                            lambda tree: (1, True))
+        monkeypatch.setattr(search, "_integrality",
+                            lambda order, parent: (1, True))
         config = SearchConfig(max_order=3, integral_only=True)
         with pytest.raises(AssertionError,
                            match="integrality routes disagree on 0,1,1"):
-            analyze_match(path(3), config)
+            analyze_match(path(3).canonical_code, config)
 
     def test_inertia_nullity_is_checked_on_rejected_trees(self, monkeypatch):
         # the verdict says "not integral", yet the wrong nullity is caught
-        monkeypatch.setattr(search, "inertia_integrality",
-                            lambda tree: (3, False))
+        monkeypatch.setattr(search, "_integrality",
+                            lambda order, parent: (3, False))
         config = SearchConfig(max_order=3, nullity=1, integral_only=True)
         with pytest.raises(AssertionError,
                            match="nullity routes disagree on 0,1,1"):
-            analyze_match(path(3), config)
+            analyze_match(path(3).canonical_code, config)
 
     def test_polynomial_only_for_records(self, monkeypatch):
         calls = []
@@ -76,3 +104,17 @@ class TestSearchRoutesAgree:
                    io.StringIO())
         records = out.getvalue().splitlines()
         assert len(records) == len(calls) == 6  # A077027, orders 1-10
+
+    def test_tree_only_for_records(self, monkeypatch):
+        calls = []
+        build = Tree._from_canonical_code.__func__
+
+        def counting(cls, code):
+            calls.append(code)
+            return build(cls, code)
+
+        monkeypatch.setattr(Tree, "_from_canonical_code", classmethod(counting))
+        out = io.StringIO()
+        run_search(SearchConfig(max_order=10, integral_only=True), out,
+                   io.StringIO())
+        assert len(out.getvalue().splitlines()) == len(calls) == 6

@@ -163,6 +163,8 @@ class TestSearchEngine:
         ("emitted", -1),
         ("order", 10),
         ("order", 0),
+        # a well-formed count that would hand the shard other shards' trees
+        pytest.param("emitted", "+1", id="emitted-plus-1"),
     ])
     def test_mutated_cursor_refused(self, tmp_path, capsys, field, value):
         out_path = tmp_path / "cat.jsonl"
@@ -176,6 +178,8 @@ class TestSearchEngine:
         assert state["order"] == 9 and state["cursor"]["n"] == 9
         if field == "order":  # as saved at an order boundary
             state.update(order=value, cursor=None)
+        elif value == "+1":
+            state["cursor"][field] += 1
         else:
             state["cursor"][field] = value
         cursor.write_text(json.dumps(state))

@@ -1,10 +1,15 @@
-"""Property tests on random trees (hypothesis, skipped when it is missing)."""
+"""Property tests on random trees and on the enumeration stream
+(hypothesis, skipped when it is missing)."""
+
+import random
 
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 
+from oracles import prufer_tree  # noqa: E402
+from treespectra.enumeration import FreeTreeEnumerator  # noqa: E402
 from treespectra.spectra import char_poly, char_poly_adjacency  # noqa: E402
 from treespectra.trees import Tree  # noqa: E402
 
@@ -25,9 +30,6 @@ def test_char_poly_equals_determinant_route(picks):
                   st.fractions(min_value=-6, max_value=6, max_denominator=12)
                   .filter(lambda t: t.denominator > 1))
 def test_inertia_at_non_integer_rationals(seed, n, t):
-    import random
-
-    from oracles import prufer_tree
     from treespectra.polys import (count_roots_at_least,
                                    rational_root_multiplicity)
     from treespectra.spectra import inertia
@@ -36,3 +38,26 @@ def test_inertia_at_non_integer_rationals(seed, n, t):
     phi = char_poly(tree)
     below = n - count_roots_at_least(phi, t)
     assert inertia(tree, t) == (below, rational_root_multiplicity(phi, t))
+
+
+@hypothesis.settings(max_examples=50, deadline=None)
+@hypothesis.given(st.integers(min_value=0, max_value=10 ** 6),
+                  st.integers(min_value=1, max_value=30))
+def test_canonical_code_invariant_under_relabelling(seed, n):
+    rng = random.Random(seed)
+    tree = prufer_tree(rng, n)
+    perm = list(range(n))
+    rng.shuffle(perm)
+    relabelled = Tree(n, [(perm[u], perm[v]) for u, v in tree.edges()])
+    assert relabelled.canonical_code == tree.canonical_code
+
+
+@hypothesis.settings(max_examples=50, deadline=None)
+@hypothesis.given(st.integers(min_value=1, max_value=7),
+                  st.integers(min_value=1, max_value=10))
+def test_shards_merged_in_emission_order_are_the_stream(m, n):
+    # shard i owns emission indices k with k % m == i, in order
+    shards = [list(FreeTreeEnumerator(n, (i, m))) for i in range(m)]
+    total = sum(map(len, shards))
+    merged = [shards[k % m][k // m] for k in range(total)]
+    assert merged == list(FreeTreeEnumerator(n))
