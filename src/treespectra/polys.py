@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import isqrt
+from math import comb, isqrt
 from typing import Iterable, NamedTuple, Optional
 
 
@@ -348,15 +348,6 @@ def _eval_scaled(coeffs: tuple[int, ...], num: int, den: int) -> int:
     return acc
 
 
-def _sign_variations(chain, num: int, den: int) -> int:
-    signs = []
-    for coeffs in chain:
-        v = _eval_scaled(coeffs, num, den)
-        if v:
-            signs.append(1 if v > 0 else -1)
-    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
-
-
 def _as_fraction(t) -> Fraction:
     return t if isinstance(t, Fraction) else Fraction(t)
 
@@ -366,25 +357,49 @@ class RootCount(NamedTuple):
     distinct: int
 
 
-def _distinct_roots_open(squarefree: IntPoly, lo: Fraction, hi: Fraction) -> int:
-    """Distinct real roots of a square-free polynomial in the open interval.
-
-    Sturm with the zero-skip convention counts roots in (lo, hi]; a root
-    sitting exactly at hi is removed by exact evaluation.
-    """
-    if squarefree.degree <= 0:
-        return 0
-    chain = _sturm_chain(squarefree.coeffs)
-    count = (_sign_variations(chain, lo.numerator, lo.denominator)
-             - _sign_variations(chain, hi.numerator, hi.denominator))
-    if squarefree.evaluate(hi) == 0:
-        count -= 1
-    return count
-
-
 @lru_cache(maxsize=4096)
 def _square_free_cached(p: IntPoly) -> tuple[tuple[IntPoly, int], ...]:
     return tuple(square_free_decomposition(p))
+
+
+def _sturm_point(p: IntPoly, t: Fraction) -> tuple[tuple[int, int, bool], ...]:
+    """One Sturm evaluation of p at the rational t, in integers only: for
+    each square-free factor of p, its multiplicity, the sign variations of
+    its chain at t and whether the factor vanishes at t.
+
+    For a square-free f, V(lo) - V(hi) counts its distinct roots in
+    (lo, hi], zeros in the chain being skipped."""
+    num, den = t.numerator, t.denominator
+    out = []
+    for factor, mult in _square_free_cached(p):
+        values = [_eval_scaled(c, num, den)
+                  for c in _sturm_chain(factor.coeffs)]
+        signs = [v > 0 for v in values if v]
+        out.append((mult, sum(a != b for a, b in zip(signs, signs[1:])),
+                    not values[0]))
+    return tuple(out)
+
+
+def _plus_infinity(p: IntPoly) -> tuple[tuple[int, int, bool], ...]:
+    """_sturm_point at +infinity, read off the leading coefficients."""
+    return tuple((mult, _variations_at_plus_infinity(_sturm_chain(f.coeffs)),
+                  False) for f, mult in _square_free_cached(p))
+
+
+def _count_between(at_lo, at_hi) -> RootCount:
+    """Roots in the open interval between two _sturm_point evaluations of
+    one polynomial: V(lo) - V(hi) per factor, less one if hi is its root."""
+    with_mult = distinct = 0
+    for (mult, v_lo, _), (_, v_hi, zero_hi) in zip(at_lo, at_hi):
+        d = v_lo - v_hi - zero_hi
+        distinct += d
+        with_mult += mult * d
+    return RootCount(with_mult, distinct)
+
+
+def _multiplicity_at(at_t) -> int:
+    """Multiplicity of t as a root, from a _sturm_point evaluation at t."""
+    return sum(mult for mult, _, zero in at_t if zero)
 
 
 def count_roots_open(p: IntPoly, lo, hi) -> RootCount:
@@ -397,21 +412,12 @@ def count_roots_open(p: IntPoly, lo, hi) -> RootCount:
     lo, hi = _as_fraction(lo), _as_fraction(hi)
     if not lo < hi:
         raise ValueError("need lo < hi")
-    with_mult = 0
-    distinct = 0
-    for factor, mult in _square_free_cached(p):
-        d = _distinct_roots_open(factor, lo, hi)
-        distinct += d
-        with_mult += mult * d
-    return RootCount(with_mult, distinct)
+    return _count_between(_sturm_point(p, lo), _sturm_point(p, hi))
 
 
 def count_roots_above(p: IntPoly, t) -> RootCount:
-    """Real roots of p strictly above t (the right endpoint is pushed past
-    both the root bound and t)."""
-    t = _as_fraction(t)
-    hi = Fraction(max(root_bound(p), 0)) + max(t, Fraction(0)) + 1
-    return count_roots_open(p, t, hi)
+    """Real roots of p strictly above t: V(t) - V(+infinity) per factor."""
+    return _count_between(_sturm_point(p, _as_fraction(t)), _plus_infinity(p))
 
 
 # ---------------------------------------------------------------------------
@@ -652,8 +658,9 @@ _FIRST_WIDTH = Fraction(1, 4)
 
 def count_roots_at_least(p: IntPoly, t) -> int:
     """Real roots of p at or above t, counted with multiplicity."""
-    return (count_roots_above(p, t).with_multiplicity
-            + rational_root_multiplicity(p, t))
+    at_t = _sturm_point(p, _as_fraction(t))
+    return (_count_between(at_t, _plus_infinity(p)).with_multiplicity
+            + _multiplicity_at(at_t))
 
 
 def _sign(x) -> int:
@@ -670,6 +677,9 @@ class RealRoot:
     fresh isolation at w/4 gives.  A rational root is held in ``exact``:
     integer roots of monic input are found at construction, any other
     rational root when a bisection midpoint hits it.
+
+    While it bisects, the root keeps its Sturm evaluations at lo, hi and
+    +infinity, so a step evaluates only at its midpoint.
     """
 
     def __init__(self, p: IntPoly, k: int):
@@ -680,7 +690,10 @@ class RealRoot:
         bound = root_bound(p)
         self.poly, self.index = p, k
         self.lo, self.hi = Fraction(-bound), Fraction(bound)
-        rc = count_roots_open(p, self.lo, self.hi)
+        self._at_lo = _sturm_point(p, self.lo)
+        self._at_hi = _sturm_point(p, self.hi)
+        self._at_inf = _plus_infinity(p)
+        rc = _count_between(self._at_lo, self._at_hi)
         if k > rc.with_multiplicity:
             raise ValueError(f"polynomial has only {rc.with_multiplicity} "
                              f"real roots, asked for #{k}")
@@ -714,15 +727,17 @@ class RealRoot:
         while self.exact is None and not (self._isolated
                                           and self.hi - self.lo <= width):
             mid = (self.lo + self.hi) / 2
-            sign = self.compare(mid)
+            at_mid = _sturm_point(p, mid)
+            sign = self._sign_at(at_mid)
             if sign == 0:
                 self.exact = mid
                 break
             if sign > 0:
-                self.lo = mid
+                self.lo, self._at_lo = mid, at_mid
             else:
-                self.hi = mid
-            self._isolated = count_roots_open(p, self.lo, self.hi).distinct == 1
+                self.hi, self._at_hi = mid, at_mid
+            self._isolated = _count_between(self._at_lo,
+                                            self._at_hi).distinct == 1
         if self.exact is not None:
             eps = width / 2
             while count_roots_open(p, self.exact - eps,
@@ -754,10 +769,16 @@ class RealRoot:
         t = _as_fraction(other)
         if self.exact is not None:
             return _sign(self.exact - t)
-        above = count_roots_above(p, t).with_multiplicity
-        if above >= k:
+        return self._sign_at(_sturm_point(p, t))
+
+    def _sign_at(self, at_t) -> int:
+        """Sign of (this root - t), given the _sturm_point evaluation at t:
+        positive when at least k roots lie above t, zero when t closes the
+        count to k."""
+        above = _count_between(at_t, self._at_inf).with_multiplicity
+        if above >= self.index:
             return 1
-        return 0 if above + rational_root_multiplicity(p, t) >= k else -1
+        return 0 if above + _multiplicity_at(at_t) >= self.index else -1
 
     def _compare_root(self, other: "RealRoot") -> int:
         """Refine both roots in lockstep through 1/4, 1/16, ... until their
@@ -787,11 +808,60 @@ class RealRoot:
         raise PrecisionExhausted(f"root comparison unresolved at width {WIDTH_CAP}")
 
 
+def _power_sums(f: IntPoly, count: int) -> list[int]:
+    """Power sums s_0 .. s_count of the roots of a monic f, by Newton's
+    identities s_k = -(a_1 s_(k-1) + ... + a_(k-1) s_1) - k a_k, with
+    a_i the coefficient of x^(d-i) and a_i = 0 for i > d."""
+    d = f.degree
+    a = f.coeffs[::-1]
+    s = [d]
+    for k in range(1, count + 1):
+        acc = sum(a[i] * s[k - i] for i in range(1, min(k - 1, d) + 1))
+        s.append(-acc - (k * a[k] if k <= d else 0))
+    return s
+
+
+def _sum_poly(f: IntPoly, g: IntPoly) -> IntPoly:
+    """The monic integer polynomial whose roots are the sums a + b over the
+    roots a of f and b of g (both monic), with multiplicity.
+
+    Its power sums are S_k = sum_j C(k, j) s_j(f) s_(k-j)(g); Newton's
+    identities turn them back into coefficients, each an exact integer
+    division by k."""
+    n = f.degree * g.degree
+    sf, sg = _power_sums(f, n), _power_sums(g, n)
+    big_s = [sum(comb(k, j) * sf[j] * sg[k - j] for j in range(k + 1))
+             for k in range(n + 1)]
+    b = [1]
+    for k in range(1, n + 1):
+        b.append(-sum(b[i] * big_s[k - i] for i in range(k)) // k)
+    return IntPoly(b[::-1])
+
+
+def _is_sum_tie(root: RealRoot, a: RealRoot, b: RealRoot) -> bool:
+    """Certify root = a + b for monic a and b: r = _sum_poly has a + b in
+    the sum interval (alo + blo, ahi + bhi) as its only distinct root
+    there, and gcd(root.poly, r) has a root in that interval and in root's
+    isolating interval, which can then only be root and a + b at once."""
+    if not (a.poly.is_monic and b.poly.is_monic):
+        return False
+    (alo, ahi), (blo, bhi) = a.bounds, b.bounds
+    lo, hi = alo + blo, ahi + bhi
+    both_lo, both_hi = max(root.lo, lo), min(root.hi, hi)
+    if not both_lo < both_hi:
+        return False
+    r = _sum_poly(a.poly, b.poly)
+    return (count_roots_open(poly_gcd(root.poly, r), both_lo, both_hi).distinct
+            >= 1 and count_roots_open(r, lo, hi).distinct == 1)
+
+
 def compare_sum(root: RealRoot, a: RealRoot, b: RealRoot) -> int:
     """Sign of root - (a + b), refining the three roots in lockstep.
 
-    A tie is decided only when all three are rational; otherwise it
-    exhausts the width cap and raises PrecisionExhausted.
+    A tie is decided at once when all three are rational; otherwise, at
+    the width cap, by _is_sum_tie.  An unresolved comparison (a non-tie
+    still unseparated at the cap, or a tie of non-monic a or b) raises
+    PrecisionExhausted.
     """
     width = _FIRST_WIDTH
     while width >= WIDTH_CAP:
@@ -805,4 +875,6 @@ def compare_sum(root: RealRoot, a: RealRoot, b: RealRoot) -> int:
         if hi <= alo + blo:
             return -1
         width /= 4
+    if _is_sum_tie(root, a, b):
+        return 0
     raise PrecisionExhausted(f"sum comparison unresolved at width {WIDTH_CAP}")

@@ -11,8 +11,8 @@ those counts are certificates, and the counts at t = 0, 1, ..., isqrt(n-1)
 decide integrality without the polynomial.  These folds take no Tree:
 _signature, _integrality and _m_value take a bottom-up order and a parent
 array, which the public functions get from Tree.rooted_order() and the
-search from a canonical code (range(n) and trees.code_parents), so it
-builds no Tree to filter; the greedy _matching_nullity takes the parents of
+search and the verifier from a canonical code (range(n) and
+trees.code_parents), so they build no Tree to filter; the greedy _matching_nullity takes the parents of
 a code alone.  Sturm chains stay for general polynomials, such as the
 eigenvalue comparisons below.  The one non-tree graph needed anywhere (an
 even cycle with two pendants) gets its polynomial from an exact integer

@@ -22,11 +22,11 @@ from .polys import (DivisibilityError, IntPoly, RealRoot,
 from .reduction import (pendant_report, pendant_growth_holds,
                         strip_monotonicity_holds)
 from .search import SearchConfig, analyze_match
-from .spectra import (TreeSpectrum, char_poly, char_poly_ring_with_pendants,
-                      courant_weyl_check, forest_multiplicity, inertia,
-                      join_formula, multiplicity, nullity_matching,
+from .spectra import (TreeSpectrum, _matching_nullity, _signature, char_poly,
+                      char_poly_ring_with_pendants, courant_weyl_check,
+                      forest_multiplicity, join_formula, multiplicity,
                       squared_shift_check)
-from .trees import (Tree, attach_pendants, c_tree, delete_vertex,
+from .trees import (Tree, attach_pendants, c_tree, code_parents, delete_vertex,
                     hub_vertices, join_trees, s_tree)
 
 _X = IntPoly.x()
@@ -224,35 +224,42 @@ def nullity_classification(h: int, order_cap: int,
 def nullity_one_class_check(order_cap: int) -> VerdictRecord:
     """Trees with nullity 1 and no eigenvalue in (0,1) or (1,2) must be the
     one-vertex tree or a length-2 spider; the integral members of the spider
-    branch are the ones whose leg count plus 3 is a perfect square."""
+    branch are the ones whose leg count plus 3 is a perfect square.
+
+    Nullity and inertia are decided on each canonical code's parent array;
+    a Tree is built only for a spider member, to analyse its spectrum."""
     members = []
     violations = []
     integral_spiders = []
     for n in range(1, order_cap + 1, 2):
-        for tree in enumerate_free_trees(n):
-            if nullity_matching(tree) != 1:
+        order = range(n)
+        for code in FreeTreeEnumerator(n):
+            parent = code_parents(code)
+            if _matching_nullity(parent) != 1:
                 continue
-            below0, at0 = inertia(tree, 0)
-            below1, at1 = inertia(tree, 1)
+            below0, at0 = _signature(order, parent, 0, 1)
+            below1, at1 = _signature(order, parent, 1, 1)
             if below1 - below0 - at0:  # eigenvalues in (0, 1)
                 continue
-            if inertia(tree, 2)[0] - below1 - at1:  # eigenvalues in (1, 2)
+            if _signature(order, parent, 2, 1)[0] - below1 - at1:  # in (1, 2)
                 continue
-            members.append(tree)
+            code_str = ",".join(map(str, code))
+            members.append(code_str)
             if n == 1:
                 continue
             p = (n - 5) // 2
-            if n < 5 or tree.canonical_code != s_tree([p]).canonical_code:
-                violations.append(tree.code_str())
-            elif TreeSpectrum.analyze(tree).summary.is_integral:
+            if n < 5 or code != s_tree([p]).canonical_code:
+                violations.append(code_str)
+            elif TreeSpectrum.analyze(
+                    Tree._from_canonical_code(code)).summary.is_integral:
                 integral_spiders.append({"legs": p + 2, "order": n,
-                                         "code": tree.code_str()})
+                                         "code": code_str})
     return VerdictRecord(
         check="nullity_one_class",
         instance={"order_cap": order_cap, "members": len(members)},
         passed=not violations,
         certificate={
-            "member_codes": [t.code_str() for t in members],
+            "member_codes": members,
             "violations": violations,
             "integral_spider_branch": integral_spiders,
         })

@@ -2,8 +2,9 @@
 
 Tracer.install looks up each dotted tracing target as a class member and
 the workloads clear the char_poly memo between repetitions, with no
-fallback: a rename here would fail every benchmark operation.  The
-workloads also count trees at the yields of FreeTreeEnumerator.__iter__,
+fallback: a rename here would fail every benchmark operation.  The laps
+rebind the module-level functions of LAP_TARGETS and skip a missing one
+silently, so those are checked here too.  The workloads also count trees at the yields of FreeTreeEnumerator.__iter__,
 and perfbench's own tests plant a dropped tree by rewriting one line of
 the enumerator.
 """
@@ -37,6 +38,24 @@ def test_dotted_trace_target_is_a_class_member(name, module_name, attr):
     cls_name, member = attr.split(".")
     cls = getattr(importlib.import_module(module_name), cls_name)
     assert member in cls.__dict__, name
+
+
+# Lap targets already gone from the package: polys.isolate_kth_largest was
+# replaced by RealRoot, and ROADMAP item 6 owns its removal from perfbench.
+LAP_TARGETS_GONE = {("treespectra.polys", "isolate_kth_largest")}
+
+
+def test_lap_targets_are_module_level_callables(monkeypatch):
+    """The laps that cut wall_s rebind these module globals; a refactor that
+    inlined one would coarsen the laps without any error."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))  # workloads imports calibrate
+    targets = _load_perfbench("workloads").LAP_TARGETS
+    assert any(module == "treespectra.polys" for module, _ in targets)
+    for module_name, attr in targets:
+        if (module_name, attr) in LAP_TARGETS_GONE:
+            continue
+        value = vars(importlib.import_module(module_name)).get(attr)
+        assert callable(value), (module_name, attr)
 
 
 def test_char_poly_memo_can_be_cleared():

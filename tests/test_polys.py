@@ -3,12 +3,13 @@ from fractions import Fraction
 
 import pytest
 
+from treespectra import polys
 from treespectra.polys import (DivisibilityError, IntPoly, PrecisionExhausted,
                                RealRoot, SymmetryError, compare_sum,
                                count_roots_open, even_part, integer_roots,
                                poly_gcd, rational_root_multiplicity,
                                root_bound, square_free_decomposition,
-                               taylor_shift)
+                               taylor_shift, _sum_poly)
 
 X = IntPoly.x()
 
@@ -347,5 +348,52 @@ class TestRealRoot:
         assert compare_sum(sqrt(11), sqrt(3), sqrt(5)) == -1
         assert compare_sum(RealRoot(lin(5), 1), RealRoot(lin(2), 1),
                            sqrt(9)) == 0
+        assert compare_sum(sqrt(8), sqrt(2), sqrt(2)) == 0
+
+    def test_compare_sum_ties(self):
+        def sqrt(m):
+            return RealRoot(IntPoly((-m, 0, 1)), 1)
+        # an irrational sum, in either order of the summands
+        assert compare_sum(sqrt(18), sqrt(2), sqrt(8)) == 0
+        assert compare_sum(sqrt(18), sqrt(8), sqrt(2)) == 0
+        # a rational root equal to a sum of two irrationals
+        assert compare_sum(RealRoot(X, 1), sqrt(2),
+                           RealRoot(IntPoly((-2, 0, 1)), 2)) == 0
+        # near misses are still separated
+        assert compare_sum(sqrt(19), sqrt(2), sqrt(8)) == 1
+        assert compare_sum(sqrt(17), sqrt(2), sqrt(8)) == -1
+        # a non-monic summand keeps the tie unresolved: 1/sqrt(2) + 1/sqrt(2)
         with pytest.raises(PrecisionExhausted):
-            compare_sum(sqrt(8), sqrt(2), sqrt(2))
+            compare_sum(sqrt(2), RealRoot(IntPoly((-1, 0, 2)), 1),
+                        RealRoot(IntPoly((-1, 0, 2)), 1))
+
+    def test_sum_poly_has_the_sums_as_roots(self):
+        f = lin(1) * lin(-2) * lin(-2)
+        g = lin(3) * lin(0)
+        expected = IntPoly.one()
+        for a in (1, -2, -2):
+            for b in (3, 0):
+                expected = expected * lin(a + b)
+        assert _sum_poly(f, g) == expected
+        assert _sum_poly(IntPoly((-2, 0, 1)), IntPoly((-8, 0, 1))) == (
+            IntPoly((-2, 0, 1)) * IntPoly((-18, 0, 1)))
+
+    def test_one_sturm_evaluation_per_bisection_step(self, monkeypatch):
+        # irrational roots only: +-sqrt(2), +-sqrt(3) and three of x^3 - 3x + 1
+        p = IntPoly((-2, 0, 1)) * IntPoly((-3, 0, 1)) * IntPoly((1, -3, 0, 1))
+        inner = polys._sturm_point
+        calls = []
+
+        def counted(q, t):
+            calls.append(t)
+            return inner(q, t)
+
+        monkeypatch.setattr(polys, "_sturm_point", counted)
+        root = RealRoot(p, 1)
+        start = root.hi - root.lo
+        root.refine(Fraction(1, 2 ** 20))
+        assert root.exact is None and root.hi - root.lo <= Fraction(1, 2 ** 20)
+        steps = (start / (root.hi - root.lo)).numerator.bit_length() - 1
+        assert start / (root.hi - root.lo) == 2 ** steps
+        # the two endpoints at construction, then one midpoint per step
+        assert len(calls) <= steps + 2

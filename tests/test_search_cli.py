@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 
@@ -317,6 +318,16 @@ class TestCli:
         first = capsys.readouterr().out
         main(["verify", "eigencat", "--seed", "7", "--trials", "3"])
         assert capsys.readouterr().out == first
+
+    @pytest.mark.parametrize("seed, digest", [
+        (1, "15ab5b53ff300870a386ec0e44265de4a8fe0aac8882f3e6131a8f7bf174e0e2"),
+        (7, "46eb480f977c42f335783834003f2bc56706ae90f0b7447a0b7d655050ac15bc"),
+    ])
+    def test_verify_all_report_bytes(self, capsys, seed, digest):
+        # the report bytes of a fixed seed are pinned, not only repeatable
+        assert main(["verify", "all", "--trials", "20", "--seed", str(seed)]) == 0
+        report = capsys.readouterr().out.encode("utf-8")
+        assert hashlib.sha256(report).hexdigest() == digest
 
     def test_census_cli(self, capsys):
         assert main(["census", "--m-value", "0", "--max-order", "8"]) == 0
