@@ -89,12 +89,6 @@ class IntPoly:
         return not self.coeffs
 
     @property
-    def leading(self) -> int:
-        if not self.coeffs:
-            return 0
-        return self.coeffs[-1]
-
-    @property
     def is_monic(self) -> bool:
         return bool(self.coeffs) and self.coeffs[-1] == 1
 
@@ -226,13 +220,6 @@ class IntPoly:
         if any(rem):
             raise DivisibilityError(f"{divisor} does not divide {self}")
         return IntPoly(quot)
-
-    def divides(self, other: "IntPoly") -> bool:
-        try:
-            other.exact_divide(self)
-            return True
-        except DivisibilityError:
-            return False
 
     def content(self) -> int:
         """GCD of the coefficients (0 for the zero polynomial)."""

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .enumeration import FreeTreeEnumerator
 from .spectra import _m_value, m_value, multiplicity
-from .trees import Tree, attach_pendants, code_parents
+from .trees import Tree, _induced_subtree, attach_pendants, code_parents
 
 
 @dataclass(frozen=True)
@@ -63,10 +63,7 @@ def strip_pendant_p2(tree: Tree, v: int) -> Tree:
     w = min(mids)
     leaf = tree.adj[w][0] if tree.adj[w][0] != v else tree.adj[w][1]
     keep = [u for u in range(tree.n) if u not in (w, leaf)]
-    index = {orig: i for i, orig in enumerate(keep)}
-    edges = [(index[a], index[b]) for a in keep for b in tree.adj[a]
-             if b in index and a < b]
-    return Tree(len(keep), edges)
+    return _induced_subtree(tree, keep)
 
 
 def reduce_core(tree: Tree) -> Tree:

@@ -27,8 +27,8 @@ from fractions import Fraction
 from math import isqrt
 from typing import Sequence
 
-from .polys import (IntPoly, RealRoot, SpectrumSummary, _deflate,
-                    compare_sum, even_part, taylor_shift)
+from .polys import (DivisibilityError, IntPoly, RealRoot, SpectrumSummary,
+                    _deflate, compare_sum, even_part, taylor_shift)
 from .trees import Tree, attach_pendants, bipartition, delete_vertex
 
 _ONE = IntPoly.one()
@@ -343,7 +343,6 @@ def _matching_nullity(parent: list) -> int:
 class TreeSpectrum:
     """Bundle of the spectral facts the search and verifier care about."""
 
-    code: tuple
     char_poly: IntPoly
     summary: SpectrumSummary
     nullity: int
@@ -373,8 +372,7 @@ class TreeSpectrum:
         residual[::2] = q
         summary = SpectrumSummary(roots=roots, residual=IntPoly(residual),
                                   is_integral=len(q) == 1, nullity=h)
-        return cls(code=tree.canonical_code, char_poly=phi, summary=summary,
-                   nullity=h)
+        return cls(char_poly=phi, summary=summary, nullity=h)
 
 
 # ---------------------------------------------------------------------------
@@ -453,7 +451,7 @@ def squared_shift_check(tree: Tree, side: int, r: int) -> bool:
         for _ in range(r):
             edges.append((v, nxt))
             nxt += 1
-    grown = Tree(nxt, edges)
+    grown = Tree._build(nxt, edges)
 
     _, q_base = even_part(char_poly(tree))
     _, q_grown = even_part(char_poly(grown))
@@ -462,8 +460,11 @@ def squared_shift_check(tree: Tree, side: int, r: int) -> bool:
         return True
     shifted = taylor_shift(q_base, r)
 
-    if shifted.divides(q_grown):
+    try:
         cof = q_grown.exact_divide(shifted)
+    except DivisibilityError:
+        pass
+    else:
         # every root of q_grown is real, so the cofactor has a largest root;
         # below the k-th root of the shifted factor it splits off cleanly
         if (cof.degree == 0

@@ -21,11 +21,12 @@ class Tree:
     __slots__ = ("n", "adj", "_code")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
+        """The checked constructor, for edges from outside the package:
+        trees the package makes itself come from the unchecked _build."""
         if n < 1:
             raise ValueError("tree needs at least one vertex")
-        adj: list[list[int]] = [[] for _ in range(n)]
+        edges = list(edges)
         seen = set()
-        count = 0
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge ({u},{v}) out of range for order {n}")
@@ -35,29 +36,35 @@ class Tree:
             if key in seen:
                 raise ValueError(f"parallel edge ({u},{v})")
             seen.add(key)
+        if len(edges) != n - 1:
+            raise ValueError(f"tree of order {n} needs {n - 1} edges, "
+                             f"got {len(edges)}")
+        self._fill(n, edges, None)
+        # n - 1 edges that reach every vertex: connected, hence acyclic
+        if len(self.rooted_order()[0]) != n:
+            raise ValueError("edge set is not connected")
+
+    @classmethod
+    def _build(cls, n: int, edges: Iterable[tuple[int, int]],
+               code: tuple | None = None) -> "Tree":
+        """The tree on edges known to form one, unchecked; code, if given,
+        is kept as its canonical code."""
+        tree = object.__new__(cls)
+        tree._fill(n, edges, code)
+        return tree
+
+    def _fill(self, n: int, edges: Iterable[tuple[int, int]],
+              code: tuple | None) -> None:
+        """The one place that builds adj: each neighbor list ascending."""
+        adj: list[list[int]] = [[] for _ in range(n)]
+        for u, v in edges:
             adj[u].append(v)
             adj[v].append(u)
-            count += 1
-        if count != n - 1:
-            raise ValueError(f"tree of order {n} needs {n - 1} edges, got {count}")
-        # connectivity check doubles as the acyclicity certificate
-        if n > 1:
-            stack = [0]
-            visited = bytearray(n)
-            visited[0] = 1
-            reached = 1
-            while stack:
-                u = stack.pop()
-                for w in adj[u]:
-                    if not visited[w]:
-                        visited[w] = 1
-                        reached += 1
-                        stack.append(w)
-            if reached != n:
-                raise ValueError("edge set is not connected")
+        for a in adj:
+            a.sort()
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "adj", tuple(tuple(sorted(a)) for a in adj))
-        object.__setattr__(self, "_code", None)
+        object.__setattr__(self, "adj", tuple(map(tuple, adj)))
+        object.__setattr__(self, "_code", code)
 
     def __setattr__(self, name, value):
         raise AttributeError("Tree is immutable")
@@ -194,40 +201,19 @@ class Tree:
         code = list(code)
         if not code or code[0] != 0:
             raise ValueError("level sequence must start at 0")
-        edges = []
-        stack = [0]  # stack[d] = most recent vertex at depth d
-        for v, depth in enumerate(code[1:], start=1):
-            if not 1 <= depth <= len(stack):
+        for v in range(1, len(code)):
+            if not 1 <= code[v] <= code[v - 1] + 1:
                 raise ValueError(f"level jump at position {v}")
-            del stack[depth:]
-            edges.append((stack[depth - 1], v))
-            stack.append(v)
-        return cls(len(code), edges)
+        return cls._build(len(code), enumerate(code_parents(code)[1:], 1))
 
     @classmethod
     def _from_canonical_code(cls, code: Sequence[int]) -> "Tree":
         """The tree of a level sequence known to be its canonical code,
         which the tree keeps instead of computing it again.  Unlike
         from_code it does not validate: the sequences come from the
-        enumerator, which only produces level sequences of trees.
-
-        The parent of vertex v is the last earlier vertex one level up, and
-        labels are in preorder, so adj[v] is (parent, children ascending)
-        and comes out sorted."""
-        n = len(code)
-        adj: list[list[int]] = [[] for _ in range(n)]
-        last = [0] * n  # last[d] = most recent vertex at depth d
-        for v in range(1, n):
-            depth = code[v]
-            parent = last[depth - 1]
-            adj[parent].append(v)
-            adj[v].append(parent)
-            last[depth] = v
-        tree = object.__new__(cls)
-        object.__setattr__(tree, "n", n)
-        object.__setattr__(tree, "adj", tuple(map(tuple, adj)))
-        object.__setattr__(tree, "_code", tuple(code))
-        return tree
+        enumerator, which only produces level sequences of trees."""
+        return cls._build(len(code), enumerate(code_parents(code)[1:], 1),
+                          tuple(code))
 
 
 def code_parents(code: Sequence[int]) -> list[int]:
@@ -252,14 +238,14 @@ def path(n: int) -> Tree:
     """The path P_n."""
     if n < 1:
         raise ValueError("path needs n >= 1")
-    return Tree(n, [(i, i + 1) for i in range(n - 1)])
+    return Tree._build(n, [(i, i + 1) for i in range(n - 1)])
 
 
 def star(k: int) -> Tree:
     """The star K_{1,k} of order k+1, center labeled 0."""
     if k < 0:
         raise ValueError("star needs k >= 0")
-    return Tree(k + 1, [(0, i) for i in range(1, k + 1)])
+    return Tree._build(k + 1, [(0, i) for i in range(1, k + 1)])
 
 
 def c_tree(r: Sequence[int]) -> Tree:
@@ -283,7 +269,7 @@ def c_tree(r: Sequence[int]) -> Tree:
         for _ in range(r[i - 1]):
             edges.append((hub, nxt))
             nxt += 1
-    return Tree(nxt, edges)
+    return Tree._build(nxt, edges)
 
 
 def s_tree(r: Sequence[int]) -> Tree:
@@ -306,7 +292,7 @@ def s_tree(r: Sequence[int]) -> Tree:
     for k in range(3, 2 * n, 2):  # v_3, v_5, ..., v_{2n-1}
         edges.append((k - 1, nxt))
         nxt += 1
-    return Tree(nxt, edges)
+    return Tree._build(nxt, edges)
 
 
 def hub_vertices(r: Sequence[int]) -> tuple[int, ...]:
@@ -339,7 +325,7 @@ def attach_pendants(tree: Tree, spec: Sequence[tuple[int, int]]) -> Tree:
             edges.append((v, nxt))
             edges.append((nxt, nxt + 1))
             nxt += 2
-    return Tree(nxt, edges)
+    return Tree._build(nxt, edges)
 
 
 def delete_vertex(tree: Tree, v: int) -> list[Tree]:
@@ -363,11 +349,17 @@ def delete_vertex(tree: Tree, v: int) -> list[Tree]:
                     visited[w] = 1
                     comp.append(w)
         comp.sort()
-        index = {orig: i for i, orig in enumerate(comp)}
-        edges = [(index[a], index[b]) for a in comp for b in tree.adj[a]
-                 if b in index and a < b]
-        components.append(Tree(len(comp), edges))
+        components.append(_induced_subtree(tree, comp))
     return components
+
+
+def _induced_subtree(tree: Tree, keep: Sequence[int]) -> Tree:
+    """The subgraph induced on keep, an ascending list of vertices that
+    must span a subtree, relabeled 0..len(keep)-1 in that order; unchecked."""
+    index = {orig: i for i, orig in enumerate(keep)}
+    edges = [(index[a], index[b]) for a in keep for b in tree.adj[a]
+             if b in index and a < b]
+    return Tree._build(len(keep), edges)
 
 
 def join_trees(t1: Tree, v1: int, t2: Tree, v2: int, k: int) -> Tree:
@@ -384,7 +376,7 @@ def join_trees(t1: Tree, v1: int, t2: Tree, v2: int, k: int) -> Tree:
         off = t1.n + j * t2.n
         edges.extend((off + a, off + b) for a, b in t2_edges)
         edges.append((v1, off + v2))
-    return Tree(t1.n + k * t2.n, edges)
+    return Tree._build(t1.n + k * t2.n, edges)
 
 
 def bipartition(tree: Tree) -> tuple[tuple[int, ...], tuple[int, ...]]:

@@ -283,23 +283,23 @@ def _attach_cases(p: int, q: int, r: int):
     edges = [(1 + a, 1 + b) for a, b in sp.edges()]
     edges.extend((off_q + a, off_q + b) for a, b in sq.edges())
     edges += [(0, 1), (0, off_q)]
-    case_i = with_p2s(Tree(off_q + sq.n, edges), 0)
+    case_i = with_p2s(Tree._build(off_q + sq.n, edges), 0)
 
     # case (ii), former option: a new vertex on one leg midpoint of the
     # two-group tree (both sides, since the displayed polynomial is one-sided)
     base = s_tree([p, q])
-    case_ii_a = Tree(base.n + 1, base.edges() + [(0, base.n)])
-    case_ii_b = Tree(base.n + 1, base.edges() + [(4, base.n)])
+    case_ii_a = Tree._build(base.n + 1, base.edges() + [(0, base.n)])
+    case_ii_b = Tree._build(base.n + 1, base.edges() + [(4, base.n)])
 
     # case (ii), latter option: new vertex on the common neighbor of the two
     # hubs (label 2), carrying r pendant P2s
-    case_ii_latter = with_p2s(Tree(base.n + 1, base.edges() + [(2, base.n)]),
-                              base.n)
+    case_ii_latter = with_p2s(
+        Tree._build(base.n + 1, base.edges() + [(2, base.n)]), base.n)
 
     # case (iii): double star plus a new vertex at a degree-3 center,
     # carrying r pendant P2s
     y_edges = [(0, 1), (0, 2), (0, 3), (1, 4), (1, 5)]
-    case_iii = with_p2s(Tree(7, y_edges + [(0, 6)]), 6)
+    case_iii = with_p2s(Tree._build(7, y_edges + [(0, 6)]), 6)
     return case_i, case_ii_a, case_ii_b, case_ii_latter, case_iii
 
 
@@ -489,7 +489,7 @@ def random_tree(rng: random.Random, n: int) -> Tree:
     """Uniformly shaped random labeled tree via a random parent sequence."""
     if n < 1:
         raise ValueError("order must be positive")
-    return Tree(n, [(rng.randrange(0, v), v) for v in range(1, n)])
+    return Tree._build(n, [(rng.randrange(0, v), v) for v in range(1, n)])
 
 
 def _timed(fn: Callable[[], VerdictRecord]) -> VerdictRecord:

@@ -251,3 +251,127 @@ class TestTextFormat:
     def test_wrong_edge_count(self):
         with pytest.raises(TreeFormatError):
             parse_tree_text("3\n0 1\n")
+
+
+class TestCheckedConstructorMessages:
+    @pytest.mark.parametrize("n, edges, message", [
+        (0, [], "tree needs at least one vertex"),
+        (3, [(0, 3), (1, 2)], r"edge \(0,3\) out of range for order 3"),
+        (3, [(-1, 0), (1, 2)], r"edge \(-1,0\) out of range for order 3"),
+        (3, [(1, 1), (0, 2)], "self-loop at 1"),
+        (3, [(0, 1), (1, 0)], r"parallel edge \(1,0\)"),
+        (4, [(0, 1), (1, 2)], "tree of order 4 needs 3 edges, got 2"),
+        (2, [(0, 1), (0, 1)], r"parallel edge \(0,1\)"),
+        (4, [(0, 1), (1, 2), (2, 0)], "edge set is not connected"),
+        (5, [(1, 2), (2, 3), (3, 1), (0, 4)], "edge set is not connected"),
+    ])
+    def test_each_check_keeps_its_message(self, n, edges, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            Tree(n, edges)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            Tree(n, iter(edges))  # edges may be a one-pass iterable
+
+    @pytest.mark.parametrize("code, message", [
+        ("", "bad level sequence ''"),
+        ("0,a", "bad level sequence '0,a'"),
+        ([], "level sequence must start at 0"),
+        ("1,2", "level sequence must start at 0"),
+        ("0,2", "level jump at position 1"),
+        ("0,1,0", "level jump at position 2"),
+        ("0,1,2,4", "level jump at position 3"),
+        ("0,1,-1", "level jump at position 2"),
+    ])
+    def test_from_code_messages(self, code, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            Tree.from_code(code)
+
+
+def assert_checks_pass(tree: Tree) -> None:
+    """The tree built unchecked is one the checked constructor accepts,
+    with the same adjacency, and any code it keeps is its canonical code."""
+    checked = Tree(tree.n, tree.edges())
+    assert checked.adj == tree.adj
+    assert tree._code is None or tree._code == checked.canonical_code
+
+
+def relabelled_trees(max_order: int, seed: int):
+    """Every tree up to max_order, in its preorder labels and relabelled."""
+    rng = random.Random(seed)
+    for n in range(1, max_order + 1):
+        for tree in enumerate_free_trees(n):
+            yield tree
+            yield shuffled_copy(tree, rng)
+
+
+class TestUncheckedBuilds:
+    def test_constructors(self):
+        from itertools import product
+
+        from treespectra.verifier import _attach_cases, random_tree
+
+        built = [path(n) for n in range(1, 12)]
+        built += [star(k) for k in range(10)]
+        for size in range(1, 4):
+            for r in product(range(3), repeat=size):
+                built += [c_tree(r), s_tree(r)]
+        small = list(relabelled_trees(5, seed=3))
+        for tree in small:
+            built += [attach_pendants(tree, [(v, s)])
+                      for v in range(tree.n) for s in (1, 2)]
+            if tree.n > 1:
+                built.append(attach_pendants(tree, [(tree.n - 1, 1), (0, 2)]))
+        for t1, t2 in product(small[::3], repeat=2):
+            built += [join_trees(t1, v1, t2, v2, k)
+                      for v1 in range(t1.n) for v2 in range(t2.n)
+                      for k in (1, 2)]
+        for n in range(1, 10):
+            for tree in enumerate_free_trees(n):
+                built.append(tree)  # kept its canonical code
+                built.append(Tree.from_code(tree.canonical_code))
+        rng = random.Random(4)
+        built += [random_tree(rng, n) for n in range(1, 40)]
+        for p, q, r in product(range(1, 4), range(1, 4), range(3)):
+            built += _attach_cases(p, q, r)
+        for tree in built:
+            assert_checks_pass(tree)
+
+    def test_deletions_and_strips_up_to_order_nine(self):
+        from treespectra.reduction import pendant_report, strip_pendant_p2
+
+        for tree in relabelled_trees(9, seed=5):
+            for v in range(tree.n):
+                for part in delete_vertex(tree, v):
+                    assert_checks_pass(part)
+                if pendant_report(tree).per_vertex[v]:
+                    assert_checks_pass(strip_pendant_p2(tree, v))
+
+    def test_verify_all_builds_only_trees(self, monkeypatch, capsys):
+        from treespectra.cli import main
+
+        built = []
+        build = Tree._build.__func__
+
+        def recording(cls, *args, **kwargs):
+            tree = build(cls, *args, **kwargs)
+            built.append(tree)
+            return tree
+
+        monkeypatch.setattr(Tree, "_build", classmethod(recording))
+        assert main(["verify", "all", "--trials", "20", "--seed", "1"]) == 0
+        assert len(built) > 1000
+        for tree in built:
+            assert_checks_pass(tree)
+
+    def test_verify_all_runs_no_checked_constructor(self, monkeypatch, capsys):
+        from treespectra.cli import main
+
+        calls = []
+        init = Tree.__init__
+
+        def counting(self, *args, **kwargs):
+            calls.append(args[0])
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(Tree, "__init__", counting)
+        assert main(["verify", "all", "--trials", "20", "--seed", "1"]) == 0
+        assert calls == []
