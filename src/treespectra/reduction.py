@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .enumeration import FreeTreeEnumerator
 from .spectra import _m_value, m_value, multiplicity
-from .trees import Tree, _induced_subtree, attach_pendants, code_parents
+from .trees import Tree, _induced_subtree, attach_pendants
 
 
 @dataclass(frozen=True)
@@ -129,8 +129,9 @@ def reduced_census(k: int, order_cap: int) -> list[Tree]:
         raise ValueError("max order must be at least 1")
     found = []
     for n in range(1, order_cap + 1):
-        for code in FreeTreeEnumerator(n):
-            parent = code_parents(code)
+        enum = FreeTreeEnumerator(n)
+        for code in enum:
+            parent = enum.parent
             if _is_reduced(parent) and _m_value(range(n), parent) == k:
                 found.append(Tree._from_canonical_code(code))
     found.sort(key=lambda t: (t.n, t.canonical_code))

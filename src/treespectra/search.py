@@ -19,7 +19,8 @@ from typing import Optional, TextIO
 from .catalog import CatalogRecord
 from .enumeration import EnumerationCursor, FreeTreeEnumerator
 from .reduction import _is_reduced
-from .spectra import TreeSpectrum, _integrality, _matching_nullity
+from .spectra import (TreeSpectrum, _degree_square_sum, _integrality,
+                      _matching_nullity, _moments_admit)
 from .trees import Tree, code_parents
 
 
@@ -65,22 +66,32 @@ class SearchConfig:
         }
 
 
-def analyze_match(code: tuple, config: SearchConfig
+def analyze_match(code: tuple, config: SearchConfig,
+                  parent: Optional[list] = None
                   ) -> Optional[tuple[Tree, TreeSpectrum]]:
     """The tree of a canonical code and its spectrum analysis if it passes
     the config's filters, else None.  The filters run on the code's parent
-    array, bottom-up: the matching-number nullity and the reduced test
-    first, then, with integral_only, the inertia counts, so a Tree and its
-    characteristic polynomial are built only for trees that are kept.
-    Where two routes compute the same fact, they must agree."""
+    array (the enumerator's parent, or code_parents when not given),
+    bottom-up: the matching-number nullity and the reduced test first,
+    then, with integral_only, the trace moments and the inertia counts, so
+    a Tree and its characteristic polynomial are built only for trees that
+    are kept.  Where two routes compute the same fact, they must agree."""
     if config.nullity is not None or config.reduced_only or config.integral_only:
-        parent = code_parents(code)
+        if parent is None:
+            parent = code_parents(code)
         if (config.nullity is not None
                 and _matching_nullity(parent) != config.nullity):
             return None
         if config.reduced_only and not _is_reduced(parent):
             return None
         if config.integral_only:
+            # with no nullity to cross-check, the trace moments alone may
+            # turn the tree down before any inertia count; with one, the
+            # count at t = 0 is needed anyway, and the moments would stand
+            # in only for the count at t = 1, which measured no faster
+            if config.nullity is None and not _moments_admit(
+                    len(code), _degree_square_sum(parent)):
+                return None
             nullity, integral = _integrality(range(len(code)), parent)
             if config.nullity is not None and nullity != config.nullity:
                 raise AssertionError(f"nullity routes disagree on "
@@ -123,8 +134,8 @@ def _load_resume(config: SearchConfig) -> Optional[dict]:
                 "cursor file's enumeration cursor does not match its "
                 "check (it was edited, or has no check); delete it and the "
                 "output file to start over")
-        # refuse what no search writes: _successor would fail on it, or
-        # end the order early
+        # refuse what no search writes: the walk would fail on it, or end
+        # the order early
         order, cursor = state["order"], state.get("cursor")
         if not 1 <= order <= config.max_order:
             raise ValueError(f"order {order} is outside 1..{config.max_order}")
@@ -210,7 +221,7 @@ def run_search(config: SearchConfig, out: TextIO, err: TextIO) -> dict:
         for code in enum:
             scanned += 1
             since_save += 1
-            match = analyze_match(code, config)
+            match = analyze_match(code, config, enum.parent)
             if match is not None:
                 tree, analysis = match
                 record = CatalogRecord.from_tree(

@@ -8,15 +8,18 @@ deflation in y = x^2, and the eigenvalues below or at a rational t are
 counted by the inertia of A - tI, read off an exact tree diagonalisation
 (Jacobs-Trevisan) kept in integer pairs; by Sylvester's law of inertia
 those counts are certificates, and the counts at t = 0, 1, ..., isqrt(n-1)
-decide integrality without the polynomial.  These folds take no Tree:
+decide integrality without the polynomial.  The trace moments tr A^2 and
+tr A^4 depend only on the order and the degrees, and they may rule
+integrality out before any count (_moments_admit); a search with no
+nullity to cross-check tries them first.  These folds take no Tree:
 _signature, _integrality and _m_value take a bottom-up order and a parent
 array, which the public functions get from Tree.rooted_order() and the
-search and the verifier from a canonical code (range(n) and
-trees.code_parents), so they build no Tree to filter; the greedy _matching_nullity takes the parents of
-a code alone.  Sturm chains stay for general polynomials, such as the
-eigenvalue comparisons below.  The one non-tree graph needed anywhere (an
-even cycle with two pendants) gets its polynomial from an exact integer
-Faddeev-LeVerrier determinant.
+search and the verifier from the enumerator (range(n) and
+FreeTreeEnumerator.parent), so they build no Tree to filter; the greedy
+_matching_nullity takes the parents of a code alone.  Sturm chains stay
+for general polynomials, such as the eigenvalue comparisons below.  The
+one non-tree graph needed anywhere (an even cycle with two pendants) gets
+its polynomial from an exact integer Faddeev-LeVerrier determinant.
 """
 
 from __future__ import annotations
@@ -24,7 +27,9 @@ from __future__ import annotations
 from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import isqrt
+from operator import mul
 from typing import Sequence
 
 from .polys import (DivisibilityError, IntPoly, RealRoot, SpectrumSummary,
@@ -261,6 +266,35 @@ def _integrality(order, parent: list) -> tuple[int, bool]:
     return nullity, counted == n
 
 
+def _degree_square_sum(parent: list) -> int:
+    """Sum of the squared degrees of the tree of a parent array rooted at
+    vertex 0."""
+    degree = [1] * len(parent)
+    degree[0] = 0
+    for p in parent[1:]:
+        degree[p] += 1
+    return sum(map(mul, degree, degree))
+
+
+@lru_cache(maxsize=None)
+def _moments_admit(n: int, degree_square_sum: int) -> bool:
+    """Whether the trace moments of a tree of order n allow an integral
+    spectrum: nonnegative integers a_k, the multiplicity of each of +-k for
+    k = 1..isqrt(n-1), with sum a_k k^2 = n - 1 (half of tr A^2), sum a_k
+    k^4 = degree_square_sum - (n - 1) (half of tr A^4, as a tree has no
+    4-cycle) and 2 sum a_k <= n.  A False is a certificate that some
+    eigenvalue is not an integer."""
+    def fits(k: int, two: int, four: int, pairs: int) -> bool:
+        if k <= 1:
+            return two == four <= pairs
+        k2 = k * k
+        k4 = k2 * k2
+        return any(fits(k - 1, two - a * k2, four - a * k4, pairs - a)
+                   for a in range(min(two // k2, four // k4, pairs) + 1))
+
+    return fits(isqrt(n - 1), n - 1, degree_square_sum - (n - 1), n // 2)
+
+
 def m_value(tree: Tree) -> int:
     """Eigenvalues in the open interval (-1, 1), counted with multiplicity."""
     return _m_value(*tree.rooted_order())
@@ -326,9 +360,10 @@ def nullity_matching(tree: Tree) -> int:
 
 def _matching_nullity(parent: list) -> int:
     """nullity_matching on a parent array whose vertices come after their
-    parents (code_parents).  Bottom-up, each vertex still free is matched
-    to its parent if that is free too: a leaf of what is left is always
-    matchable to its neighbor without loss, so the matching is maximum."""
+    parents (a code's, as FreeTreeEnumerator.parent or code_parents).
+    Bottom-up, each vertex still free is matched to its parent if that is
+    free too: a leaf of what is left is always matchable to its neighbor
+    without loss, so the matching is maximum."""
     free = bytearray([1]) * len(parent)
     unmatched = len(parent)
     for v in range(len(parent) - 1, 0, -1):

@@ -26,7 +26,7 @@ from .spectra import (TreeSpectrum, _matching_nullity, _signature, char_poly,
                       char_poly_ring_with_pendants, courant_weyl_check,
                       forest_multiplicity, join_formula, multiplicity,
                       squared_shift_check)
-from .trees import (Tree, attach_pendants, c_tree, code_parents, delete_vertex,
+from .trees import (Tree, attach_pendants, c_tree, delete_vertex,
                     hub_vertices, join_trees, s_tree)
 
 _X = IntPoly.x()
@@ -212,8 +212,9 @@ def nullity_classification(h: int, order_cap: int,
                           shard=shard)
     records = []
     for n in config.orders():
-        for code in FreeTreeEnumerator(n, shard):
-            match = analyze_match(code, config)
+        enum = FreeTreeEnumerator(n, shard)
+        for code in enum:
+            match = analyze_match(code, config, enum.parent)
             if match is not None:
                 records.append(CatalogRecord.from_tree(
                     *match, order_cap=order_cap,
@@ -233,8 +234,9 @@ def nullity_one_class_check(order_cap: int) -> VerdictRecord:
     integral_spiders = []
     for n in range(1, order_cap + 1, 2):
         order = range(n)
-        for code in FreeTreeEnumerator(n):
-            parent = code_parents(code)
+        enum = FreeTreeEnumerator(n)
+        for code in enum:
+            parent = enum.parent
             if _matching_nullity(parent) != 1:
                 continue
             below0, at0 = _signature(order, parent, 0, 1)

@@ -4,13 +4,16 @@ Nothing here shares code paths with the package internals being tested:
 characteristic polynomials come from matching counts, tree counts come from
 labeled-tree dedup and from the rooted-tree counting recurrence, free-tree
 codes come from networkx and from building each candidate tree, and maximum
-matchings come from subset enumeration.
+matchings come from subset enumeration.  The reference walk (_successor,
+_doomed_run_end, _is_center_code) builds a fresh list for every candidate
+and recomputes each fact it needs, where FreeTreeEnumerator works in place.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import chain, combinations
+from typing import Optional
 
 from treespectra.polys import IntPoly
 from treespectra.trees import Tree
@@ -162,3 +165,87 @@ def eccentricities(tree: Tree) -> list[int]:
                     queue.append(w)
         out.append(max(dist))
     return out
+
+
+def _successor(seq: list[int]) -> Optional[list[int]]:
+    """Next canonical rooted level sequence in decreasing lex order."""
+    p = len(seq) - 1
+    while p >= 0 and seq[p] < 2:
+        p -= 1
+    if p < 0:
+        return None
+    q = p - 1
+    while seq[q] != seq[p] - 1:
+        q -= 1
+    out = seq[:p]
+    block = seq[q:p]
+    while len(out) < len(seq):
+        out.extend(block[: len(seq) - len(out)])
+    return out
+
+
+def _is_center_code(seq: list[int]) -> bool:
+    """Whether a canonical rooted level sequence is the canonical code of
+    the free tree it describes, i.e. rooted at the (larger) center.
+
+    Canonical order puts the deepest subtree of every vertex first.  Let
+    the root's second subtree start at position k (the second 1 in seq), and
+    let its first branch reach depth H = max(seq) and its other branches
+    depth d = max(seq[k:]).  The root has eccentricity H and vertex 1 has
+    max(H - 1, d + 1).  With no second subtree the root is a leaf, which is
+    no center once n > 2.  If d == H, two branches of depth H meet at the
+    root, which is the only center.  If d < H - 1, vertex 1 has the smaller
+    eccentricity, so the root is no center.  If d == H - 1, the diameter is
+    2H - 1 and the centers are the root and vertex 1; the code is the larger
+    of their rooted codes.  Rooted at vertex 1, the root's side comes first
+    (it is deeper than any subtree of vertex 1), then the subtrees of
+    vertex 1 in their order in seq.
+    """
+    if len(seq) <= 2:
+        return True
+    try:
+        k = seq.index(1, 2)
+    except ValueError:
+        return False
+    h = max(seq)
+    d = max(seq[k:])
+    if d == h:
+        return True
+    if d < h - 1:
+        return False
+    return seq >= [0, 1] + [x + 1 for x in seq[k:]] + [x - 1 for x in seq[2:k]]
+
+
+def _doomed_run_end(seq: list[int]) -> Optional[list[int]]:
+    """The end of the run of candidates, from seq on, whose root cannot be
+    a center, or None when seq's root may be one; the walk goes on at the
+    successor of the end.
+
+    The root is a center only when the rest seq[k:] reaches depth H - 1,
+    which takes H - 1 vertices.  A canonical code of height H starts
+    0, 1, ..., H, because the deepest subtree comes first at every vertex;
+    so max(seq[:i]) = min(i - 1, H), and a smaller rest is no deeper.
+
+    Rule B (k + H - 1 > n): let i be the largest in [2, k) with
+    n - i >= max(seq[:i]) - 1.  Every candidate from seq down to
+    seq[:i+1] + [1]*(n-i-1) keeps seq[:i+1], so its second 1 comes after
+    position i and its height is at least max(seq[:i+1]); by the choice of
+    i (or, when i + 1 == k, as for seq itself) too few vertices are left
+    for its rest.  Rule A (max(seq[k:]) < H - 1): every candidate from seq
+    down to seq[:k] + [1]*(n-k) keeps seq[:k], hence k and H, and has a
+    smaller, so no deeper, rest.
+    """
+    n = len(seq)
+    try:
+        k = seq.index(1, 2)
+    except ValueError:
+        k = n
+    h = max(seq)
+    if k + h - 1 > n:
+        i = k - 1
+        while n - i < min(i - 1, h) - 1:
+            i -= 1
+        return seq[:i + 1] + [1] * (n - i - 1)
+    if k < n and max(seq[k:]) < h - 1:
+        return seq[:k] + [1] * (n - k)
+    return None

@@ -2,12 +2,12 @@ import random
 
 import pytest
 
-from oracles import (free_tree_codes_networkx, free_tree_counts_by_recurrence,
+from oracles import (_doomed_run_end, _is_center_code, _successor,
+                     free_tree_codes_networkx, free_tree_counts_by_recurrence,
                      is_free_tree_code, labeled_tree_codes)
 from treespectra.enumeration import (EnumerationCursor, FreeTreeEnumerator,
-                                     _is_center_code, _successor,
                                      enumerate_free_trees)
-from treespectra.trees import Tree
+from treespectra.trees import Tree, code_parents
 
 # counts for n = 1..12, from the labeled-tree dedup oracle (live below for
 # n <= 8) and the counting recurrence (cross-checked live for all 12)
@@ -70,7 +70,46 @@ def reference_codes(n, shard=(0, 1)):
     return codes
 
 
+def skipping_reference_codes(n):
+    """The emitted stream of the reference walk with Rules A and B: fresh
+    lists, and every fact recomputed for every candidate."""
+    codes = []
+    seq = list(range(n))
+    while seq is not None:
+        doomed = _doomed_run_end(seq)
+        if doomed is not None:
+            seq = doomed
+        elif _is_center_code(seq):
+            codes.append(tuple(seq))
+        seq = _successor(seq)
+    return codes
+
+
+def walk_with_parents(enum):
+    return [(code, list(enum.parent)) for code in enum]
+
+
 class TestSkippingWalk:
+    def test_in_place_walk_matches_reference_and_code_parents(self):
+        # codes and the parent array at every yield, for every shard
+        for n in range(1, 15):
+            full = skipping_reference_codes(n)
+            for count in (1, 3, 4):
+                for index in range(count):
+                    ours = walk_with_parents(
+                        FreeTreeEnumerator(n, (index, count)))
+                    assert ours == [(code, code_parents(code))
+                                    for code in full[index::count]], (
+                        n, index, count)
+
+    def test_resume_at_every_yield_gives_rest_and_parents(self):
+        enum = FreeTreeEnumerator(9)
+        full = walk_with_parents(FreeTreeEnumerator(9))
+        for done, _ in enumerate(enum, start=1):
+            cursor = EnumerationCursor.from_json(enum.cursor().to_json())
+            rest = walk_with_parents(FreeTreeEnumerator(9, cursor=cursor))
+            assert rest == full[done:], done
+
     def test_stream_matches_reference_walk(self):
         for n in range(1, 15):
             ours = [t.canonical_code for t in enumerate_free_trees(n)]

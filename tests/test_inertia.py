@@ -2,6 +2,8 @@
 search's cross-checks between them."""
 
 import io
+from itertools import product
+from math import isqrt
 
 import pytest
 
@@ -10,8 +12,9 @@ from treespectra.enumeration import FreeTreeEnumerator, enumerate_free_trees
 from treespectra.polys import rational_root_multiplicity
 from treespectra.reduction import _is_reduced, pendant_report
 from treespectra.search import SearchConfig, analyze_match, run_search
-from treespectra.spectra import (TreeSpectrum, _integrality,
-                                 _matching_nullity, _signature, char_poly,
+from treespectra.spectra import (TreeSpectrum, _degree_square_sum,
+                                 _integrality, _matching_nullity,
+                                 _moments_admit, _signature, char_poly,
                                  inertia, inertia_integrality, multiplicity,
                                  nullity_matching)
 from treespectra.trees import Tree, code_parents, path, s_tree, star
@@ -72,14 +75,58 @@ class TestCodeRoute:
         assert code_parents((0,)) == [-1]
 
 
+class TestTraceMoments:
+    def test_moments_admit_matches_brute_force(self):
+        for n in range(1, 21):
+            top = isqrt(n - 1)
+            fourth = set()
+            for a in product(*(range((n - 1) // k ** 2 + 1)
+                               for k in range(1, top + 1))):
+                terms = list(enumerate(a, start=1))  # (k, a_k)
+                if (sum(m * k ** 2 for k, m in terms) == n - 1
+                        and 2 * sum(a) <= n):
+                    fourth.add(sum(m * k ** 4 for k, m in terms))
+            for square_sum in range(n * n + 1):
+                assert _moments_admit(n, square_sum) == (
+                    square_sum - (n - 1) in fourth), (n, square_sum)
+
+    def test_degree_square_sum(self):
+        for n in range(1, 11):
+            for tree in enumerate_free_trees(n):
+                parent = code_parents(tree.canonical_code)
+                assert _degree_square_sum(parent) == sum(
+                    d * d for d in tree.degrees)
+
+    def test_every_integral_tree_up_to_order_14_passes(self):
+        integral = 0
+        for n in range(1, 15):
+            enum = FreeTreeEnumerator(n)
+            for code in enum:
+                if _integrality(range(n), enum.parent)[1]:
+                    integral += 1
+                    assert _moments_admit(
+                        n, _degree_square_sum(enum.parent)), code
+        assert integral == 7  # A077027, orders 1-14
+
+    def test_stars_with_square_leaf_counts_pass(self):
+        # K_{1,k^2} has spectrum +-k, 0^(k^2-1)
+        for k in range(1, 7):
+            tree = star(k * k)
+            assert _moments_admit(tree.n, sum(d * d for d in tree.degrees))
+            assert inertia_integrality(tree) == (k * k - 1, True)
+
+
 class TestSearchRoutesAgree:
     def test_integrality_routes_disagree_is_raised(self, monkeypatch):
+        # a tree whose trace moments admit an integral spectrum, though it
+        # has none, so only the inertia route can turn it down
         monkeypatch.setattr(search, "_integrality",
                             lambda order, parent: (1, True))
-        config = SearchConfig(max_order=3, integral_only=True)
+        config = SearchConfig(max_order=7, integral_only=True)
         with pytest.raises(AssertionError,
-                           match="integrality routes disagree on 0,1,1"):
-            analyze_match(path(3).canonical_code, config)
+                           match="integrality routes disagree on "
+                                 "0,1,2,3,3,1,2"):
+            analyze_match((0, 1, 2, 3, 3, 1, 2), config)
 
     def test_inertia_nullity_is_checked_on_rejected_trees(self, monkeypatch):
         # the verdict says "not integral", yet the wrong nullity is caught
