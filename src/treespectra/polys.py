@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, isqrt
+from math import comb
 from typing import Iterable, NamedTuple, Optional
 
 
@@ -368,9 +368,14 @@ def _sturm_point(p: IntPoly, t: Fraction) -> tuple[tuple[int, int, bool], ...]:
 
 
 def _plus_infinity(p: IntPoly) -> tuple[tuple[int, int, bool], ...]:
-    """_sturm_point at +infinity, read off the leading coefficients."""
-    return tuple((mult, _variations_at_plus_infinity(_sturm_chain(f.coeffs)),
-                  False) for f, mult in _square_free_cached(p))
+    """_sturm_point at +infinity, where each member of a chain has the sign
+    of its leading coefficient."""
+    out = []
+    for factor, mult in _square_free_cached(p):
+        signs = [c[-1] > 0 for c in _sturm_chain(factor.coeffs)]
+        out.append((mult, sum(a != b for a, b in zip(signs, signs[1:])),
+                    False))
+    return tuple(out)
 
 
 def _count_between(at_lo, at_hi) -> RootCount:
@@ -405,96 +410,6 @@ def count_roots_open(p: IntPoly, lo, hi) -> RootCount:
 def count_roots_above(p: IntPoly, t) -> RootCount:
     """Real roots of p strictly above t: V(t) - V(+infinity) per factor."""
     return _count_between(_sturm_point(p, _as_fraction(t)), _plus_infinity(p))
-
-
-# ---------------------------------------------------------------------------
-# exact evaluation at quadratic irrationals mu + sqrt(m)
-
-
-def _eval_at_quadratic(coeffs, mu: Fraction, m: int) -> tuple[Fraction, Fraction]:
-    """p(mu + sqrt(m)) as (u, v) with value u + v*sqrt(m), exactly."""
-    u, v = Fraction(0), Fraction(0)
-    for c in reversed(coeffs):
-        u, v = u * mu + v * m + c, u + v * mu
-    return u, v
-
-
-def _sign_of_quadratic(u: Fraction, v: Fraction, m: int) -> int:
-    """Sign of u + v*sqrt(m) for a positive nonsquare m, exactly."""
-    if v == 0:
-        return (u > 0) - (u < 0)
-    if u == 0:
-        return (v > 0) - (v < 0)
-    if u > 0 and v > 0:
-        return 1
-    if u < 0 and v < 0:
-        return -1
-    usq, vsq = u * u, v * v * m
-    if usq == vsq:
-        return 0
-    if u > 0:
-        return 1 if usq > vsq else -1
-    return -1 if usq > vsq else 1
-
-
-def _variations_at_quadratic(chain, mu: Fraction, m: int) -> int:
-    signs = []
-    for coeffs in chain:
-        s = _sign_of_quadratic(*_eval_at_quadratic(coeffs, mu, m), m)
-        if s:
-            signs.append(s)
-    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
-
-
-def _variations_at_plus_infinity(chain) -> int:
-    signs = [1 if coeffs[-1] > 0 else -1 for coeffs in chain]
-    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
-
-
-def quadratic_root_multiplicity(p: IntPoly, mu: Fraction, m: int) -> int:
-    """Multiplicity of mu + sqrt(m) as a root of p (m a positive nonsquare),
-    by repeated exact division by its minimal polynomial (x-mu)^2 - m."""
-    mu = _as_fraction(mu)
-    coeffs = [Fraction(c) for c in p.coeffs]
-    minimal = (mu * mu - m, -2 * mu, Fraction(1))
-    mult = 0
-    while len(coeffs) >= 3:
-        rem = list(coeffs)
-        quot = [Fraction(0)] * (len(rem) - 2)
-        for i in range(len(rem) - 3, -1, -1):
-            q = rem[i + 2]
-            quot[i] = q
-            if q:
-                rem[i + 2] = Fraction(0)
-                rem[i + 1] -= q * minimal[1]
-                rem[i] -= q * minimal[0]
-        if rem[0] != 0 or rem[1] != 0:
-            break
-        coeffs = quot
-        mult += 1
-    return mult
-
-
-def count_roots_above_quadratic(p: IntPoly, mu, m: int) -> int:
-    """Roots of p strictly above mu + sqrt(m), counted with multiplicity.
-
-    m must be a positive nonsquare so the threshold is a genuine quadratic
-    irrational; evaluation of the Sturm chain there is exact.
-    """
-    if p.is_zero:
-        raise ValueError("zero polynomial")
-    if m <= 0 or isqrt(m) ** 2 == m:
-        raise ValueError("threshold must be irrational; use count_roots_above")
-    mu = _as_fraction(mu)
-    total = 0
-    for factor, mult in _square_free_cached(p):
-        if factor.degree <= 0:
-            continue
-        chain = _sturm_chain(factor.coeffs)
-        d = (_variations_at_quadratic(chain, mu, m)
-             - _variations_at_plus_infinity(chain))
-        total += mult * d
-    return total
 
 
 def _deflate(coeffs: list, t) -> tuple[int, list]:
@@ -559,9 +474,6 @@ class SpectrumSummary:
         for k, m in self.roots.items():
             out = out * (x - IntPoly.const(k)) ** m
         return out
-
-    def multiplicity(self, k: int) -> int:
-        return self.roots.get(k, 0)
 
 
 def integer_roots(p: IntPoly) -> SpectrumSummary:
@@ -736,27 +648,17 @@ class RealRoot:
     def compare(self, other) -> int:
         """Sign of (this root - other), decided exactly.
 
-        ``other`` is a rational, a pair (mu, m) standing for mu + sqrt(m)
-        with m >= 0, or another RealRoot.  Rationals and quadratic
-        irrationals are decided by root counting, never by refinement.
+        ``other`` is a rational or another RealRoot.  A rational is decided
+        by root counting, never by refinement; a RealRoot as _compare_root
+        says.  A quadratic irrational mu + sqrt(m) is compared as the
+        larger root of the primitive polynomial of (x - mu)^2 - m.
         """
         if isinstance(other, RealRoot):
             return self._compare_root(other)
-        p, k = self.poly, self.index
-        if isinstance(other, tuple):
-            mu, m = _as_fraction(other[0]), other[1]
-            r = isqrt(m)
-            if r * r != m:
-                gt = count_roots_above_quadratic(p, mu, m)
-                if gt >= k:
-                    return 1
-                ge = gt + quadratic_root_multiplicity(p, mu, m)
-                return 0 if ge >= k else -1
-            other = mu + r
         t = _as_fraction(other)
         if self.exact is not None:
             return _sign(self.exact - t)
-        return self._sign_at(_sturm_point(p, t))
+        return self._sign_at(_sturm_point(self.poly, t))
 
     def _sign_at(self, at_t) -> int:
         """Sign of (this root - t), given the _sturm_point evaluation at t:

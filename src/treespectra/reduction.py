@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .enumeration import FreeTreeEnumerator
 from .spectra import _m_value, m_value, multiplicity
-from .trees import Tree, _induced_subtree, attach_pendants
+from .trees import Tree, _induced_subtree, attach_pendants, parent_degrees
 
 
 @dataclass(frozen=True)
@@ -47,10 +47,7 @@ def _is_reduced(parent: list) -> bool:
     """pendant_report(tree).is_reduced on a parent array (-1 for the
     root): no edge joins a vertex of degree 2 to a leaf, that is, no edge
     has end degrees of product 2."""
-    degree = [1] * len(parent)
-    degree[0] = 0
-    for p in parent[1:]:
-        degree[p] += 1
+    degree = parent_degrees(parent)
     return all(degree[v] * degree[parent[v]] != 2
                for v in range(1, len(parent)))
 

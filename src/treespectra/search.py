@@ -21,7 +21,7 @@ from .enumeration import EnumerationCursor, FreeTreeEnumerator
 from .reduction import _is_reduced
 from .spectra import (TreeSpectrum, _degree_square_sum, _integrality,
                       _matching_nullity, _moments_admit)
-from .trees import Tree, code_parents
+from .trees import Tree
 
 
 class CursorError(ValueError):
@@ -66,38 +66,35 @@ class SearchConfig:
         }
 
 
-def analyze_match(code: tuple, config: SearchConfig,
-                  parent: Optional[list] = None
+def analyze_match(code: tuple, config: SearchConfig, parent: list
                   ) -> Optional[tuple[Tree, TreeSpectrum]]:
     """The tree of a canonical code and its spectrum analysis if it passes
     the config's filters, else None.  The filters run on the code's parent
-    array (the enumerator's parent, or code_parents when not given),
-    bottom-up: the matching-number nullity and the reduced test first,
-    then, with integral_only, the trace moments and the inertia counts, so
-    a Tree and its characteristic polynomial are built only for trees that
-    are kept.  Where two routes compute the same fact, they must agree."""
-    if config.nullity is not None or config.reduced_only or config.integral_only:
-        if parent is None:
-            parent = code_parents(code)
-        if (config.nullity is not None
-                and _matching_nullity(parent) != config.nullity):
+    array (the enumerator's parent, or code_parents), bottom-up: the
+    matching-number nullity and the reduced test first, then, with
+    integral_only, the trace moments and the inertia counts, so a Tree and
+    its characteristic polynomial are built only for trees that are kept.
+    Where two routes compute the same fact, they must agree."""
+    order = range(len(code))
+    if (config.nullity is not None
+            and _matching_nullity(order, parent) != config.nullity):
+        return None
+    if config.reduced_only and not _is_reduced(parent):
+        return None
+    if config.integral_only:
+        # with no nullity to cross-check, the trace moments alone may turn
+        # the tree down before any inertia count; with one, the count at
+        # t = 0 is needed anyway, and the moments would stand in only for
+        # the count at t = 1, which measured no faster
+        if config.nullity is None and not _moments_admit(
+                len(code), _degree_square_sum(parent)):
             return None
-        if config.reduced_only and not _is_reduced(parent):
+        nullity, integral = _integrality(order, parent)
+        if config.nullity is not None and nullity != config.nullity:
+            raise AssertionError(f"nullity routes disagree on "
+                                 f"{','.join(map(str, code))}")
+        if not integral:
             return None
-        if config.integral_only:
-            # with no nullity to cross-check, the trace moments alone may
-            # turn the tree down before any inertia count; with one, the
-            # count at t = 0 is needed anyway, and the moments would stand
-            # in only for the count at t = 1, which measured no faster
-            if config.nullity is None and not _moments_admit(
-                    len(code), _degree_square_sum(parent)):
-                return None
-            nullity, integral = _integrality(range(len(code)), parent)
-            if config.nullity is not None and nullity != config.nullity:
-                raise AssertionError(f"nullity routes disagree on "
-                                     f"{','.join(map(str, code))}")
-            if not integral:
-                return None
     tree = Tree._from_canonical_code(code)
     analysis = TreeSpectrum.analyze(tree)
     if config.nullity is not None and analysis.nullity != config.nullity:
@@ -236,9 +233,11 @@ def run_search(config: SearchConfig, out: TextIO, err: TextIO) -> dict:
                 since_save = 0
         per_order[n] = hits
         print(f"order {n}: {hits} matching trees", file=err)
-        _save_cursor(config, out, min(n + 1, config.max_order), None,
-                     complete=False)
-    # also when the nullity's parity skips the last orders, or all of them
+        if n < config.max_order:
+            _save_cursor(config, out, n + 1, None, complete=False)
+    # only this save marks the last order done (a resume from an incomplete
+    # save there would write it again), also when the nullity's parity
+    # skips the last orders, or all of them
     _save_cursor(config, out, config.max_order, None, complete=True)
     print("order | matches", file=err)
     for n, hits in per_order.items():

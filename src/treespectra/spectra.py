@@ -12,14 +12,14 @@ decide integrality without the polynomial.  The trace moments tr A^2 and
 tr A^4 depend only on the order and the degrees, and they may rule
 integrality out before any count (_moments_admit); a search with no
 nullity to cross-check tries them first.  These folds take no Tree:
-_signature, _integrality and _m_value take a bottom-up order and a parent
-array, which the public functions get from Tree.rooted_order() and the
-search and the verifier from the enumerator (range(n) and
-FreeTreeEnumerator.parent), so they build no Tree to filter; the greedy
-_matching_nullity takes the parents of a code alone.  Sturm chains stay
-for general polynomials, such as the eigenvalue comparisons below.  The
-one non-tree graph needed anywhere (an even cycle with two pendants) gets
-its polynomial from an exact integer Faddeev-LeVerrier determinant.
+_signature, _integrality, _m_value and the greedy _matching_nullity take
+a bottom-up order and a parent array, which the public functions get from
+Tree.rooted_order() and the search and the verifier from the enumerator
+(range(n) and FreeTreeEnumerator.parent), so they build no Tree to
+filter.  Sturm chains stay for general polynomials, such as the
+eigenvalue comparisons below.  The one non-tree graph needed anywhere (an
+even cycle with two pendants) gets its polynomial from an exact integer
+Faddeev-LeVerrier determinant.
 """
 
 from __future__ import annotations
@@ -34,7 +34,8 @@ from typing import Sequence
 
 from .polys import (DivisibilityError, IntPoly, RealRoot, SpectrumSummary,
                     _deflate, compare_sum, even_part, taylor_shift)
-from .trees import Tree, attach_pendants, bipartition, delete_vertex
+from .trees import (Tree, attach_pendants, bipartition, delete_vertex,
+                    parent_degrees)
 
 _ONE = IntPoly.one()
 
@@ -269,10 +270,7 @@ def _integrality(order, parent: list) -> tuple[int, bool]:
 def _degree_square_sum(parent: list) -> int:
     """Sum of the squared degrees of the tree of a parent array rooted at
     vertex 0."""
-    degree = [1] * len(parent)
-    degree[0] = 0
-    for p in parent[1:]:
-        degree[p] += 1
+    degree = parent_degrees(parent)
     return sum(map(mul, degree, degree))
 
 
@@ -325,48 +323,24 @@ def nullity_poly(tree: Tree) -> int:
     return h
 
 
-def max_matching_size(tree: Tree) -> int:
-    """Maximum matching via leaf stripping (a leaf is always matchable to
-    its unique neighbor without loss)."""
-    n = tree.n
-    deg = [tree.degree(v) for v in range(n)]
-    alive = bytearray([1]) * n
-    queue = [v for v in range(n) if deg[v] == 1]
-    matched = 0
-    for u in queue:
-        if not alive[u] or deg[u] != 1:
-            continue
-        partner = -1
-        for w in tree.adj[u]:
-            if alive[w]:
-                partner = w
-                break
-        if partner < 0:
-            continue
-        alive[u] = alive[partner] = 0
-        matched += 1
-        for w in tree.adj[partner]:
-            if alive[w]:
-                deg[w] -= 1
-                if deg[w] == 1:
-                    queue.append(w)
-    return matched
-
-
 def nullity_matching(tree: Tree) -> int:
     """Nullity as order minus twice the maximum matching size."""
-    return tree.n - 2 * max_matching_size(tree)
+    return _matching_nullity(*tree.rooted_order())
 
 
-def _matching_nullity(parent: list) -> int:
-    """nullity_matching on a parent array whose vertices come after their
-    parents (a code's, as FreeTreeEnumerator.parent or code_parents).
-    Bottom-up, each vertex still free is matched to its parent if that is
-    free too: a leaf of what is left is always matchable to its neighbor
-    without loss, so the matching is maximum."""
+def max_matching_size(tree: Tree) -> int:
+    """Maximum matching size, as a tree's nullity is n minus twice it."""
+    return (tree.n - nullity_matching(tree)) // 2
+
+
+def _matching_nullity(order, parent: list) -> int:
+    """nullity_matching on one rooted order (the root first, every vertex
+    after its parent).  Bottom-up, each vertex still free is matched to its
+    parent if that is free too: a leaf of what is left is always matchable
+    to its neighbor without loss, so the matching is maximum."""
     free = bytearray([1]) * len(parent)
     unmatched = len(parent)
-    for v in range(len(parent) - 1, 0, -1):
+    for v in order[:0:-1]:
         p = parent[v]
         if free[v] and free[p]:
             free[v] = free[p] = 0
@@ -437,9 +411,9 @@ def courant_weyl_check(tree: Tree, spec: Sequence[tuple[int, int]]) -> list[bool
     where T' attaches s_i pendant length-2 paths at the i-th spec vertex and
     the spec is taken in nonincreasing order of s.
 
-    Comparisons are exact: when lambda_n(T) is rational the verdict comes
-    from root counting; otherwise isolating intervals are refined until
-    conclusive (PrecisionExhausted beyond the width cap).
+    Comparisons are exact: isolating intervals are refined until they
+    separate, a tie is certified by a common root (RealRoot.compare,
+    compare_sum), and PrecisionExhausted is raised beyond the width cap.
     """
     if not spec:
         raise ValueError("empty attachment spec")
@@ -451,8 +425,11 @@ def courant_weyl_check(tree: Tree, spec: Sequence[tuple[int, int]]) -> list[bool
     for i, (_, s) in enumerate(ordered, start=1):
         top = RealRoot(phi_grown, i)
         if lam_min.exact is not None:
-            # against a rational, or in the quadratic field of sqrt(s+1)
-            sign = top.compare((lam_min.exact, s + 1))
+            # mu + sqrt(s+1), mu = num/den, is the larger root of the
+            # primitive (den x - num)^2 - (s+1) den^2
+            num, den = lam_min.exact.numerator, lam_min.exact.denominator
+            sign = top.compare(RealRoot(IntPoly((
+                num * num - (s + 1) * den * den, -2 * num * den, den * den)), 1))
         else:
             sign = compare_sum(top, RealRoot(IntPoly((-(s + 1), 0, 1)), 1),
                                lam_min)

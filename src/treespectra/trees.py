@@ -230,6 +230,15 @@ def code_parents(code: Sequence[int]) -> list[int]:
     return parent
 
 
+def parent_degrees(parent: Sequence[int]) -> list[int]:
+    """The degree of each vertex of a parent array rooted at vertex 0."""
+    degree = [1] * len(parent)
+    degree[0] = 0
+    for p in parent[1:]:
+        degree[p] += 1
+    return degree
+
+
 # ---------------------------------------------------------------------------
 # constructors
 

@@ -237,7 +237,7 @@ def nullity_one_class_check(order_cap: int) -> VerdictRecord:
         enum = FreeTreeEnumerator(n)
         for code in enum:
             parent = enum.parent
-            if _matching_nullity(parent) != 1:
+            if _matching_nullity(order, parent) != 1:
                 continue
             below0, at0 = _signature(order, parent, 0, 1)
             below1, at1 = _signature(order, parent, 1, 1)

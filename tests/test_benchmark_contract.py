@@ -40,9 +40,12 @@ def test_dotted_trace_target_is_a_class_member(name, module_name, attr):
     assert member in cls.__dict__, name
 
 
-# Lap targets already gone from the package: polys.isolate_kth_largest was
-# replaced by RealRoot, and ROADMAP item 6 owns its removal from perfbench.
-LAP_TARGETS_GONE = {("treespectra.polys", "isolate_kth_largest")}
+# Lap targets already gone from the package, whose removal from perfbench
+# is on the ROADMAP: polys.isolate_kth_largest was replaced by RealRoot,
+# and polys.count_roots_above_quadratic by comparing against the root of
+# (x - mu)^2 - m.
+LAP_TARGETS_GONE = {("treespectra.polys", "isolate_kth_largest"),
+                    ("treespectra.polys", "count_roots_above_quadratic")}
 
 
 def test_lap_targets_are_module_level_callables(monkeypatch):
@@ -51,11 +54,14 @@ def test_lap_targets_are_module_level_callables(monkeypatch):
     monkeypatch.syspath_prepend(str(PERFBENCH))  # workloads imports calibrate
     targets = _load_perfbench("workloads").LAP_TARGETS
     assert any(module == "treespectra.polys" for module, _ in targets)
+    for module_name, attr in LAP_TARGETS_GONE:
+        # an exception only for a name that is really gone
+        assert attr not in vars(importlib.import_module(module_name)), (
+            module_name, attr)
     for module_name, attr in targets:
-        if (module_name, attr) in LAP_TARGETS_GONE:
-            continue
-        value = vars(importlib.import_module(module_name)).get(attr)
-        assert callable(value), (module_name, attr)
+        if (module_name, attr) not in LAP_TARGETS_GONE:
+            value = vars(importlib.import_module(module_name)).get(attr)
+            assert callable(value), (module_name, attr)
 
 
 def test_char_poly_memo_can_be_cleared():

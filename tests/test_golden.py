@@ -1,6 +1,9 @@
-"""Golden digests: the sha256 of outputs that a rewrite of the walk or of
-the filters must leave byte for byte unchanged.  Each digest was taken
-from the code before the in-place walk and the trace-moment prefilter."""
+"""Golden digests: the sha256 of outputs that a rewrite of the walk, the
+filters or the polynomial routines must leave byte for byte unchanged.
+Each digest was taken from the code before the rewrite it guards: the
+search, census and stream digests before the in-place walk and the
+trace-moment prefilter, the per-tree command digests before the
+quadratic-field comparison was dropped."""
 
 import hashlib
 import json
@@ -65,6 +68,29 @@ def test_order_14_code_stream(count, digest):
                      for code in FreeTreeEnumerator(14, (index, count)))
     assert len(lines) == 3159 + count  # A000055(14)
     assert sha(lines) == digest
+
+
+@pytest.mark.parametrize("command, digest", [
+    ("charpoly",
+     "0e7e5839f9afa255d0c420a58c7cbf4b3d39235dc186c7d4e0e2fe31d324c2b7"),
+    ("spectrum",
+     "32ad8ceecf1e90839399483dbb2080894d75b4d3e65449634f67bac50548c555"),
+    ("nullity",
+     "5fbf8f21b787e74d9a7ddf7dba1b1f7756164e6c89cade1aee05b6ce6b2847e9"),
+    ("reduce",
+     "83552fd1f6c284f776ff4be254e60719619f3b0775465383a30dcad30d710878"),
+])
+def test_per_tree_command_output(command, digest, capsys):
+    """Standard output of a per-tree command run with --code on every tree
+    of order 1-9, concatenated in enumeration order."""
+    count = 0
+    for n in range(1, 10):
+        for code in FreeTreeEnumerator(n):
+            assert main([command, "--code", ",".join(map(str, code))]) == 0
+            count += 1
+    assert count == 95  # A000055, orders 1-9
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
 
 def test_cursor_at_every_yield():

@@ -52,15 +52,16 @@ class TestInertiaIntegrality:
 
 class TestCodeRoute:
     def test_equals_tree_route_on_every_tree_up_to_order_14(self):
-        # the folds on a code's parent array against the Tree-based routes;
-        # nullity_matching is the independent leaf-stripping oracle
+        # the folds on a code's preorder parent array against the Tree-based
+        # routes on a breadth-first rooted order
         checked = 0
         for n in range(1, 15):
             for code in FreeTreeEnumerator(n):
                 tree = Tree._from_canonical_code(code)
                 parent = code_parents(code)
                 order = range(n)
-                assert _matching_nullity(parent) == nullity_matching(tree), code
+                assert _matching_nullity(order, parent) == nullity_matching(
+                    tree), code
                 assert _is_reduced(parent) == pendant_report(tree).is_reduced, code
                 assert _integrality(order, parent) == inertia_integrality(tree), code
                 for t in (0, 1, 2):
@@ -126,7 +127,8 @@ class TestSearchRoutesAgree:
         with pytest.raises(AssertionError,
                            match="integrality routes disagree on "
                                  "0,1,2,3,3,1,2"):
-            analyze_match((0, 1, 2, 3, 3, 1, 2), config)
+            analyze_match((0, 1, 2, 3, 3, 1, 2), config,
+                          code_parents((0, 1, 2, 3, 3, 1, 2)))
 
     def test_inertia_nullity_is_checked_on_rejected_trees(self, monkeypatch):
         # the verdict says "not integral", yet the wrong nullity is caught
@@ -135,7 +137,8 @@ class TestSearchRoutesAgree:
         config = SearchConfig(max_order=3, nullity=1, integral_only=True)
         with pytest.raises(AssertionError,
                            match="nullity routes disagree on 0,1,1"):
-            analyze_match(path(3).canonical_code, config)
+            code = path(3).canonical_code
+            analyze_match(code, config, code_parents(code))
 
     def test_polynomial_only_for_records(self, monkeypatch):
         calls = []

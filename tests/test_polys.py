@@ -312,11 +312,24 @@ class TestRealRoot:
         assert RealRoot(IntPoly((-5, 0, 1)), 1).exact is None
 
     def test_compare_sqrt_against_quadratic_irrational(self):
-        assert RealRoot(IntPoly((-5, 0, 1)), 1).compare((0, 5)) == 0
-        assert RealRoot(IntPoly((-5, 0, 1)), 2).compare((0, 5)) == -1
-        assert RealRoot(IntPoly((-5, 0, 1)), 1).compare((Fraction(-1, 3), 5)) == 1
-        # a square radicand is a rational threshold
-        assert RealRoot(IntPoly((-9, 0, 1)), 1).compare((1, 4)) == 0
+        """mu + sqrt(m) is the larger root of the primitive minimal
+        polynomial (den x - num)^2 - m den^2 of mu = num/den."""
+        def plus_sqrt(mu, m):
+            num, den = Fraction(mu).numerator, Fraction(mu).denominator
+            return RealRoot(IntPoly((num * num - m * den * den,
+                                     -2 * num * den, den * den)), 1)
+
+        assert plus_sqrt(0, 5).poly == IntPoly((-5, 0, 1))
+        assert RealRoot(IntPoly((-5, 0, 1)), 1).compare(plus_sqrt(0, 5)) == 0
+        assert RealRoot(IntPoly((-5, 0, 1)), 2).compare(plus_sqrt(0, 5)) == -1
+        minus_third = plus_sqrt(Fraction(-1, 3), 5)
+        assert minus_third.poly == IntPoly((-44, 6, 9))
+        assert RealRoot(IntPoly((-5, 0, 1)), 1).compare(minus_third) == 1
+        # a square radicand gives a rational root, here the integer 3
+        assert plus_sqrt(1, 4).exact == 3
+        assert RealRoot(IntPoly((-9, 0, 1)), 1).compare(plus_sqrt(1, 4)) == 0
+        with pytest.raises(TypeError):  # no (mu, m) pair form
+            RealRoot(IntPoly((-5, 0, 1)), 1).compare((0, 5))
 
     def test_compare_roots_sharing_a_factor(self):
         shared = IntPoly((-5, 0, 1))

@@ -116,6 +116,35 @@ class TestSearchEngine:
             assert main(cli_args(out_path, cursor)) == 0
             assert records_without_timestamp(out_path) == expected, limit
 
+    def test_resume_after_interrupt_before_complete_save(self, tmp_path,
+                                                         monkeypatch):
+        """A run stopped after its last incomplete cursor save, before the
+        save that marks it complete, writes no record twice on resume."""
+        from treespectra import search
+
+        full = tmp_path / "full.jsonl"
+        assert main(["search", "--max-order", "6", "--out", str(full)]) == 0
+        expected = records_without_timestamp(full)
+        assert len(expected) == 14  # every tree of order 1..6
+        out_path, cursor = tmp_path / "out.jsonl", tmp_path / "cursor.json"
+        config = SearchConfig(max_order=6, out_path=str(out_path),
+                              resume_path=str(cursor))
+        save = search._save_cursor
+
+        def stop_before_complete(config, out, order, cursor, complete):
+            if complete:
+                raise _Interrupted
+            save(config, out, order, cursor, complete)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(search, "_save_cursor", stop_before_complete)
+            with open(out_path, "w", encoding="utf-8") as fh:
+                with pytest.raises(_Interrupted):
+                    run_search(config, fh, io.StringIO())
+        assert main(["search", "--max-order", "6", "--out", str(out_path),
+                     "--resume", str(cursor)]) == 0
+        assert records_without_timestamp(out_path) == expected
+
     def test_cursor_without_offset_refused(self, tmp_path):
         cursor = tmp_path / "cursor.json"
         config = SearchConfig(max_order=5, resume_path=str(cursor),
