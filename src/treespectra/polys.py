@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
+from operator import index
 from typing import Iterable, NamedTuple, Optional
 
 
@@ -44,7 +45,8 @@ class IntPoly:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable[int] = ()):
-        cs = tuple(int(c) for c in coeffs)
+        # operator.index refuses a Fraction or a float instead of truncating
+        cs = tuple(map(index, coeffs))
         object.__setattr__(self, "coeffs", _strip(cs))
 
     def __setattr__(self, name, value):
@@ -303,10 +305,8 @@ def square_free_decomposition(p: IntPoly) -> list[tuple[IntPoly, int]]:
 # Sturm chains and root counting
 
 
-@lru_cache(maxsize=8192)
-def _sturm_chain(coeffs: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+def _sturm_chain(p: IntPoly) -> tuple[tuple[int, ...], ...]:
     """Sturm chain of a square-free polynomial, content-reduced each step."""
-    p = IntPoly(coeffs)
     chain = [p.coeffs, p.derivative().coeffs]
     while chain[-1] and len(chain[-1]) > 1:
         a, b = chain[-2], chain[-1]
@@ -345,8 +345,10 @@ class RootCount(NamedTuple):
 
 
 @lru_cache(maxsize=4096)
-def _square_free_cached(p: IntPoly) -> tuple[tuple[IntPoly, int], ...]:
-    return tuple(square_free_decomposition(p))
+def _sturm_factors(p: IntPoly) -> tuple[tuple[int, tuple], ...]:
+    """(multiplicity, Sturm chain) of each square-free factor of p."""
+    return tuple((mult, _sturm_chain(factor))
+                 for factor, mult in square_free_decomposition(p))
 
 
 def _sturm_point(p: IntPoly, t: Fraction) -> tuple[tuple[int, int, bool], ...]:
@@ -358,9 +360,8 @@ def _sturm_point(p: IntPoly, t: Fraction) -> tuple[tuple[int, int, bool], ...]:
     (lo, hi], zeros in the chain being skipped."""
     num, den = t.numerator, t.denominator
     out = []
-    for factor, mult in _square_free_cached(p):
-        values = [_eval_scaled(c, num, den)
-                  for c in _sturm_chain(factor.coeffs)]
+    for mult, chain in _sturm_factors(p):
+        values = [_eval_scaled(c, num, den) for c in chain]
         signs = [v > 0 for v in values if v]
         out.append((mult, sum(a != b for a, b in zip(signs, signs[1:])),
                     not values[0]))
@@ -371,8 +372,8 @@ def _plus_infinity(p: IntPoly) -> tuple[tuple[int, int, bool], ...]:
     """_sturm_point at +infinity, where each member of a chain has the sign
     of its leading coefficient."""
     out = []
-    for factor, mult in _square_free_cached(p):
-        signs = [c[-1] > 0 for c in _sturm_chain(factor.coeffs)]
+    for mult, chain in _sturm_factors(p):
+        signs = [c[-1] > 0 for c in chain]
         out.append((mult, sum(a != b for a, b in zip(signs, signs[1:])),
                     False))
     return tuple(out)

@@ -1,17 +1,16 @@
 """Characteristic polynomials of trees and the spectral statistics built on them.
 
 A tree's characteristic polynomial is sum (-1)^k m_k x^(n-2k), with the
-matching numbers m_k counted in one bottom-up pass; results are memoized on
-canonical codes in a bounded cache.  Tree spectra need no Sturm chain: the
-integer eigenvalues are +-k with k^2 <= n-1 (the trace bound), found by
-deflation in y = x^2, and the eigenvalues below or at a rational t are
-counted by the inertia of A - tI, read off an exact tree diagonalisation
-(Jacobs-Trevisan) kept in integer pairs; by Sylvester's law of inertia
-those counts are certificates, and the counts at t = 0, 1, ..., isqrt(n-1)
-decide integrality without the polynomial.  The trace moments tr A^2 and
-tr A^4 depend only on the order and the degrees, and they may rule
-integrality out before any count (_moments_admit); a search with no
-nullity to cross-check tries them first.  These folds take no Tree:
+matching numbers m_k counted in one bottom-up pass.  Tree spectra need no
+Sturm chain: the integer eigenvalues are +-k with k^2 <= n-1 (the trace
+bound), found by deflation in y = x^2, and the eigenvalues below or at a
+rational t are counted by the inertia of A - tI, read off an exact tree
+diagonalisation (Jacobs-Trevisan) kept in integer pairs; by Sylvester's
+law of inertia those counts are certificates, and the counts at t = 0, 1,
+..., isqrt(n-1) decide integrality without the polynomial.  The trace
+moments tr A^2 and tr A^4 depend only on the order and the degrees, and
+they may rule integrality out before any count (_moments_admit); a search
+with no nullity to cross-check tries them first.  These folds take no Tree:
 _signature, _integrality, _m_value and the greedy _matching_nullity take
 a bottom-up order and a parent array, which the public functions get from
 Tree.rooted_order() and the search and the verifier from the enumerator
@@ -24,7 +23,6 @@ Faddeev-LeVerrier determinant.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -39,30 +37,22 @@ from .trees import (Tree, attach_pendants, bipartition, delete_vertex,
 
 _ONE = IntPoly.one()
 
-_MEMO_LIMIT = 20000
-_memo: "OrderedDict[tuple, IntPoly]" = OrderedDict()
-
 
 def clear_char_poly_cache() -> None:
-    _memo.clear()
+    """Do nothing: char_poly keeps no memo.  A memo keyed on canonical codes
+    cost a canonical code for every tree the package builds itself, and
+    leaving it out measured no slower.  The function stays only because
+    the benchmark's workloads still call it."""
 
 
 def char_poly(tree: Tree) -> IntPoly:
     """Monic characteristic polynomial of the tree's adjacency matrix,
     sum over k of (-1)^k m_k x^(n-2k) with m_k the k-edge matchings."""
-    key = tree.canonical_code
-    hit = _memo.get(key)
-    if hit is not None:
-        return hit
     n = tree.n
     phi = [0] * (n + 1)
     for k, m in enumerate(_matching_numbers(tree)):
         phi[n - 2 * k] = -m if k & 1 else m
-    phi = IntPoly(phi)
-    _memo[key] = phi
-    while len(_memo) > _MEMO_LIMIT:
-        _memo.popitem(last=False)
-    return phi
+    return IntPoly(phi)
 
 
 def _matching_numbers(tree: Tree) -> list[int]:
@@ -446,9 +436,9 @@ def squared_shift_check(tree: Tree, side: int, r: int) -> bool:
     verify that the k largest squared eigenvalues each move up by exactly r
     (k = number of positive eigenvalues of the original tree).
 
-    Tries the exact divisibility certificate first and falls back to per-root
-    matching when the extra eigenvalues of the grown tree get in the way of
-    a clean split.
+    Every root of q_grown is real, so its k largest roots are the roots of
+    shifted = q_base(y - r) exactly when shifted divides q_grown and the
+    cofactor's largest root is at or below shifted's k-th root.
     """
     if side not in (0, 1):
         raise ValueError("side selects bipartition class 0 or 1")
@@ -475,14 +465,6 @@ def squared_shift_check(tree: Tree, side: int, r: int) -> bool:
     try:
         cof = q_grown.exact_divide(shifted)
     except DivisibilityError:
-        pass
-    else:
-        # every root of q_grown is real, so the cofactor has a largest root;
-        # below the k-th root of the shifted factor it splits off cleanly
-        if (cof.degree == 0
-                or RealRoot(cof, 1).compare(RealRoot(shifted, k)) < 0):
-            return True
-        # fall through to per-root matching on ties
-
-    return all(RealRoot(q_grown, j).compare(RealRoot(shifted, j)) == 0
-               for j in range(1, k + 1))
+        return False
+    return (cof.degree == 0
+            or RealRoot(cof, 1).compare(RealRoot(shifted, k)) <= 0)

@@ -1,5 +1,6 @@
-"""Every name a package module imports is used in it.  __init__.py is left
-out: it imports names to re-export them."""
+"""Every name a package module imports is used in it (__init__.py is left
+out: it imports names to re-export them), and every private module-level
+name is used somewhere in the package."""
 
 import ast
 from pathlib import Path
@@ -7,7 +8,8 @@ from pathlib import Path
 import pytest
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "treespectra"
-MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+SOURCES = sorted(PACKAGE.glob("*.py"))
+MODULES = [p for p in SOURCES if p.name != "__init__.py"]
 
 
 def imported_names(tree: ast.Module) -> set:
@@ -49,3 +51,54 @@ def test_unused_import_is_found():
                      "from typing import Optional\n"
                      "x: 'Optional[int]' = isqrt(4)\n")
     assert imported_names(tree) - used_names(tree) == {"gcd", "os"}
+
+
+def private_definitions(tree: ast.Module):
+    """(name, statement) for each name with one leading underscore that a
+    top-level statement of the module binds."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = (node.targets if isinstance(node, ast.Assign)
+                       else [node.target])
+            names = [n.id for t in targets for n in ast.walk(t)
+                     if isinstance(n, ast.Name)]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.startswith("__"):
+                yield name, node
+
+
+def referenced_names(node: ast.AST) -> set:
+    """Names a statement reads: plain names, attributes and the names it
+    imports."""
+    names = used_names(node)
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Attribute):
+            names.add(sub.attr)
+        elif isinstance(sub, ast.ImportFrom):
+            names.update(a.name for a in sub.names)
+    return names
+
+
+def dead_private_names(modules: list) -> set:
+    """Private module-level names that no statement reads but the one that
+    defines them."""
+    reads = [(s, referenced_names(s)) for m in modules for s in m.body]
+    return {name for m in modules for name, node in private_definitions(m)
+            if not any(name in names for s, names in reads if s is not node)}
+
+
+def test_every_private_name_is_used():
+    modules = [ast.parse(p.read_text(encoding="utf-8")) for p in SOURCES]
+    assert dead_private_names(modules) == set()
+
+
+def test_dead_private_name_is_found():
+    modules = [ast.parse("_LIMIT = 3\n_used = 1\n__all__ = []\n"
+                         "def _loop(n):\n    return _loop(n - 1)\n"),
+               ast.parse("from a import _used\n")]
+    assert dead_private_names(modules) == {"_LIMIT", "_loop"}

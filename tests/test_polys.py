@@ -55,6 +55,12 @@ class TestArithmetic:
     def test_str_form(self):
         assert str(IntPoly((1, 0, -3, 0, 1))) == "x^4 - 3x^2 + 1"
 
+    @pytest.mark.parametrize("coeffs", [(Fraction(-1, 3), 1), (2.7,)])
+    def test_non_integer_coefficient_refused(self, coeffs):
+        # no silent truncation to x or 2
+        with pytest.raises(TypeError):
+            IntPoly(coeffs)
+
 
 class TestGcdSquareFree:
     def test_gcd_shared_factor(self):

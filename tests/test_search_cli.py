@@ -348,13 +348,15 @@ class TestCli:
         main(["verify", "eigencat", "--seed", "7", "--trials", "3"])
         assert capsys.readouterr().out == first
 
-    @pytest.mark.parametrize("seed, digest", [
-        (1, "15ab5b53ff300870a386ec0e44265de4a8fe0aac8882f3e6131a8f7bf174e0e2"),
-        (7, "46eb480f977c42f335783834003f2bc56706ae90f0b7447a0b7d655050ac15bc"),
+    @pytest.mark.parametrize("seed, digest, trials", [
+        (1, "15ab5b53ff300870a386ec0e44265de4a8fe0aac8882f3e6131a8f7bf174e0e2", 20),
+        (7, "46eb480f977c42f335783834003f2bc56706ae90f0b7447a0b7d655050ac15bc", 20),
+        (7, "a922b643f1f2e873e4022f5aa0dd7c294ad8791fb00c0609e76096df6231e587", 50),
     ])
-    def test_verify_all_report_bytes(self, capsys, seed, digest):
+    def test_verify_all_report_bytes(self, capsys, seed, digest, trials):
         # the report bytes of a fixed seed are pinned, not only repeatable
-        assert main(["verify", "all", "--trials", "20", "--seed", str(seed)]) == 0
+        assert main(["verify", "all", "--trials", str(trials),
+                     "--seed", str(seed)]) == 0
         report = capsys.readouterr().out.encode("utf-8")
         assert hashlib.sha256(report).hexdigest() == digest
 

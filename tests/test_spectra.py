@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from oracles import char_poly_from_matchings, max_matching_brute, prufer_tree
+from treespectra import spectra
 from treespectra.enumeration import enumerate_free_trees
 from treespectra.polys import (IntPoly, count_roots_above,
                                count_roots_at_least, count_roots_open,
@@ -16,8 +17,8 @@ from treespectra.spectra import (TreeSpectrum, char_poly, char_poly_adjacency,
                                  m_value, max_matching_size, multiplicity,
                                  nullity_matching, nullity_poly,
                                  squared_shift_check)
-from treespectra.trees import (Tree, delete_vertex, join_trees, path, s_tree,
-                               star)
+from treespectra.trees import (Tree, c_tree, delete_vertex, join_trees, path,
+                               s_tree, star)
 
 X = IntPoly.x()
 
@@ -60,6 +61,19 @@ class TestCharPoly:
             t = random_tree(rng, rng.randrange(1, 15))
             phi = char_poly(t)
             assert phi.is_monic and phi.degree == t.n
+
+    def test_no_canonical_code_is_computed(self, monkeypatch):
+        calls = []
+        rooted_code = Tree.rooted_code
+
+        def counted(self, root):
+            calls.append(root)
+            return rooted_code(self, root)
+
+        monkeypatch.setattr(Tree, "rooted_code", counted)
+        char_poly(c_tree([2, 3]))
+        TreeSpectrum.analyze(s_tree([1, 2]))
+        assert calls == []
 
 
 def oracle_trees():
@@ -303,6 +317,15 @@ class TestSquaredShift:
         for _ in range(25):
             t = random_tree(rng, rng.randrange(2, 9))
             assert squared_shift_check(t, rng.randrange(2), rng.randrange(0, 7))
+
+    def test_wrong_shift_is_refused(self, monkeypatch):
+        # shifting by r + 1 moves every root past where r puts it
+        shift = spectra.taylor_shift
+        monkeypatch.setattr(spectra, "taylor_shift",
+                            lambda q, r: shift(q, r + 1))
+        for tree, r in ((path(2), 3), (path(3), 2), (c_tree([1, 2]), 1),
+                        (star(3), 2)):
+            assert not squared_shift_check(tree, 0, r)
 
     def test_bad_side(self):
         with pytest.raises(ValueError):
