@@ -15,7 +15,7 @@ from typing import Optional
 
 from .polys import SpectrumSummary
 from .reduction import reduce_with_trace, reduced_census
-from .search import CursorError, SearchConfig, run_search
+from .search import CursorError, SearchConfig, run_search, search_to_file
 from .spectra import TreeSpectrum, m_value, nullity_matching, nullity_poly
 from .trees import Tree, TreeFormatError, parse_tree_text
 from .verifier import SUITES, run_suite
@@ -129,10 +129,7 @@ def _cmd_search(args) -> int:
         cursor_every=args.cursor_every,
     )
     if args.out:
-        import os
-        mode = "a" if (args.resume and os.path.exists(args.resume)) else "w"
-        with open(args.out, mode, encoding="utf-8") as fh:
-            run_search(config, fh, sys.stderr)
+        search_to_file(config, sys.stderr)
     else:
         run_search(config, sys.stdout, sys.stderr)
     return EXIT_OK

@@ -3,7 +3,9 @@
 Everything here is certificate-grade: coefficients are arbitrary-precision
 integers, interval endpoints are rationals, and no floating point is used
 anywhere.  Root counting goes through Sturm chains on square-free parts;
-multiplicities are recovered by exact division.
+multiplicities are recovered by exact division.  Polynomial sums and
+products, IntPoly's and the matching-number fold's in spectra, run on the
+coefficient-list kernels _add and _mul; lift_square is the one x^2 lift.
 """
 
 from __future__ import annotations
@@ -11,9 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
+from math import comb, gcd
 from operator import index
-from typing import Iterable, NamedTuple, Optional
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 
 class DivisibilityError(ArithmeticError):
@@ -33,6 +35,27 @@ def _strip(coeffs: tuple[int, ...]) -> tuple[int, ...]:
     while n and coeffs[n - 1] == 0:
         n -= 1
     return coeffs[:n]
+
+
+def _mul(f: Sequence[int], g: Sequence[int]) -> list:
+    """Product of two ascending coefficient lists."""
+    if not f or not g:
+        return []
+    out = [0] * (len(f) + len(g) - 1)
+    for i, fi in enumerate(f):
+        for j, gj in enumerate(g):
+            out[i + j] += fi * gj
+    return out
+
+
+def _add(f: Sequence[int], g: Sequence[int]) -> list:
+    """Sum of two ascending coefficient lists."""
+    if len(f) < len(g):
+        f, g = g, f
+    out = list(f)
+    for i, gi in enumerate(g):
+        out[i] += gi
+    return out
 
 
 class IntPoly:
@@ -136,37 +159,18 @@ class IntPoly:
     # -- arithmetic ---------------------------------------------------
 
     def __add__(self, other: "IntPoly") -> "IntPoly":
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return IntPoly(out)
+        return IntPoly(_add(self.coeffs, other.coeffs))
 
     def __sub__(self, other: "IntPoly") -> "IntPoly":
-        out = list(self.coeffs) + [0] * max(0, len(other.coeffs) - len(self.coeffs))
-        for i, c in enumerate(other.coeffs):
-            out[i] -= c
-        return IntPoly(out)
+        return self + -other
 
     def __neg__(self) -> "IntPoly":
         return IntPoly(tuple(-c for c in self.coeffs))
 
     def __mul__(self, other) -> "IntPoly":
         if isinstance(other, int):
-            if other == 0:
-                return IntPoly.zero()
-            return IntPoly(tuple(c * other for c in self.coeffs))
-        a, b = self.coeffs, other.coeffs
-        if not a or not b:
-            return IntPoly.zero()
-        out = [0] * (len(a) + len(b) - 1)
-        for i, ca in enumerate(a):
-            if ca:
-                for j, cb in enumerate(b):
-                    out[i + j] += ca * cb
-        return IntPoly(out)
+            return IntPoly(c * other for c in self.coeffs)
+        return IntPoly(_mul(self.coeffs, other.coeffs))
 
     __rmul__ = __mul__
 
@@ -183,8 +187,7 @@ class IntPoly:
         return result
 
     def derivative(self) -> "IntPoly":
-        return IntPoly(tuple(i * c for i, c in enumerate(self.coeffs) if i > 0)
-                       if self.degree >= 1 else ())
+        return IntPoly(i * c for i, c in enumerate(self.coeffs) if i > 0)
 
     def evaluate(self, t):
         """Horner evaluation; exact for int or Fraction arguments."""
@@ -225,11 +228,7 @@ class IntPoly:
 
     def content(self) -> int:
         """GCD of the coefficients (0 for the zero polynomial)."""
-        from math import gcd
-        g = 0
-        for c in self.coeffs:
-            g = gcd(g, c)
-        return g
+        return gcd(*self.coeffs)
 
     def primitive(self) -> "IntPoly":
         """Primitive part with positive leading coefficient."""
@@ -273,7 +272,7 @@ def poly_gcd(p: IntPoly, q: IntPoly) -> IntPoly:
     while not b.is_zero:
         r = IntPoly(_pseudo_rem(a.coeffs, b.coeffs)).primitive()
         a, b = b, r
-    return a.primitive()
+    return a
 
 
 def square_free_decomposition(p: IntPoly) -> list[tuple[IntPoly, int]]:
@@ -306,22 +305,20 @@ def square_free_decomposition(p: IntPoly) -> list[tuple[IntPoly, int]]:
 
 
 def _sturm_chain(p: IntPoly) -> tuple[tuple[int, ...], ...]:
-    """Sturm chain of a square-free polynomial, content-reduced each step."""
+    """Sturm chain of a square-free polynomial of degree at least 1,
+    content-reduced each step."""
     chain = [p.coeffs, p.derivative().coeffs]
-    while chain[-1] and len(chain[-1]) > 1:
+    while len(chain[-1]) > 1:
         a, b = chain[-2], chain[-1]
         r = _pseudo_rem(a, b)
         if not r:
             break
-        delta = len(a) - len(b) + 1
-        if b[-1] < 0 and delta % 2 == 1:
-            # pseudo-remainder was scaled by a negative constant; undo the flip
-            r = tuple(-c for c in r)
-        nxt = IntPoly(tuple(-c for c in r))
-        g = nxt.content()
-        chain.append(tuple(c // g for c in nxt.coeffs))
-    if not chain[-1]:
-        chain.pop()
+        # the chain takes minus the remainder, and r is lc(b)^(len(a) -
+        # len(b) + 1) times it: negate r unless that scale is negative
+        g = gcd(*r)
+        if b[-1] > 0 or (len(a) - len(b)) % 2:
+            g = -g
+        chain.append(tuple(c // g for c in r))
     return tuple(chain)
 
 
@@ -449,10 +446,10 @@ def rational_root_multiplicity(p: IntPoly, t) -> int:
 
 def root_bound(p: IntPoly) -> int:
     """Cauchy bound: every real root has absolute value strictly below it."""
-    if p.is_zero or p.degree < 1:
+    if p.degree < 1:
         return 1
     lead = abs(p.coeffs[-1])
-    biggest = max(abs(c) for c in p.coeffs[:-1]) if p.degree >= 1 else 0
+    biggest = max(abs(c) for c in p.coeffs[:-1])
     return 1 + (biggest + lead - 1) // lead
 
 
@@ -517,7 +514,7 @@ def integer_roots(p: IntPoly) -> SpectrumSummary:
 
 
 # ---------------------------------------------------------------------------
-# even part and Taylor shift
+# even part, x^2 lift and Taylor shift
 
 
 def even_part(p: IntPoly) -> tuple[int, IntPoly]:
@@ -535,6 +532,13 @@ def even_part(p: IntPoly) -> tuple[int, IntPoly]:
     if any(rest[i] for i in range(1, len(rest), 2)):
         raise SymmetryError("polynomial is not x^h * q(x^2)")
     return h, IntPoly(rest[0::2])
+
+
+def lift_square(q: Sequence[int]) -> IntPoly:
+    """q(x^2), from the ascending coefficients of q: even_part in reverse."""
+    out = [0] * (2 * len(q) - 1)
+    out[::2] = q
+    return IntPoly(out)
 
 
 def taylor_shift(q: IntPoly, r: int) -> IntPoly:

@@ -3,8 +3,9 @@
 The search streams CatalogRecords for every tree passing the configured
 filters.  A cursor file makes interrupted runs restartable; it records how
 far the output file had got, and a resumed run cuts that file back to it, so
-no record is written twice.  Shards partition the emitted stream round-robin
-so that the union over shards equals an unsharded run.
+no record is written twice; a refused cursor leaves the file as it was.
+Shards partition the emitted stream round-robin so that the union over
+shards equals an unsharded run.
 """
 
 from __future__ import annotations
@@ -144,6 +145,20 @@ def _load_resume(config: SearchConfig) -> Optional[dict]:
                     or len(seq) != order
                     or Tree.from_code(seq).rooted_code(0) != seq):
                 raise ValueError("the cursor is no position of this search")
+        offset, out_path = state["out_offset"], config.out_path
+        if out_path and offset is not None and not state.get("complete"):
+            # the resumed search cuts the output file back to the offset
+            if state.get("out_path") != os.path.abspath(out_path):
+                raise CursorError(
+                    f"cursor file belongs to the output file "
+                    f"{state.get('out_path')!r}; pass that as --out or "
+                    "delete the cursor to start over")
+            if (os.path.getsize(out_path) if os.path.exists(out_path)
+                    else 0) < offset:
+                raise CursorError(
+                    f"output file {out_path!r} is shorter than the "
+                    "cursor file records; restore it or delete the cursor "
+                    "to start over")
         state["cursor"] = cursor or None
         return state
     except CursorError:
@@ -178,9 +193,20 @@ def _save_cursor(config: SearchConfig, out: TextIO, order: int,
     os.replace(tmp, path)
 
 
-def run_search(config: SearchConfig, out: TextIO, err: TextIO) -> dict:
-    """Run the search; returns {"per_order": {n: hits}, "scanned": total}."""
+def search_to_file(config: SearchConfig, err: TextIO) -> dict:
+    """run_search into config.out_path, opened only once the resume state
+    has passed its checks: to append on a resume, afresh otherwise."""
     resume = _load_resume(config)
+    with open(config.out_path, "a" if resume else "w",
+              encoding="utf-8") as fh:
+        return run_search(config, fh, err, resume)
+
+
+def run_search(config: SearchConfig, out: TextIO, err: TextIO,
+               resume: Optional[dict] = None) -> dict:
+    """Run the search; returns {"per_order": {n: hits}, "scanned": total}.
+    Without a ``resume`` state already loaded, run_search loads it."""
+    resume = resume or _load_resume(config)
     start_order = 1
     start_cursor: Optional[EnumerationCursor] = None
     if resume:
@@ -189,21 +215,10 @@ def run_search(config: SearchConfig, out: TextIO, err: TextIO) -> dict:
             return {"per_order": {}, "scanned": 0, "resumed_complete": True}
         start_order = resume["order"]
         start_cursor = resume["cursor"]
-        offset = resume["out_offset"]
-        if config.out_path and offset is not None:
+        if config.out_path and resume["out_offset"] is not None:
             # drop records written after the last cursor save; the resumed
             # enumeration emits them again
-            if resume.get("out_path") != os.path.abspath(config.out_path):
-                raise CursorError(
-                    f"cursor file belongs to the output file "
-                    f"{resume.get('out_path')!r}; pass that as --out or "
-                    "delete the cursor to start over")
-            if out.seek(0, os.SEEK_END) < offset:
-                raise CursorError(
-                    f"output file {config.out_path!r} is shorter than the "
-                    "cursor file records; restore it or delete the cursor "
-                    "to start over")
-            out.seek(offset)
+            out.seek(resume["out_offset"])
             out.truncate()
 
     shard_text = f"{config.shard[0]}/{config.shard[1]}"

@@ -31,7 +31,8 @@ from operator import mul
 from typing import Sequence
 
 from .polys import (DivisibilityError, IntPoly, RealRoot, SpectrumSummary,
-                    _deflate, compare_sum, even_part, taylor_shift)
+                    _add, _deflate, _mul, compare_sum, even_part,
+                    lift_square, taylor_shift)
 from .trees import (Tree, attach_pendants, bipartition, delete_vertex,
                     parent_degrees)
 
@@ -63,7 +64,7 @@ def _matching_numbers(tree: Tree) -> list[int]:
     uncovered.  Then B_v = P = prod A_c, and a matching that covers v uses
     one edge vc: S = sum B_c prod_{c' != c} A_c' counts the rest of it, so
     A_v is P plus S shifted up one size.  P and S are updated child by
-    child: S <- S*A_c + P*B_c, then P <- P*A_c.
+    child: S <- S*A_c + P*B_c, then P <- P*A_c, by the kernels of polys.
     """
     order, parent = tree.rooted_order()
     prod = [[1] for _ in order]  # P of each vertex so far
@@ -75,25 +76,6 @@ def _matching_numbers(tree: Tree) -> list[int]:
             return a
         cover[u] = _add(_mul(cover[u], a), _mul(prod[u], prod[v]))
         prod[u] = _mul(prod[u], a)
-
-
-def _mul(f: list, g: list) -> list:
-    if not f or not g:
-        return []
-    out = [0] * (len(f) + len(g) - 1)
-    for i, fi in enumerate(f):
-        for j, gj in enumerate(g):
-            out[i + j] += fi * gj
-    return out
-
-
-def _add(f: list, g: list) -> list:
-    if len(f) < len(g):
-        f, g = g, f
-    out = f[:]
-    for i, gi in enumerate(g):
-        out[i] += gi
-    return out
 
 
 def char_poly_forest(components: Sequence[Tree]) -> IntPoly:
@@ -306,11 +288,7 @@ def forest_multiplicity(components: Sequence[Tree], eigenvalue: int) -> int:
 
 def nullity_poly(tree: Tree) -> int:
     """Multiplicity of 0, read off as the valuation of the char polynomial."""
-    coeffs = char_poly(tree).coeffs
-    h = 0
-    while coeffs[h] == 0:
-        h += 1
-    return h
+    return even_part(char_poly(tree))[0]
 
 
 def nullity_matching(tree: Tree) -> int:
@@ -367,9 +345,7 @@ class TreeSpectrum:
             mult, q = _deflate(q, k * k)
             if mult:
                 roots[-k] = roots[k] = mult
-        residual = [0] * (2 * len(q) - 1)
-        residual[::2] = q
-        summary = SpectrumSummary(roots=roots, residual=IntPoly(residual),
+        summary = SpectrumSummary(roots=roots, residual=lift_square(q),
                                   is_integral=len(q) == 1, nullity=h)
         return cls(char_poly=phi, summary=summary, nullity=h)
 

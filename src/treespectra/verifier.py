@@ -8,6 +8,7 @@ endpoints, witness vertices, canonical codes.
 
 from __future__ import annotations
 
+import json
 import random
 import time
 from dataclasses import dataclass, field
@@ -18,7 +19,8 @@ from .catalog import CatalogRecord
 from .enumeration import FreeTreeEnumerator, enumerate_free_trees
 from .polys import (DivisibilityError, IntPoly, RealRoot,
                     count_roots_above, count_roots_at_least,
-                    count_roots_open, even_part, poly_gcd, root_bound)
+                    count_roots_open, even_part, lift_square, poly_gcd,
+                    root_bound)
 from .reduction import (pendant_report, pendant_growth_holds,
                         strip_monotonicity_holds)
 from .search import SearchConfig, analyze_match
@@ -29,7 +31,7 @@ from .spectra import (TreeSpectrum, _matching_nullity, _signature, char_poly,
 from .trees import (Tree, attach_pendants, c_tree, delete_vertex,
                     hub_vertices, join_trees, s_tree)
 
-_X = IntPoly.x()
+_Y = IntPoly.x()  # the squared-eigenvalue variable y = x^2
 
 
 @dataclass
@@ -41,7 +43,6 @@ class VerdictRecord:
     wall_time_ms: Optional[float] = None
 
     def to_json(self, with_timing: bool = False) -> str:
-        import json
         payload = {
             "check": self.check,
             "instance": self.instance,
@@ -305,39 +306,23 @@ def _attach_cases(p: int, q: int, r: int):
     return case_i, case_ii_a, case_ii_b, case_ii_latter, case_iii
 
 
-def _case_ii_former_poly(p: int, q: int) -> IntPoly:
-    x2 = _X * _X
-    core = ((x2 - IntPoly.const(2)) * (x2 - IntPoly.const(p + 3))
-            * (x2 - IntPoly.const(q + 3))
-            - IntPoly((-(q + 5), 0, 2)))
-    return IntPoly.monomial(3) * (x2 - IntPoly.one()) ** (p + q) * core
-
-
-def _case_ii_latter_poly(a: int, b: int, c: int) -> IntPoly:
-    x2 = _X * _X
-    core = ((x2 - IntPoly.const(a)) * (x2 - IntPoly.const(b))
-            * (x2 - IntPoly.const(c))
-            - IntPoly((-(a + b + c - 2), 0, 3)))
-    return IntPoly.monomial(3) * (x2 - IntPoly.one()) ** (a + b + c - 8) * core
-
-
-def _case_iii_poly(r: int) -> IntPoly:
-    x2 = _X * _X
-    quartic = IntPoly((4 * r + 6, 0, -(r + 6), 0, 1))
-    return IntPoly.monomial(3) * (x2 - IntPoly.one()) ** r * quartic
+def _displayed(core: IntPoly, e: int) -> IntPoly:
+    """x^3 (x^2 - 1)^e core(x^2): the shape of each displayed nullity-3
+    polynomial, from its core in the squared-eigenvalue variable y."""
+    return IntPoly.monomial(3) * lift_square(
+        ((_Y - IntPoly.one()) ** e * core).coeffs)
 
 
 def _cubic_shifted_gap_poly(p: int, q: int) -> IntPoly:
-    """(y-2)(y-p-3)(y-q-3) - 2y + q + 5, in the squared-eigenvalue variable."""
-    y = _X
-    return ((y - IntPoly.const(2)) * (y - IntPoly.const(p + 3))
-            * (y - IntPoly.const(q + 3)) - IntPoly((-(q + 5), 2)))
+    """(y-2)(y-p-3)(y-q-3) - 2y + q + 5."""
+    return ((_Y - IntPoly.const(2)) * (_Y - IntPoly.const(p + 3))
+            * (_Y - IntPoly.const(q + 3)) - IntPoly((-(q + 5), 2)))
 
 
 def _g_poly(a: int, b: int, c: int) -> IntPoly:
-    y = _X
-    return ((y - IntPoly.const(a)) * (y - IntPoly.const(b))
-            * (y - IntPoly.const(c)) - IntPoly((-(a + b + c - 2), 3)))
+    """(y-a)(y-b)(y-c) - 3y + a + b + c - 2."""
+    return ((_Y - IntPoly.const(a)) * (_Y - IntPoly.const(b))
+            * (_Y - IntPoly.const(c)) - IntPoly((-(a + b + c - 2), 3)))
 
 
 def nullity3_case_polynomials(p: int, q: int, r: int,
@@ -354,8 +339,8 @@ def nullity3_case_polynomials(p: int, q: int, r: int,
     ok_i = case_i.canonical_code == expect_i.canonical_code
     cert["case_i_matches_three_group_tree"] = ok_i
 
-    formula_pq = _case_ii_former_poly(p, q)
-    formula_qp = _case_ii_former_poly(q, p)
+    formula_pq = _displayed(_cubic_shifted_gap_poly(p, q), p + q)
+    formula_qp = _displayed(_cubic_shifted_gap_poly(q, p), p + q)
     phi_a = char_poly(case_ii_a)
     phi_b = char_poly(case_ii_b)
     ok_ii_former = {phi_a, phi_b} == {formula_pq, formula_qp}
@@ -368,12 +353,15 @@ def nullity3_case_polynomials(p: int, q: int, r: int,
     cert["case_ii_former_gap_root"] = ok_gap_ii
 
     a, b, c = p + 3, q + 3, r + 2
-    ok_ii_latter = char_poly(case_ii_latter) == _case_ii_latter_poly(a, b, c)
+    ok_ii_latter = char_poly(case_ii_latter) == _displayed(_g_poly(a, b, c),
+                                                           a + b + c - 8)
     cert["case_ii_latter_matches"] = ok_ii_latter
 
-    ok_iii = char_poly(case_iii) == _case_iii_poly(r)
-    quartic = IntPoly((4 * r + 6, 0, -(r + 6), 0, 1))
-    ok_gap_iii = count_roots_open(quartic, 1, 2).with_multiplicity >= 1
+    # the quartic x^4 - (r+6) x^2 + 4r + 6 of case (iii), in y = x^2: a
+    # root x in (1, 2) is a root y in (1, 4)
+    quadratic = IntPoly((4 * r + 6, -(r + 6), 1))
+    ok_iii = char_poly(case_iii) == _displayed(quadratic, r)
+    ok_gap_iii = count_roots_open(quadratic, 1, 4).with_multiplicity >= 1
     cert["case_iii_matches"] = ok_iii
     cert["case_iii_gap_root"] = ok_gap_iii
 
@@ -404,8 +392,8 @@ def _g_identities_hold(rng: random.Random, rounds: int = 20) -> bool:
         # degenerate split: b = c = a - 2 factors completely
         if a >= 2:
             g2 = _g_poly(a, a - 2, a - 2)
-            split = ((_X - IntPoly.const(a + 1)) * (_X - IntPoly.const(a - 2))
-                     * (_X - IntPoly.const(a - 3)))
+            split = ((_Y - IntPoly.const(a + 1)) * (_Y - IntPoly.const(a - 2))
+                     * (_Y - IntPoly.const(a - 3)))
             if g2 != split:
                 return False
     return True
@@ -429,24 +417,22 @@ def pendant_bundle_shape_check(r: Sequence[int],
     cert: dict = {}
 
     def cofactor(counts):
+        """Grown tree, its phi, and phi / (x^2-1)^(sum-k) or None."""
         grown = attach_pendants(base, list(zip(hubs, counts)))
         phi = char_poly(grown)
-        e = sum(counts) - k
-        divisor = (IntPoly((-1, 0, 1))) ** e
         try:
-            cof = phi.exact_divide(divisor)
+            return grown, phi, phi.exact_divide(
+                IntPoly((-1, 0, 1)) ** (sum(counts) - k))
         except DivisibilityError:
-            return grown, None
-        return grown, cof
+            return grown, phi, None
 
-    grown1, cof1 = cofactor(bundle)
+    grown1, phi1, cof1 = cofactor(bundle)
     if cof1 is None:
         return VerdictRecord(
             check="pendant_bundle_shape",
             instance={"r": list(r), "bundle": list(bundle)},
             passed=False,
-            certificate={"divisible": False,
-                         "char_poly": char_poly(grown1).to_text()})
+            certificate={"divisible": False, "char_poly": phi1.to_text()})
     cert["divisible"] = True
 
     # structural identity: growing the bundles is the same construction again
@@ -454,13 +440,12 @@ def pendant_bundle_shape_check(r: Sequence[int],
     cert["matches_merged_construction"] = (
         grown1.canonical_code == merged.canonical_code)
 
-    h1, q1 = even_part(cof1)
+    _, q1 = even_part(cof1)
     _, q_base = even_part(char_poly(base))
     cert["even_cofactor_degree_gain"] = q1.degree - q_base.degree
     degree_ok = q1.degree == q_base.degree + k
 
-    bundle2 = [s + 1 for s in bundle]
-    _, cof2 = cofactor(bundle2)
+    _, _, cof2 = cofactor([s + 1 for s in bundle])
     stable_ok = False
     extra_ok = False
     if cof2 is not None:
@@ -470,11 +455,9 @@ def pendant_bundle_shape_check(r: Sequence[int],
         cert["stable_factor_degree"] = g.degree
         cert["extra_factor"] = extra.to_text()
         stable_ok = q1.degree - g.degree <= k
-        if extra.degree == 0:
-            extra_ok = True
-        else:
-            positive = count_roots_open(extra, 0, root_bound(extra))
-            extra_ok = positive.with_multiplicity == extra.degree
+        # a constant extra factor has no roots, and degree 0
+        positive = count_roots_open(extra, 0, root_bound(extra))
+        extra_ok = positive.with_multiplicity == extra.degree
     passed = cert["matches_merged_construction"] and degree_ok and stable_ok and extra_ok
     return VerdictRecord(
         check="pendant_bundle_shape",

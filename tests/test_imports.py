@@ -1,6 +1,7 @@
 """Every name a package module imports is used in it (__init__.py is left
-out: it imports names to re-export them), and every private module-level
-name is used somewhere in the package."""
+out: it imports names to re-export them), every private module-level
+name is used somewhere in the package, and no function body imports
+anything: a module's dependencies are all at its top."""
 
 import ast
 from pathlib import Path
@@ -102,3 +103,28 @@ def test_dead_private_name_is_found():
                          "def _loop(n):\n    return _loop(n - 1)\n"),
                ast.parse("from a import _used\n")]
     assert dead_private_names(modules) == {"_LIMIT", "_loop"}
+
+
+def local_imports(tree: ast.Module) -> set:
+    """Names of the functions and methods whose body, nested functions
+    included, holds an import."""
+    return {node.name for node in ast.walk(tree)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and any(isinstance(sub, (ast.Import, ast.ImportFrom))
+                    for stmt in node.body for sub in ast.walk(stmt))}
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_function_local_import(path):
+    assert local_imports(ast.parse(path.read_text(encoding="utf-8"))) == set()
+
+
+def test_function_local_import_is_found():
+    tree = ast.parse("import os\n"
+                     "def top():\n    return os.sep\n"
+                     "def outer():\n    def inner():\n"
+                     "        from math import gcd\n        return gcd\n"
+                     "    return inner\n"
+                     "class C:\n    def to_json(self):\n"
+                     "        import json\n        return json.dumps(1)\n")
+    assert local_imports(tree) == {"outer", "inner", "to_json"}

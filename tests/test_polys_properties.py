@@ -1,7 +1,8 @@
-"""Property tests of the Sturm root counts on polynomials built from chosen
-roots (hypothesis, skipped when it is missing): every count is checked
+"""Property tests (hypothesis, skipped when it is missing) of the Sturm
+root counts on polynomials built from chosen roots, every count checked
 against the one read off the roots themselves, endpoints on roots
-included."""
+included; and of IntPoly's arithmetic against sympy.Poly (skipped when
+sympy is missing)."""
 
 from fractions import Fraction
 from math import isqrt
@@ -11,9 +12,10 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 
-from treespectra.polys import (IntPoly, RealRoot,  # noqa: E402
-                               count_roots_above, count_roots_at_least,
-                               count_roots_open, rational_root_multiplicity)
+from treespectra.polys import (DivisibilityError, IntPoly,  # noqa: E402
+                               RealRoot, count_roots_above,
+                               count_roots_at_least, count_roots_open,
+                               rational_root_multiplicity)
 
 RATIONALS = st.fractions(min_value=-4, max_value=4, max_denominator=6)
 NONSQUARES = st.integers(min_value=2, max_value=30).filter(
@@ -79,3 +81,58 @@ def test_sturm_counts_match_the_chosen_roots(built, data):
             root = RealRoot(p, k)
             assert root.compare(t) == expected, (p, k, t)
             assert root.refine(Fraction(1, 64)).compare(t) == expected
+
+
+# ---------------------------------------------------------------------------
+# IntPoly arithmetic against sympy.Poly
+
+POLYS = st.lists(st.integers(min_value=-60, max_value=60),
+                 max_size=7).map(IntPoly)
+
+
+def _sympy():
+    return pytest.importorskip("sympy")
+
+
+def as_sympy(p: IntPoly):
+    sympy = _sympy()
+    return sympy.Poly(list(reversed(p.coeffs)) or [0], sympy.Symbol("x"),
+                      domain="ZZ")
+
+
+def from_sympy(poly) -> IntPoly:
+    return IntPoly(int(c) for c in reversed(poly.all_coeffs()))
+
+
+@hypothesis.settings(max_examples=150, deadline=None)
+@hypothesis.given(POLYS, POLYS, st.integers(min_value=0, max_value=4))
+def test_ring_operations_match_sympy(a, b, k):
+    sa, sb = as_sympy(a), as_sympy(b)
+    assert a + b == from_sympy(sa + sb)
+    assert a - b == from_sympy(sa - sb)
+    assert a * b == from_sympy(sa * sb)
+    assert a ** k == from_sympy(sa ** k)
+
+
+@hypothesis.settings(max_examples=150, deadline=None)
+@hypothesis.given(POLYS, POLYS, POLYS)
+def test_exact_divide_matches_sympy(a, b, c):
+    hypothesis.assume(not b.is_zero)
+    # a * b is divisible by b; a + c, in general, is not
+    assert (a * b).exact_divide(b) == a
+    quot, rem = as_sympy(a + c).div(as_sympy(b))
+    if rem.is_zero and all(q.is_integer for q in quot.all_coeffs()):
+        assert (a + c).exact_divide(b) == from_sympy(quot)
+    else:
+        with pytest.raises(DivisibilityError):
+            (a + c).exact_divide(b)
+    with pytest.raises(ZeroDivisionError):
+        a.exact_divide(IntPoly.zero())
+
+
+@hypothesis.settings(max_examples=150, deadline=None)
+@hypothesis.given(POLYS, st.one_of(st.integers(-20, 20), RATIONALS))
+def test_evaluate_matches_sympy(p, t):
+    sympy = _sympy()
+    value = as_sympy(p).eval(sympy.Rational(t.numerator, t.denominator))
+    assert p.evaluate(t) == Fraction(int(value.p), int(value.q))

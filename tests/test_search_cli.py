@@ -168,6 +168,10 @@ class TestSearchEngine:
         with open(out_path, "a", encoding="utf-8") as fh:
             with pytest.raises(CursorError, match="shorter"):
                 run_search(config, fh, io.StringIO())
+        out_path.unlink()  # refused before the missing file is made again
+        assert main(["search", "--max-order", "6", "--out", str(out_path),
+                     "--resume", str(cursor), "--cursor-every", "2"]) == 2
+        assert not out_path.exists()
 
     def test_resume_into_other_file_refused(self, tmp_path):
         cursor = tmp_path / "cursor.json"
@@ -181,6 +185,10 @@ class TestSearchEngine:
         assert main(["search", "--max-order", "6", "--out", str(other),
                      "--resume", str(cursor), "--cursor-every", "2"]) == 2
         assert other.read_text() == "x" * 10000
+        missing = tmp_path / "missing.jsonl"
+        assert main(["search", "--max-order", "6", "--out", str(missing),
+                     "--resume", str(cursor), "--cursor-every", "2"]) == 2
+        assert not missing.exists()
 
     @pytest.mark.parametrize("field, value", [
         ("sequence", [0, 5, 1, 1, 1, 1, 1, 1, 1]),  # no level sequence
@@ -233,6 +241,22 @@ class TestSearchEngine:
         with pytest.raises(CursorError):
             run_search(SearchConfig(max_order=5, resume_path=str(cursor)),
                        io.StringIO(), io.StringIO())
+
+    @pytest.mark.parametrize("existing", [None, b'{"kept": 1}\n'])
+    def test_corrupt_cursor_leaves_out_file_untouched(self, tmp_path, capsys,
+                                                      existing):
+        cursor = tmp_path / "cursor.json"
+        cursor.write_text("{not json")
+        out_path = tmp_path / "new.jsonl"
+        if existing is not None:
+            out_path.write_bytes(existing)
+        assert main(["search", "--max-order", "5", "--out", str(out_path),
+                     "--resume", str(cursor)]) == 2
+        assert "corrupt" in capsys.readouterr().err
+        if existing is None:
+            assert not out_path.exists()
+        else:
+            assert out_path.read_bytes() == existing
 
     def test_record_roundtrip(self, tmp_path):
         records, _ = run_engine(tmp_path, max_order=7, integral_only=True)
