@@ -17,12 +17,11 @@ from .reduction import (PendantReport, pendant_growth_holds, pendant_report,
                         reduce_core, reduce_with_trace, reduced_census,
                         strip_monotonicity_holds, strip_pendant_p2)
 from .search import CursorError, SearchConfig, run_search
-from .spectra import (TreeSpectrum, char_poly, char_poly_adjacency,
-                      char_poly_forest, char_poly_ring_with_pendants,
-                      courant_weyl_check, forest_multiplicity, inertia,
-                      inertia_integrality, join_formula, m_value,
-                      max_matching_size, multiplicity, nullity_matching,
-                      nullity_poly, squared_shift_check)
+from .spectra import (TreeSpectrum, char_poly, char_poly_forest,
+                      char_poly_ring_with_pendants, courant_weyl_check,
+                      forest_multiplicity, inertia, inertia_integrality,
+                      join_formula, m_value, max_matching_size, multiplicity,
+                      nullity_matching, nullity_poly, squared_shift_check)
 from .trees import (Tree, TreeFormatError, attach_pendants, bipartition,
                     c_tree, delete_vertex, format_tree_text, hub_vertices,
                     join_trees, parse_tree_text, path, s_tree, star)

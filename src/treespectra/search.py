@@ -146,8 +146,9 @@ def _load_resume(config: SearchConfig) -> Optional[dict]:
                     or Tree.from_code(seq).rooted_code(0) != seq):
                 raise ValueError("the cursor is no position of this search")
         offset, out_path = state["out_offset"], config.out_path
-        if out_path and offset is not None and not state.get("complete"):
-            # the resumed search cuts the output file back to the offset
+        if out_path and offset is not None:
+            # the resumed search cuts the output file back to the offset,
+            # and a complete one leaves the file as the cursor records it
             if state.get("out_path") != os.path.abspath(out_path):
                 raise CursorError(
                     f"cursor file belongs to the output file "

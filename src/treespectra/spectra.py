@@ -16,9 +16,10 @@ a bottom-up order and a parent array, which the public functions get from
 Tree.rooted_order() and the search and the verifier from the enumerator
 (range(n) and FreeTreeEnumerator.parent), so they build no Tree to
 filter.  Sturm chains stay for general polynomials, such as the
-eigenvalue comparisons below.  The one non-tree graph needed anywhere (an
-even cycle with two pendants) gets its polynomial from an exact integer
-Faddeev-LeVerrier determinant.
+eigenvalue comparisons below.  The one non-tree graph needed anywhere (a
+cycle with two pendants) gets its polynomial from tree polynomials by
+Schwenk's edge formula, so the matching fold is the only
+characteristic-polynomial algorithm.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from .polys import (DivisibilityError, IntPoly, RealRoot, SpectrumSummary,
                     _add, _deflate, _mul, compare_sum, even_part,
                     lift_square, taylor_shift)
 from .trees import (Tree, attach_pendants, bipartition, delete_vertex,
-                    parent_degrees)
+                    parent_degrees, path)
 
 _ONE = IntPoly.one()
 
@@ -86,74 +87,26 @@ def char_poly_forest(components: Sequence[Tree]) -> IntPoly:
     return out
 
 
-# ---------------------------------------------------------------------------
-# exact determinant route for small general graphs
-
-
-def char_poly_adjacency(matrix: Sequence[Sequence[int]]) -> IntPoly:
-    """Characteristic polynomial of an integer matrix via Faddeev-LeVerrier.
-
-    All divisions are exact for integer matrices; suitable for the small
-    fixed graphs the verifier needs (cycles with pendants).
-    """
-    n = len(matrix)
-    a = [list(row) for row in matrix]
-    m = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    coeffs = [0] * (n + 1)
-    coeffs[n] = 1
-    c = 1
-    for k in range(1, n + 1):
-        if k > 1:
-            for i in range(n):
-                m[i][i] += c
-            m = _mat_mul(a, m)
-        else:
-            m = [row[:] for row in a]
-        trace = sum(m[i][i] for i in range(n))
-        q, r = divmod(-trace, k)
-        if r:
-            raise ArithmeticError("Faddeev-LeVerrier division failed")
-        c = q
-        coeffs[n - k] = c
-    return IntPoly(coeffs)
-
-
-def _mat_mul(a, b):
-    n = len(a)
-    out = [[0] * n for _ in range(n)]
-    for i in range(n):
-        ai = a[i]
-        oi = out[i]
-        for k in range(n):
-            aik = ai[k]
-            if aik:
-                bk = b[k]
-                for j in range(n):
-                    oi[j] += aik * bk[j]
-    return out
-
-
 def char_poly_ring_with_pendants(extra: int = 0) -> IntPoly:
     """Exact characteristic polynomial of a cycle of length 6+extra with two
     pendant vertices attached to one cycle vertex.
 
     extra=0 is the 8-vertex graph whose largest eigenvalue is exactly sqrt(5);
     each increment corresponds to one subdivision of a cycle edge.
+
+    Schwenk's edge formula on the cycle edge e = {0, c-1}, c = 6+extra:
+    phi(G) = phi(G-e) - phi(G-0-(c-1)) - 2 phi(G-cycle).  G-e is a tree,
+    the path 0..c-1 with two leaves at 0; G-0-(c-1) is the path P_(c-2)
+    beside the two pendants, and G-cycle is the two pendants alone, so
+    phi(G) = phi(G-e) - x^2 (phi(P_(c-2)) + 2).
     """
     if extra < 0:
         raise ValueError("extra must be nonnegative")
     cycle = 6 + extra
-    n = cycle + 2
-    mat = [[0] * n for _ in range(n)]
-
-    def link(u, v):
-        mat[u][v] = mat[v][u] = 1
-
-    for i in range(cycle):
-        link(i, (i + 1) % cycle)
-    link(0, cycle)
-    link(0, cycle + 1)
-    return char_poly_adjacency(mat)
+    opened = Tree._build(cycle + 2, [(i, i + 1) for i in range(cycle - 1)]
+                         + [(0, cycle), (0, cycle + 1)])
+    return char_poly(opened) - IntPoly.monomial(2) * (
+        char_poly(path(cycle - 2)) + IntPoly.const(2))
 
 
 # ---------------------------------------------------------------------------

@@ -84,12 +84,6 @@ class Tree:
     def edges(self) -> list[tuple[int, int]]:
         return [(u, v) for u in range(self.n) for v in self.adj[u] if u < v]
 
-    def adjacency_matrix(self) -> list[list[int]]:
-        m = [[0] * self.n for _ in range(self.n)]
-        for u, v in self.edges():
-            m[u][v] = m[v][u] = 1
-        return m
-
     # -- canonical code -----------------------------------------------
 
     def centers(self) -> tuple[int, ...]:

@@ -24,9 +24,10 @@ from .polys import (DivisibilityError, IntPoly, RealRoot,
 from .reduction import (pendant_report, pendant_growth_holds,
                         strip_monotonicity_holds)
 from .search import SearchConfig, analyze_match
-from .spectra import (TreeSpectrum, _matching_nullity, _signature, char_poly,
-                      char_poly_ring_with_pendants, courant_weyl_check,
-                      forest_multiplicity, join_formula, multiplicity,
+from .spectra import (TreeSpectrum, _integrality, _matching_nullity,
+                      _signature, char_poly, char_poly_ring_with_pendants,
+                      courant_weyl_check, forest_multiplicity,
+                      inertia_integrality, join_formula, multiplicity,
                       squared_shift_check)
 from .trees import (Tree, attach_pendants, c_tree, delete_vertex,
                     hub_vertices, join_trees, s_tree)
@@ -150,7 +151,7 @@ def s_nonintegral_scan(n: int, r_max: int) -> VerdictRecord:
     total = 0
     for r in product(range(r_max + 1), repeat=n):
         total += 1
-        if TreeSpectrum.analyze(s_tree(list(r))).summary.is_integral:
+        if inertia_integrality(s_tree(list(r)))[1]:
             bad.append(list(r))
     return VerdictRecord(
         check="s_nonintegral_scan",
@@ -228,8 +229,8 @@ def nullity_one_class_check(order_cap: int) -> VerdictRecord:
     one-vertex tree or a length-2 spider; the integral members of the spider
     branch are the ones whose leg count plus 3 is a perfect square.
 
-    Nullity and inertia are decided on each canonical code's parent array;
-    a Tree is built only for a spider member, to analyse its spectrum."""
+    Nullity, inertia and integrality are decided on each canonical code's
+    parent array, so no member's Tree or polynomial is built."""
     members = []
     violations = []
     integral_spiders = []
@@ -253,8 +254,7 @@ def nullity_one_class_check(order_cap: int) -> VerdictRecord:
             p = (n - 5) // 2
             if n < 5 or code != s_tree([p]).canonical_code:
                 violations.append(code_str)
-            elif TreeSpectrum.analyze(
-                    Tree._from_canonical_code(code)).summary.is_integral:
+            elif _integrality(order, parent)[1]:
                 integral_spiders.append({"legs": p + 2, "order": n,
                                          "code": code_str})
     return VerdictRecord(

@@ -1,7 +1,8 @@
 """Independent reference implementations used to cross-check the library.
 
 Nothing here shares code paths with the package internals being tested:
-characteristic polynomials come from matching counts, tree counts come from
+characteristic polynomials come from matching counts and from an integer
+Faddeev-LeVerrier determinant of the adjacency matrix, tree counts come from
 labeled-tree dedup and from the rooted-tree counting recurrence, free-tree
 codes come from networkx and from building each candidate tree, and maximum
 matchings come from subset enumeration.  The reference walk (_successor,
@@ -48,6 +49,38 @@ def char_poly_from_matchings(tree: Tree) -> IntPoly:
     coeffs = [0] * (n + 1)
     for k, m in enumerate(matchings_by_size(tree)):
         coeffs[n - 2 * k] = (-1) ** k * m
+    return IntPoly(coeffs)
+
+
+def adjacency_matrix(n: int, edges) -> list[list[int]]:
+    """The n x n 0/1 adjacency matrix of an undirected simple graph."""
+    m = [[0] * n for _ in range(n)]
+    for u, v in edges:
+        m[u][v] = m[v][u] = 1
+    return m
+
+
+def char_poly_determinant(matrix) -> IntPoly:
+    """Characteristic polynomial det(xI - A) of an integer matrix by
+    Faddeev-LeVerrier: M_1 = A, c_1 = -tr A, and M_k = A (M_(k-1) +
+    c_(k-1) I), c_k = -tr(M_k) / k.  Every division is exact for an
+    integer matrix.  Works on any graph, cycles included, and shares
+    nothing with the matching fold."""
+    n = len(matrix)
+    a = [list(row) for row in matrix]
+    m = [row[:] for row in a]
+    coeffs = [0] * (n + 1)
+    coeffs[n] = 1
+    for k in range(1, n + 1):
+        if k > 1:
+            for i in range(n):
+                m[i][i] += coeffs[n - k + 1]
+            m = [[sum(a[i][j] * m[j][l] for j in range(n)) for l in range(n)]
+                 for i in range(n)]
+        c, r = divmod(-sum(m[i][i] for i in range(n)), k)
+        if r:
+            raise ArithmeticError("Faddeev-LeVerrier division failed")
+        coeffs[n - k] = c
     return IntPoly(coeffs)
 
 

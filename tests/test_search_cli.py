@@ -190,6 +190,26 @@ class TestSearchEngine:
                      "--resume", str(cursor), "--cursor-every", "2"]) == 2
         assert not missing.exists()
 
+    @pytest.mark.parametrize("other", [False, True])
+    def test_complete_cursor_checks_out_file(self, tmp_path, capsys, other):
+        # a finished search's cursor still guards its output file: a
+        # deleted file or another --out is refused, and no file is made
+        out_path = tmp_path / "a.jsonl"
+        cursor = tmp_path / "c.json"
+        args = ["search", "--max-order", "5", "--resume", str(cursor)]
+        assert main(args + ["--out", str(out_path)]) == 0
+        assert out_path.stat().st_size > 0
+        if other:
+            target = tmp_path / "b.jsonl"
+        else:
+            target = out_path
+            out_path.unlink()
+        capsys.readouterr()
+        assert main(args + ["--out", str(target)]) == 2
+        err = capsys.readouterr().err
+        assert ("belongs to the output file" if other else "shorter") in err
+        assert not target.exists()
+
     @pytest.mark.parametrize("field, value", [
         ("sequence", [0, 5, 1, 1, 1, 1, 1, 1, 1]),  # no level sequence
         ("sequence", [0, 1]),  # the wrong length

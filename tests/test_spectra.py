@@ -3,15 +3,15 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import char_poly_from_matchings, max_matching_brute, prufer_tree
+from oracles import (adjacency_matrix, char_poly_determinant,
+                     char_poly_from_matchings, max_matching_brute, prufer_tree)
 from treespectra import spectra
 from treespectra.enumeration import enumerate_free_trees
 from treespectra.polys import (IntPoly, count_roots_above,
                                count_roots_at_least, count_roots_open,
                                even_part, integer_roots,
                                rational_root_multiplicity, root_bound)
-from treespectra.spectra import (TreeSpectrum, char_poly, char_poly_adjacency,
-                                 char_poly_forest,
+from treespectra.spectra import (TreeSpectrum, char_poly, char_poly_forest,
                                  char_poly_ring_with_pendants,
                                  courant_weyl_check, inertia, join_formula,
                                  m_value, max_matching_size, multiplicity,
@@ -136,14 +136,29 @@ class TestRingGraph:
     def test_determinant_route_on_trees(self):
         for n in range(1, 8):
             for tree in enumerate_free_trees(n):
-                assert char_poly_adjacency(tree.adjacency_matrix()) == char_poly(tree)
+                assert char_poly_determinant(
+                    adjacency_matrix(n, tree.edges())) == char_poly(tree)
 
     def test_determinant_known_graphs(self):
-        cycle6 = [[1 if (abs(i - j) in (1, 5)) else 0 for j in range(6)]
-                  for i in range(6)]
-        assert char_poly_adjacency(cycle6) == IntPoly((-4, 0, 9, 0, -6, 0, 1))
+        # self-checks of the oracle on graphs with cycles
+        cycle6 = adjacency_matrix(6, [(i, (i + 1) % 6) for i in range(6)])
+        assert char_poly_determinant(cycle6) == IntPoly((-4, 0, 9, 0, -6, 0, 1))
         k4 = [[0 if i == j else 1 for j in range(4)] for i in range(4)]
-        assert char_poly_adjacency(k4) == IntPoly((-3, -8, -6, 0, 1))
+        assert char_poly_determinant(k4) == IntPoly((-3, -8, -6, 0, 1))
+
+    @pytest.mark.parametrize("extra", range(9))
+    def test_schwenk_route_matches_determinant(self, extra):
+        # odd and even cycles of length 6..14, two pendants at vertex 0
+        cycle = 6 + extra
+        edges = [(i, (i + 1) % cycle) for i in range(cycle)]
+        matrix = adjacency_matrix(cycle + 2, edges + [(0, cycle),
+                                                      (0, cycle + 1)])
+        assert char_poly_ring_with_pendants(extra) == char_poly_determinant(
+            matrix)
+
+    def test_negative_extra_refused(self):
+        with pytest.raises(ValueError):
+            char_poly_ring_with_pendants(-1)
 
 
 class TestStatistics:

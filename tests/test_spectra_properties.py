@@ -8,9 +8,10 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 
-from oracles import prufer_tree  # noqa: E402
+from oracles import (adjacency_matrix, char_poly_determinant,  # noqa: E402
+                     prufer_tree)
 from treespectra.enumeration import FreeTreeEnumerator  # noqa: E402
-from treespectra.spectra import char_poly, char_poly_adjacency  # noqa: E402
+from treespectra.spectra import char_poly  # noqa: E402
 from treespectra.trees import Tree  # noqa: E402
 
 
@@ -21,7 +22,8 @@ def test_char_poly_equals_determinant_route(picks):
     # vertex v + 1 hangs off an earlier vertex chosen by picks[v]
     tree = Tree(len(picks) + 1,
                 [(p % (v + 1), v + 1) for v, p in enumerate(picks)])
-    assert char_poly(tree) == char_poly_adjacency(tree.adjacency_matrix())
+    assert char_poly(tree) == char_poly_determinant(
+        adjacency_matrix(tree.n, tree.edges()))
 
 
 @hypothesis.settings(max_examples=60, deadline=None)

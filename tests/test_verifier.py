@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from treespectra import spectra, verifier
 from treespectra.polys import DivisibilityError, IntPoly, count_roots_open
 from treespectra.spectra import TreeSpectrum, char_poly
 from treespectra.trees import Tree, path, s_tree, star
@@ -244,6 +245,21 @@ class TestSuiteRunner:
         for name in SUITES:
             records = run_suite(name, seed=3, trials=3)
             assert records and all(r.passed for r in records), name
+
+    @pytest.mark.parametrize("name", ["inttr", "nul1"])
+    def test_integrality_suites_build_no_polynomial(self, monkeypatch, name):
+        # both certify integrality by inertia and print no polynomial
+        calls = []
+
+        def counting(tree):
+            calls.append(tree.n)
+            return char_poly(tree)
+
+        monkeypatch.setattr(spectra, "char_poly", counting)
+        monkeypatch.setattr(verifier, "char_poly", counting)
+        records = run_suite(name, seed=0, trials=1)
+        assert records and all(r.passed for r in records)
+        assert calls == []
 
     def test_unknown_suite(self):
         with pytest.raises(KeyError):
