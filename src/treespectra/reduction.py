@@ -11,9 +11,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .enumeration import FreeTreeEnumerator
+from .search import SearchConfig, kept_codes
 from .spectra import _m_value, m_value, multiplicity
-from .trees import Tree, _induced_subtree, attach_pendants, parent_degrees
+from .trees import Tree, _induced_subtree, attach_pendants
 
 
 @dataclass(frozen=True)
@@ -41,15 +41,6 @@ def pendant_report(tree: Tree) -> PendantReport:
     counts = tuple(len(_pendant_midpoints(tree, v)) for v in range(tree.n))
     total = sum(counts)
     return PendantReport(per_vertex=counts, total=total, is_reduced=(total == 0))
-
-
-def _is_reduced(parent: list) -> bool:
-    """pendant_report(tree).is_reduced on a parent array (-1 for the
-    root): no edge joins a vertex of degree 2 to a leaf, that is, no edge
-    has end degrees of product 2."""
-    degree = parent_degrees(parent)
-    return all(degree[v] * degree[parent[v]] != 2
-               for v in range(1, len(parent)))
 
 
 def strip_pendant_p2(tree: Tree, v: int) -> Tree:
@@ -122,14 +113,8 @@ def reduced_census(k: int, order_cap: int) -> list[Tree]:
     given order, sorted by (order, canonical code)."""
     if k < 0:
         raise ValueError("k must be nonnegative")
-    if order_cap < 1:
-        raise ValueError("max order must be at least 1")
-    found = []
-    for n in range(1, order_cap + 1):
-        enum = FreeTreeEnumerator(n)
-        for code in enum:
-            parent = enum.parent
-            if _is_reduced(parent) and _m_value(range(n), parent) == k:
-                found.append(Tree._from_canonical_code(code))
-    found.sort(key=lambda t: (t.n, t.canonical_code))
-    return found
+    config = SearchConfig(max_order=order_cap, reduced_only=True)
+    return sorted((Tree._from_canonical_code(code) for n in config.orders()
+                   for code, parent in kept_codes(config, n)
+                   if _m_value(range(n), parent) == k),
+                  key=lambda t: (t.n, t.canonical_code))

@@ -5,7 +5,8 @@ filters.  A cursor file makes interrupted runs restartable; it records how
 far the output file had got, and a resumed run cuts that file back to it, so
 no record is written twice; a refused cursor leaves the file as it was.
 Shards partition the emitted stream round-robin so that the union over
-shards equals an unsharded run.
+shards equals an unsharded run.  kept_codes is the one filtered walk of an
+order: the search, the census and the verifier's nullity checks share it.
 """
 
 from __future__ import annotations
@@ -15,14 +16,14 @@ import os
 import zlib
 from dataclasses import dataclass
 from datetime import datetime, timezone
-from typing import Optional, TextIO
+from functools import partial
+from typing import Callable, Iterator, Optional, TextIO
 
 from .catalog import CatalogRecord
 from .enumeration import EnumerationCursor, FreeTreeEnumerator
-from .reduction import _is_reduced
 from .spectra import (TreeSpectrum, _degree_square_sum, _integrality,
                       _matching_nullity, _moments_admit)
-from .trees import Tree
+from .trees import Tree, _is_reduced
 
 
 class CursorError(ValueError):
@@ -67,35 +68,55 @@ class SearchConfig:
         }
 
 
-def analyze_match(code: tuple, config: SearchConfig, parent: list
-                  ) -> Optional[tuple[Tree, TreeSpectrum]]:
-    """The tree of a canonical code and its spectrum analysis if it passes
-    the config's filters, else None.  The filters run on the code's parent
-    array (the enumerator's parent, or code_parents), bottom-up: the
+def kept_codes(config: SearchConfig, n: int,
+               cursor: Optional[EnumerationCursor] = None,
+               save: Optional[Callable] = None) -> Iterator[tuple]:
+    """(code, parent) for each code of order n that the config's shard owns
+    and its filters keep; parent is the enumerator's, valid until the next
+    step.  The filters run on the parent array, bottom-up: the
     matching-number nullity and the reduced test first, then, with
-    integral_only, the trace moments and the inertia counts, so a Tree and
-    its characteristic polynomial are built only for trees that are kept.
-    Where two routes compute the same fact, they must agree."""
-    order = range(len(code))
-    if (config.nullity is not None
-            and _matching_nullity(order, parent) != config.nullity):
-        return None
-    if config.reduced_only and not _is_reduced(parent):
-        return None
-    if config.integral_only:
-        # with no nullity to cross-check, the trace moments alone may turn
-        # the tree down before any inertia count; with one, the count at
-        # t = 0 is needed anyway, and the moments would stand in only for
-        # the count at t = 1, which measured no faster
-        if config.nullity is None and not _moments_admit(
-                len(code), _degree_square_sum(parent)):
-            return None
-        nullity, integral = _integrality(order, parent)
-        if config.nullity is not None and nullity != config.nullity:
-            raise AssertionError(f"nullity routes disagree on "
-                                 f"{','.join(map(str, code))}")
-        if not integral:
-            return None
+    integral_only, the trace moments and the inertia counts, so no Tree is
+    built here.  With ``save``, save(cursor) follows every
+    config.cursor_every owned codes."""
+    enum = FreeTreeEnumerator(n, config.shard, cursor)
+    order = range(n)
+    nullity = config.nullity
+    since_save = 0
+    for code in enum:
+        parent = enum.parent
+        if ((nullity is None or _matching_nullity(order, parent) == nullity)
+                and (not config.reduced_only or _is_reduced(parent))
+                and (not config.integral_only
+                     or _integral(code, parent, nullity))):
+            yield code, parent
+        if save:
+            since_save += 1
+            if since_save >= config.cursor_every:
+                save(enum.cursor())
+                since_save = 0
+
+
+def _integral(code: tuple, parent: list, nullity: Optional[int]) -> bool:
+    """Whether the tree of a code is integral, by its parent array.  With
+    no nullity to cross-check, the trace moments alone may turn the tree
+    down before any inertia count; with one, the count at t = 0 is needed
+    anyway, and the moments would stand in only for the count at t = 1,
+    which measured no faster."""
+    if nullity is None and not _moments_admit(len(code),
+                                              _degree_square_sum(parent)):
+        return False
+    inertia_nullity, integral = _integrality(range(len(code)), parent)
+    if nullity is not None and inertia_nullity != nullity:
+        raise AssertionError(f"nullity routes disagree on "
+                             f"{','.join(map(str, code))}")
+    return integral
+
+
+def kept_record(config: SearchConfig, code: tuple,
+                timestamp: Optional[str] = None) -> CatalogRecord:
+    """The catalog record of a kept code: its Tree and characteristic
+    polynomial, built only here.  Where the polynomial and the parent-array
+    filters decide the same fact, they must agree."""
     tree = Tree._from_canonical_code(code)
     analysis = TreeSpectrum.analyze(tree)
     if config.nullity is not None and analysis.nullity != config.nullity:
@@ -103,7 +124,9 @@ def analyze_match(code: tuple, config: SearchConfig, parent: list
     if config.integral_only and not analysis.summary.is_integral:
         raise AssertionError(
             f"integrality routes disagree on {tree.code_str()}")
-    return tree, analysis
+    return CatalogRecord.from_tree(
+        tree, analysis, order_cap=config.max_order,
+        shard=f"{config.shard[0]}/{config.shard[1]}", timestamp=timestamp)
 
 
 def _cursor_check(cursor: Optional[dict]) -> int:
@@ -145,21 +168,21 @@ def _load_resume(config: SearchConfig) -> Optional[dict]:
                     or len(seq) != order
                     or Tree.from_code(seq).rooted_code(0) != seq):
                 raise ValueError("the cursor is no position of this search")
-        offset, out_path = state["out_offset"], config.out_path
-        if out_path and offset is not None:
-            # the resumed search cuts the output file back to the offset,
-            # and a complete one leaves the file as the cursor records it
-            if state.get("out_path") != os.path.abspath(out_path):
-                raise CursorError(
-                    f"cursor file belongs to the output file "
-                    f"{state.get('out_path')!r}; pass that as --out or "
-                    "delete the cursor to start over")
-            if (os.path.getsize(out_path) if os.path.exists(out_path)
-                    else 0) < offset:
-                raise CursorError(
-                    f"output file {out_path!r} is shorter than the "
-                    "cursor file records; restore it or delete the cursor "
-                    "to start over")
+        # the resumed search cuts the output file back to the offset, and a
+        # complete one leaves the file as the cursor records it; standard
+        # output has no offset to cut back to
+        saved, out_path = state["out_path"], config.out_path
+        if saved != (os.path.abspath(out_path) if out_path else None):
+            raise CursorError(
+                (f"cursor file belongs to the output file {saved!r}; pass "
+                 "that as --out or delete the cursor to start over") if saved
+                else ("cursor file belongs to a search to standard output; "
+                      "delete it to start over"))
+        if out_path and (os.path.getsize(out_path) if os.path.exists(out_path)
+                         else 0) < state["out_offset"]:
+            raise CursorError(
+                f"output file {out_path!r} is shorter than the cursor file "
+                "records; restore it or delete the cursor to start over")
         state["cursor"] = cursor or None
         return state
     except CursorError:
@@ -205,48 +228,33 @@ def search_to_file(config: SearchConfig, err: TextIO) -> dict:
 
 def run_search(config: SearchConfig, out: TextIO, err: TextIO,
                resume: Optional[dict] = None) -> dict:
-    """Run the search; returns {"per_order": {n: hits}, "scanned": total}.
-    Without a ``resume`` state already loaded, run_search loads it."""
+    """Run the search; returns {"per_order": {n: hits}}.  Without a
+    ``resume`` state already loaded, run_search loads it."""
     resume = resume or _load_resume(config)
     start_order = 1
     start_cursor: Optional[EnumerationCursor] = None
     if resume:
         if resume.get("complete"):
             print("search already complete per cursor file", file=err)
-            return {"per_order": {}, "scanned": 0, "resumed_complete": True}
+            return {"per_order": {}, "resumed_complete": True}
         start_order = resume["order"]
         start_cursor = resume["cursor"]
-        if config.out_path and resume["out_offset"] is not None:
+        if config.out_path:
             # drop records written after the last cursor save; the resumed
             # enumeration emits them again
             out.seek(resume["out_offset"])
             out.truncate()
 
-    shard_text = f"{config.shard[0]}/{config.shard[1]}"
     per_order: dict = {}
-    scanned = 0
     for n in config.orders(start_order):
         cursor = start_cursor if n == start_order else None
         start_cursor = None
-        enum = FreeTreeEnumerator(n, config.shard, cursor=cursor)
         hits = 0
-        since_save = 0
-        for code in enum:
-            scanned += 1
-            since_save += 1
-            match = analyze_match(code, config, enum.parent)
-            if match is not None:
-                tree, analysis = match
-                record = CatalogRecord.from_tree(
-                    tree, analysis, order_cap=config.max_order,
-                    shard=shard_text,
-                    timestamp=datetime.now(timezone.utc).isoformat(
-                        timespec="seconds"))
-                out.write(record.to_json() + "\n")
-                hits += 1
-            if since_save >= config.cursor_every:
-                _save_cursor(config, out, n, enum.cursor(), complete=False)
-                since_save = 0
+        save = partial(_save_cursor, config, out, n, complete=False)
+        for code, _ in kept_codes(config, n, cursor, save):
+            stamp = datetime.now(timezone.utc).isoformat(timespec="seconds")
+            out.write(kept_record(config, code, stamp).to_json() + "\n")
+            hits += 1
         per_order[n] = hits
         print(f"order {n}: {hits} matching trees", file=err)
         if n < config.max_order:
@@ -258,4 +266,4 @@ def run_search(config: SearchConfig, out: TextIO, err: TextIO,
     print("order | matches", file=err)
     for n, hits in per_order.items():
         print(f"{n:5d} | {hits}", file=err)
-    return {"per_order": per_order, "scanned": scanned}
+    return {"per_order": per_order}

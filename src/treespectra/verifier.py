@@ -16,19 +16,18 @@ from itertools import product
 from typing import Callable, Iterable, Optional, Sequence
 
 from .catalog import CatalogRecord
-from .enumeration import FreeTreeEnumerator, enumerate_free_trees
+from .enumeration import enumerate_free_trees
 from .polys import (DivisibilityError, IntPoly, RealRoot,
                     count_roots_above, count_roots_at_least,
                     count_roots_open, even_part, lift_square, poly_gcd,
                     root_bound)
 from .reduction import (pendant_report, pendant_growth_holds,
                         strip_monotonicity_holds)
-from .search import SearchConfig, analyze_match
-from .spectra import (TreeSpectrum, _integrality, _matching_nullity,
-                      _signature, char_poly, char_poly_ring_with_pendants,
-                      courant_weyl_check, forest_multiplicity,
-                      inertia_integrality, join_formula, multiplicity,
-                      squared_shift_check)
+from .search import SearchConfig, kept_codes, kept_record
+from .spectra import (TreeSpectrum, _integrality, _signature, char_poly,
+                      char_poly_ring_with_pendants, courant_weyl_check,
+                      forest_multiplicity, inertia_integrality, join_formula,
+                      multiplicity, squared_shift_check)
 from .trees import (Tree, attach_pendants, c_tree, delete_vertex,
                     hub_vertices, join_trees, s_tree)
 
@@ -212,16 +211,8 @@ def nullity_classification(h: int, order_cap: int,
     the search's filters (orders of the wrong parity are skipped)."""
     config = SearchConfig(max_order=order_cap, nullity=h, integral_only=True,
                           shard=shard)
-    records = []
-    for n in config.orders():
-        enum = FreeTreeEnumerator(n, shard)
-        for code in enum:
-            match = analyze_match(code, config, enum.parent)
-            if match is not None:
-                records.append(CatalogRecord.from_tree(
-                    *match, order_cap=order_cap,
-                    shard=f"{shard[0]}/{shard[1]}"))
-    return records
+    return [kept_record(config, code) for n in config.orders()
+            for code, _ in kept_codes(config, n)]
 
 
 def nullity_one_class_check(order_cap: int) -> VerdictRecord:
@@ -234,13 +225,10 @@ def nullity_one_class_check(order_cap: int) -> VerdictRecord:
     members = []
     violations = []
     integral_spiders = []
-    for n in range(1, order_cap + 1, 2):
+    config = SearchConfig(max_order=order_cap, nullity=1)
+    for n in config.orders():
         order = range(n)
-        enum = FreeTreeEnumerator(n)
-        for code in enum:
-            parent = enum.parent
-            if _matching_nullity(order, parent) != 1:
-                continue
+        for code, parent in kept_codes(config, n):
             below0, at0 = _signature(order, parent, 0, 1)
             below1, at1 = _signature(order, parent, 1, 1)
             if below1 - below0 - at0:  # eigenvalues in (0, 1)

@@ -1,7 +1,9 @@
 """Every name a package module imports is used in it (__init__.py is left
 out: it imports names to re-export them), every private module-level
 name is used somewhere in the package, and no function body imports
-anything: a module's dependencies are all at its top."""
+anything: a module's dependencies are all at its top.  The free-tree
+stream is walked in one place: only enumerate_free_trees and the search's
+kept_codes construct a FreeTreeEnumerator."""
 
 import ast
 from pathlib import Path
@@ -128,3 +130,42 @@ def test_function_local_import_is_found():
                      "class C:\n    def to_json(self):\n"
                      "        import json\n        return json.dumps(1)\n")
     assert local_imports(tree) == {"outer", "inner", "to_json"}
+
+
+def enumerator_constructions(tree: ast.Module) -> set:
+    """The innermost function (or "<module>") around each call that
+    constructs a FreeTreeEnumerator, by name or as a module attribute."""
+    found = set()
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.Call) and "FreeTreeEnumerator" in (
+                    getattr(child.func, "id", None),
+                    getattr(child.func, "attr", None)):
+                found.add(scope)
+            visit(child, scope)
+
+    visit(tree, "<module>")
+    return found
+
+
+def test_one_walk_constructs_the_enumerator():
+    found = {(path.name, scope) for path in SOURCES
+             for scope in enumerator_constructions(
+                 ast.parse(path.read_text(encoding="utf-8")))}
+    assert found == {("enumeration.py", "enumerate_free_trees"),
+                     ("search.py", "kept_codes")}
+
+
+def test_enumerator_construction_is_found():
+    tree = ast.parse("from . import enumeration\n"
+                     "from .enumeration import FreeTreeEnumerator\n"
+                     "WALK = FreeTreeEnumerator(3)\n"
+                     "def census(n):\n"
+                     "    def inner():\n"
+                     "        return enumeration.FreeTreeEnumerator(n)\n"
+                     "    return FreeTreeEnumerator\n")
+    assert enumerator_constructions(tree) == {"<module>", "inner"}

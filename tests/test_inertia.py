@@ -10,14 +10,15 @@ import pytest
 from treespectra import search
 from treespectra.enumeration import FreeTreeEnumerator, enumerate_free_trees
 from treespectra.polys import rational_root_multiplicity
-from treespectra.reduction import _is_reduced, pendant_report
-from treespectra.search import SearchConfig, analyze_match, run_search
+from treespectra.reduction import pendant_report
+from treespectra.search import SearchConfig, kept_codes, run_search
 from treespectra.spectra import (TreeSpectrum, _degree_square_sum,
                                  _integrality, _matching_nullity,
                                  _moments_admit, _signature, char_poly,
                                  inertia, inertia_integrality, multiplicity,
                                  nullity_matching)
-from treespectra.trees import Tree, code_parents, path, s_tree, star
+from treespectra.trees import (Tree, _is_reduced, code_parents, path, s_tree,
+                               star)
 
 
 class TestInertiaIntegrality:
@@ -119,26 +120,26 @@ class TestTraceMoments:
 
 class TestSearchRoutesAgree:
     def test_integrality_routes_disagree_is_raised(self, monkeypatch):
-        # a tree whose trace moments admit an integral spectrum, though it
-        # has none, so only the inertia route can turn it down
+        # the first tree the search meets whose trace moments admit an
+        # integral spectrum, though it has none, so only the inertia route
+        # can turn it down
         monkeypatch.setattr(search, "_integrality",
                             lambda order, parent: (1, True))
         config = SearchConfig(max_order=7, integral_only=True)
         with pytest.raises(AssertionError,
                            match="integrality routes disagree on "
                                  "0,1,2,3,3,1,2"):
-            analyze_match((0, 1, 2, 3, 3, 1, 2), config,
-                          code_parents((0, 1, 2, 3, 3, 1, 2)))
+            run_search(config, io.StringIO(), io.StringIO())
 
     def test_inertia_nullity_is_checked_on_rejected_trees(self, monkeypatch):
         # the verdict says "not integral", yet the wrong nullity is caught
         monkeypatch.setattr(search, "_integrality",
                             lambda order, parent: (3, False))
+        # on the one tree of order 3, the path
         config = SearchConfig(max_order=3, nullity=1, integral_only=True)
         with pytest.raises(AssertionError,
                            match="nullity routes disagree on 0,1,1"):
-            code = path(3).canonical_code
-            analyze_match(code, config, code_parents(code))
+            list(kept_codes(config, 3))
 
     def test_polynomial_only_for_records(self, monkeypatch):
         calls = []

@@ -4,9 +4,12 @@ import json
 
 import pytest
 
+from treespectra import search
 from treespectra.catalog import CatalogRecord
 from treespectra.cli import main
+from treespectra.enumeration import FreeTreeEnumerator
 from treespectra.search import CursorError, SearchConfig, run_search
+from treespectra.spectra import _integrality
 from treespectra.trees import format_tree_text, path, s_tree
 
 
@@ -120,8 +123,6 @@ class TestSearchEngine:
                                                          monkeypatch):
         """A run stopped after its last incomplete cursor save, before the
         save that marks it complete, writes no record twice on resume."""
-        from treespectra import search
-
         full = tmp_path / "full.jsonl"
         assert main(["search", "--max-order", "6", "--out", str(full)]) == 0
         expected = records_without_timestamp(full)
@@ -189,6 +190,29 @@ class TestSearchEngine:
         assert main(["search", "--max-order", "6", "--out", str(missing),
                      "--resume", str(cursor), "--cursor-every", "2"]) == 2
         assert not missing.exists()
+
+    def test_stdout_cursor_and_out_file_refuse_each_other(self, tmp_path,
+                                                           capsys):
+        # a cursor records no offset into standard output, so a search to a
+        # file cannot resume from it, nor a search to standard output from
+        # a file's cursor
+        cursor = tmp_path / "cursor.json"
+        config = SearchConfig(max_order=7, resume_path=str(cursor),
+                              cursor_every=3)
+        with pytest.raises(_Interrupted):
+            run_search(config, _InterruptingWriter(io.StringIO(), 12),
+                       io.StringIO())
+        out_path = tmp_path / "o.jsonl"
+        assert main(["search", "--max-order", "7", "--out", str(out_path),
+                     "--resume", str(cursor)]) == 2
+        assert "standard output" in capsys.readouterr().err
+        assert not out_path.exists()
+        cursor.unlink()
+        assert main(["search", "--max-order", "7", "--out", str(out_path),
+                     "--resume", str(cursor)]) == 0
+        with pytest.raises(CursorError, match="belongs to the output file"):
+            run_search(SearchConfig(max_order=7, resume_path=str(cursor)),
+                       io.StringIO(), io.StringIO())
 
     @pytest.mark.parametrize("other", [False, True])
     def test_complete_cursor_checks_out_file(self, tmp_path, capsys, other):
@@ -291,6 +315,55 @@ class TestSearchEngine:
             SearchConfig(max_order=0)
         with pytest.raises(ValueError):
             SearchConfig(max_order=5, shard=(2, 2))
+
+
+class TestCursorSaves:
+    """Every state a search saves, against a plain enumerator walk: a save
+    after every K-th owned code of an order, one at each order boundary
+    naming the next order, and one complete save at the end."""
+
+    @staticmethod
+    def expected_saves(max_order, shard, every, integral, lines):
+        saves, offset, records = [], 0, iter(lines)
+        for n in range(1, max_order + 1):
+            enum = FreeTreeEnumerator(n, shard)
+            for owned, code in enumerate(enum, start=1):
+                if not integral or _integrality(range(n), enum.parent)[1]:
+                    line = next(records)
+                    assert json.loads(line)["code"] == ",".join(map(str, code))
+                    offset += len(line.encode("utf-8"))
+                if owned % every == 0:
+                    saves.append((n, json.loads(enum.cursor().to_json()),
+                                  False, offset))
+            if n < max_order:
+                saves.append((n + 1, None, False, offset))
+        assert next(records, None) is None
+        saves.append((max_order, None, True, offset))
+        return saves
+
+    @pytest.mark.parametrize("integral", [False, True])
+    @pytest.mark.parametrize("every", [1, 3, 7])
+    @pytest.mark.parametrize("shard", [(0, 1), (1, 3)])
+    def test_every_save_point(self, tmp_path, monkeypatch, integral, every,
+                              shard):
+        cursor = tmp_path / "cursor.json"
+        out_path = tmp_path / "out.jsonl"
+        saved = []
+        save = search._save_cursor
+
+        def capture(*args, **kwargs):
+            save(*args, **kwargs)
+            state = json.loads(cursor.read_text())
+            saved.append((state["order"], state["cursor"], state["complete"],
+                          state["out_offset"]))
+
+        monkeypatch.setattr(search, "_save_cursor", capture)
+        config = SearchConfig(max_order=9, integral_only=integral,
+                              shard=shard, out_path=str(out_path),
+                              resume_path=str(cursor), cursor_every=every)
+        search.search_to_file(config, io.StringIO())
+        lines = out_path.read_text(encoding="utf-8").splitlines(keepends=True)
+        assert saved == self.expected_saves(9, shard, every, integral, lines)
 
 
 class TestCli:

@@ -1,3 +1,4 @@
+import io
 import json
 import random
 
@@ -5,6 +6,7 @@ import pytest
 
 from treespectra import spectra, verifier
 from treespectra.polys import DivisibilityError, IntPoly, count_roots_open
+from treespectra.search import SearchConfig, run_search
 from treespectra.spectra import TreeSpectrum, char_poly
 from treespectra.trees import Tree, path, s_tree, star
 from treespectra.verifier import (SUITES, eigencat_check,
@@ -151,6 +153,18 @@ class TestNullityClassification:
         for i in range(3):
             sharded |= {r.code for r in nullity_classification(8, 11, (i, 3))}
         assert sharded == full
+
+    @pytest.mark.parametrize("shard", [(0, 1), (1, 2)])
+    @pytest.mark.parametrize("h", range(4))
+    def test_equals_search_records(self, h, shard):
+        out = io.StringIO()
+        run_search(SearchConfig(max_order=11, nullity=h, integral_only=True,
+                                shard=shard), out, io.StringIO())
+        searched = [json.loads(line) for line in out.getvalue().splitlines()]
+        for data in searched:
+            data.pop("timestamp")
+        assert [json.loads(r.to_json())
+                for r in nullity_classification(h, 11, shard)] == searched
 
 
 class TestNullityOneClass:
