@@ -20,7 +20,7 @@ from .search import CursorError, SearchConfig, run_search
 from .spectra import (TreeSpectrum, char_poly, char_poly_forest,
                       char_poly_ring_with_pendants, courant_weyl_check,
                       forest_multiplicity, inertia, inertia_integrality,
-                      join_formula, m_value, max_matching_size, multiplicity,
+                      join_formula, m_value, multiplicity,
                       nullity_matching, nullity_poly, squared_shift_check)
 from .trees import (Tree, TreeFormatError, attach_pendants, bipartition,
                     c_tree, delete_vertex, format_tree_text, hub_vertices,

@@ -171,6 +171,6 @@ class FreeTreeEnumerator:
                 yield tuple(seq)
 
 
-def enumerate_free_trees(n: int, shard: tuple = (0, 1)) -> Iterator[Tree]:
+def enumerate_free_trees(n: int) -> Iterator[Tree]:
     """All free trees of order n, one per isomorphism class."""
-    return map(Tree._from_canonical_code, FreeTreeEnumerator(n, shard))
+    return map(Tree._from_canonical_code, FreeTreeEnumerator(n))

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, gcd
+from math import comb, floor, gcd
 from operator import index
 from typing import Iterable, NamedTuple, Optional, Sequence
 
@@ -99,9 +99,9 @@ class IntPoly:
 
     @classmethod
     def from_text(cls, text: str) -> "IntPoly":
-        """Parse the comma-separated ascending-coefficient form."""
-        parts = [p.strip() for p in text.split(",")]
-        return cls(int(p) for p in parts if p)
+        """Parse the comma-separated ascending-coefficient form that to_text
+        writes: "" is the zero polynomial, and no other field may be empty."""
+        return cls(map(int, text.split(",")) if text else ())
 
     # -- basic queries ------------------------------------------------
 
@@ -578,9 +578,11 @@ class RealRoot:
     The root owns an isolating open interval (lo, hi) and refines it in
     place.  Bisection always starts from (-root_bound, root_bound) and takes
     the same path, so refining to w and then to w/4 gives the interval a
-    fresh isolation at w/4 gives.  A rational root is held in ``exact``:
-    integer roots of monic input are found at construction, any other
-    rational root when a bisection midpoint hits it.
+    fresh isolation at w/4 gives.  A rational root is held in ``exact``.
+    Monic input is bisected to width 1 at construction; its rational roots
+    are integers, so the one integer that interval can hold is the only
+    candidate.  Any other rational root is found when a bisection midpoint
+    hits it.
 
     While it bisects, the root keeps its Sturm evaluations at lo, hi and
     +infinity, so a step evaluates only at its midpoint.
@@ -604,14 +606,11 @@ class RealRoot:
         self._isolated = rc.distinct == 1
         self.exact: Optional[Fraction] = None
         if p.is_monic:
-            # monic: every rational root is an integer; scan them downwards
-            # until one is not above the k-th root
-            for rt in sorted(integer_roots(p).roots, reverse=True):
-                sign = self.compare(rt)
-                if sign == 0:
-                    self.exact = Fraction(rt)
-                if sign >= 0:
-                    break
+            self.refine(1)
+            c = floor(self.lo) + 1
+            if self.exact is None and c < self.hi and not _eval_scaled(
+                    p.coeffs, c, 1):
+                self.exact = Fraction(c)
 
     @property
     def bounds(self) -> tuple[Fraction, Fraction]:
@@ -627,6 +626,8 @@ class RealRoot:
         (exact - eps, exact + eps), eps the first of width/2, width/4, ...
         that isolates it."""
         width = _as_fraction(width)
+        if width <= 0:
+            raise ValueError("refinement width must be positive")
         p = self.poly
         while self.exact is None and not (self._isolated
                                           and self.hi - self.lo <= width):
@@ -655,8 +656,8 @@ class RealRoot:
 
         ``other`` is a rational or another RealRoot.  A rational is decided
         by root counting, never by refinement; a RealRoot as _compare_root
-        says.  A quadratic irrational mu + sqrt(m) is compared as the
-        larger root of the primitive polynomial of (x - mu)^2 - m.
+        says, with a tie certified at the first width where the intervals
+        overlap on a root of gcd(p, q).
         """
         if isinstance(other, RealRoot):
             return self._compare_root(other)
@@ -732,35 +733,25 @@ def _sum_poly(f: IntPoly, g: IntPoly) -> IntPoly:
     return IntPoly(b[::-1])
 
 
-def _is_sum_tie(root: RealRoot, a: RealRoot, b: RealRoot) -> bool:
-    """Certify root = a + b for monic a and b: r = _sum_poly has a + b in
-    the sum interval (alo + blo, ahi + bhi) as its only distinct root
-    there, and gcd(root.poly, r) has a root in that interval and in root's
-    isolating interval, which can then only be root and a + b at once."""
-    if not (a.poly.is_monic and b.poly.is_monic):
-        return False
-    (alo, ahi), (blo, bhi) = a.bounds, b.bounds
-    lo, hi = alo + blo, ahi + bhi
-    both_lo, both_hi = max(root.lo, lo), min(root.hi, hi)
-    if not both_lo < both_hi:
-        return False
-    r = _sum_poly(a.poly, b.poly)
-    return (count_roots_open(poly_gcd(root.poly, r), both_lo, both_hi).distinct
-            >= 1 and count_roots_open(r, lo, hi).distinct == 1)
-
-
 def compare_sum(root: RealRoot, a: RealRoot, b: RealRoot) -> int:
-    """Sign of root - (a + b), refining the three roots in lockstep.
+    """Sign of root - (a + b), refining the three roots in lockstep through
+    1/4, 1/16, ... until root's interval separates from the sum interval
+    (alo + blo, ahi + bhi).
 
-    A tie is decided at once when all three are rational; otherwise, at
-    the width cap, by _is_sum_tie.  An unresolved comparison (a non-tie
-    still unseparated at the cap, or a tie of non-monic a or b) raises
-    PrecisionExhausted.
+    A tie is decided at once when all three are rational.  For monic a and
+    b it is certified at every width where the intervals still overlap:
+    r = _sum_poly(a, b) has a + b as its only distinct root in the sum
+    interval, and gcd(root.poly, r) has a root in both intervals, which can
+    then only be root and a + b at once.  An unresolved comparison (a
+    non-tie still unseparated at the cap, or a tie of non-monic a or b)
+    raises PrecisionExhausted.
     """
+    monic = a.poly.is_monic and b.poly.is_monic
+    common: Optional[IntPoly] = None
     width = _FIRST_WIDTH
     while width >= WIDTH_CAP:
-        for r in (root, a, b):
-            r.refine(width)
+        for x in (root, a, b):
+            x.refine(width)
         (lo, hi), (alo, ahi), (blo, bhi) = root.bounds, a.bounds, b.bounds
         if lo == hi and alo == ahi and blo == bhi:
             return _sign(lo - alo - blo)
@@ -768,7 +759,15 @@ def compare_sum(root: RealRoot, a: RealRoot, b: RealRoot) -> int:
             return 1
         if hi <= alo + blo:
             return -1
+        if monic:
+            if common is None:
+                r = _sum_poly(a.poly, b.poly)
+                common = poly_gcd(root.poly, r)
+            sum_lo, sum_hi = a.lo + b.lo, a.hi + b.hi
+            both_lo, both_hi = max(root.lo, sum_lo), min(root.hi, sum_hi)
+            if (common.degree >= 1 and both_lo < both_hi
+                    and count_roots_open(common, both_lo, both_hi).distinct
+                    and count_roots_open(r, sum_lo, sum_hi).distinct == 1):
+                return 0
         width /= 4
-    if _is_sum_tie(root, a, b):
-        return 0
     raise PrecisionExhausted(f"sum comparison unresolved at width {WIDTH_CAP}")

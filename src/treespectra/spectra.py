@@ -249,11 +249,6 @@ def nullity_matching(tree: Tree) -> int:
     return _matching_nullity(*tree.rooted_order())
 
 
-def max_matching_size(tree: Tree) -> int:
-    """Maximum matching size, as a tree's nullity is n minus twice it."""
-    return (tree.n - nullity_matching(tree)) // 2
-
-
 def _matching_nullity(order, parent: list) -> int:
     """nullity_matching on one rooted order (the root first, every vertex
     after its parent).  Bottom-up, each vertex still free is matched to its
@@ -330,30 +325,19 @@ def courant_weyl_check(tree: Tree, spec: Sequence[tuple[int, int]]) -> list[bool
     where T' attaches s_i pendant length-2 paths at the i-th spec vertex and
     the spec is taken in nonincreasing order of s.
 
-    Comparisons are exact: isolating intervals are refined until they
-    separate, a tie is certified by a common root (RealRoot.compare,
-    compare_sum), and PrecisionExhausted is raised beyond the width cap.
+    Each entry is one exact compare_sum: the three isolating intervals are
+    refined until they separate, a tie is certified at every width by a
+    common root of phi(T') and the sum polynomial, and PrecisionExhausted
+    is raised beyond the width cap.
     """
     if not spec:
         raise ValueError("empty attachment spec")
     ordered = sorted(spec, key=lambda it: -it[1])
     phi_grown = char_poly(attach_pendants(tree, ordered))
     lam_min = RealRoot(char_poly(tree), tree.n)
-
-    verdicts = []
-    for i, (_, s) in enumerate(ordered, start=1):
-        top = RealRoot(phi_grown, i)
-        if lam_min.exact is not None:
-            # mu + sqrt(s+1), mu = num/den, is the larger root of the
-            # primitive (den x - num)^2 - (s+1) den^2
-            num, den = lam_min.exact.numerator, lam_min.exact.denominator
-            sign = top.compare(RealRoot(IntPoly((
-                num * num - (s + 1) * den * den, -2 * num * den, den * den)), 1))
-        else:
-            sign = compare_sum(top, RealRoot(IntPoly((-(s + 1), 0, 1)), 1),
-                               lam_min)
-        verdicts.append(sign >= 0)
-    return verdicts
+    return [compare_sum(RealRoot(phi_grown, i),
+                        RealRoot(IntPoly((-(s + 1), 0, 1)), 1), lam_min) >= 0
+            for i, (_, s) in enumerate(ordered, start=1)]
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ from itertools import product
 
 from conftest import ACCEPTANCE_LINES
 from oracles import free_tree_counts_by_recurrence, labeled_tree_codes
-from treespectra.enumeration import enumerate_free_trees
+from treespectra.enumeration import FreeTreeEnumerator, enumerate_free_trees
 from treespectra.polys import IntPoly
 from treespectra.reduction import (pendant_report, pendant_growth_holds,
                                    strip_monotonicity_holds)
@@ -234,8 +234,7 @@ def test_criterion_15_enumerator_against_oracles():
     for m in (2, 4):
         merged = []
         for i in range(m):
-            merged.extend(t.canonical_code
-                          for t in enumerate_free_trees(10, (i, m)))
+            merged.extend(FreeTreeEnumerator(10, (i, m)))
         if sorted(merged) != sorted(full) or len(merged) != len(set(merged)):
             ok = False
     report(15, ok, "free-tree counts match the labeled-tree dedup oracle and "

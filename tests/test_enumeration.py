@@ -118,8 +118,7 @@ class TestSkippingWalk:
     def test_shards_match_reference_walk(self):
         for n in range(1, 13):
             for i in range(3):
-                ours = [t.canonical_code
-                        for t in enumerate_free_trees(n, (i, 3))]
+                ours = list(FreeTreeEnumerator(n, (i, 3)))
                 assert ours == reference_codes(n, (i, 3)), (n, i)
 
     def test_resume_after_every_emitted_tree(self):
@@ -179,8 +178,7 @@ class TestSharding:
     @pytest.mark.parametrize("m", [2, 3, 5])
     def test_partition(self, m):
         full = [t.canonical_code for t in enumerate_free_trees(9)]
-        shards = [[t.canonical_code for t in enumerate_free_trees(9, (i, m))]
-                  for i in range(m)]
+        shards = [list(FreeTreeEnumerator(9, (i, m))) for i in range(m)]
         merged = [c for shard in shards for c in shard]
         assert sorted(merged, reverse=True) == full
         assert len(merged) == len(set(merged))

@@ -10,6 +10,7 @@ from treespectra.polys import (DivisibilityError, IntPoly, PrecisionExhausted,
                                poly_gcd, rational_root_multiplicity,
                                root_bound, square_free_decomposition,
                                taylor_shift, _sum_poly)
+from treespectra.verifier import run_suite
 
 X = IntPoly.x()
 
@@ -51,6 +52,20 @@ class TestArithmetic:
         p = IntPoly((-1, 0, 1))
         assert p.to_text() == "-1,0,1"
         assert IntPoly.from_text("-1,0,1") == p
+
+    def test_text_roundtrip_random(self):
+        rng = random.Random(17)
+        for _ in range(50):
+            p = IntPoly([rng.randrange(-10 ** 6, 10 ** 6)
+                         for _ in range(rng.randrange(0, 8))])
+            assert IntPoly.from_text(p.to_text()) == p
+        assert IntPoly.zero().to_text() == ""
+        assert IntPoly.from_text("") == IntPoly.zero()
+
+    @pytest.mark.parametrize("text", ["1,,2", " , ", ",", "1,", " "])
+    def test_text_empty_field_refused(self, text):
+        with pytest.raises(ValueError):
+            IntPoly.from_text(text)
 
     def test_str_form(self):
         assert str(IntPoly((1, 0, -3, 0, 1))) == "x^4 - 3x^2 + 1"
@@ -317,6 +332,22 @@ class TestRealRoot:
         assert RealRoot(lin(2) * lin(1) ** 2, 3).exact == 1
         assert RealRoot(IntPoly((-5, 0, 1)), 1).exact is None
 
+    def test_integer_roots_found_without_divisor_scan(self, monkeypatch):
+        def refuse(p):
+            raise AssertionError("RealRoot must not call integer_roots")
+
+        monkeypatch.setattr(polys, "integer_roots", refuse)
+        assert RealRoot(lin(2) * lin(1) ** 2, 3).exact == 1
+        for name in ("join", "cskvarithm", "rhocat"):
+            records = run_suite(name, seed=0, trials=5)
+            assert records and all(r.passed for r in records), name
+
+    @pytest.mark.parametrize("width", [0, -1, Fraction(-1, 4)])
+    def test_refine_refuses_nonpositive_width(self, width):
+        root = RealRoot(IntPoly((-5, 0, 1)), 1)
+        with pytest.raises(ValueError, match="width must be positive"):
+            root.refine(width)
+
     def test_compare_sqrt_against_quadratic_irrational(self):
         """mu + sqrt(m) is the larger root of the primitive minimal
         polynomial (den x - num)^2 - m den^2 of mu = num/den."""
@@ -375,6 +406,10 @@ class TestRealRoot:
         # an irrational sum, in either order of the summands
         assert compare_sum(sqrt(18), sqrt(2), sqrt(8)) == 0
         assert compare_sum(sqrt(18), sqrt(8), sqrt(2)) == 0
+        # the tie is certified at the first width, not at the cap
+        root = sqrt(18)
+        assert compare_sum(root, sqrt(2), sqrt(8)) == 0
+        assert root.hi - root.lo > Fraction(1, 16)
         # a rational root equal to a sum of two irrationals
         assert compare_sum(RealRoot(X, 1), sqrt(2),
                            RealRoot(IntPoly((-2, 0, 1)), 2)) == 0
@@ -408,8 +443,8 @@ class TestRealRoot:
             return inner(q, t)
 
         monkeypatch.setattr(polys, "_sturm_point", counted)
-        root = RealRoot(p, 1)
-        start = root.hi - root.lo
+        root = RealRoot(p, 1)  # monic: construction already bisects
+        start = 2 * root_bound(p)
         root.refine(Fraction(1, 2 ** 20))
         assert root.exact is None and root.hi - root.lo <= Fraction(1, 2 ** 20)
         steps = (start / (root.hi - root.lo)).numerator.bit_length() - 1
