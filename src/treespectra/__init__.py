@@ -9,19 +9,19 @@ by exact division, and tree enumeration by canonical level sequences.
 from .catalog import CatalogRecord
 from .enumeration import EnumerationCursor, FreeTreeEnumerator, enumerate_free_trees
 from .polys import (DivisibilityError, IntPoly, PrecisionExhausted, RealRoot,
-                    RootCount, SpectrumSummary, SymmetryError,
-                    count_roots_open, even_part, integer_roots, poly_gcd,
-                    rational_root_multiplicity, root_bound,
-                    square_free_decomposition, taylor_shift)
+                    RootCount, SymmetryError, count_roots_open, even_part,
+                    poly_gcd, root_bound, square_free_decomposition,
+                    taylor_shift)
 from .reduction import (PendantReport, pendant_growth_holds, pendant_report,
                         reduce_core, reduce_with_trace, reduced_census,
                         strip_monotonicity_holds, strip_pendant_p2)
 from .search import CursorError, SearchConfig, run_search
-from .spectra import (TreeSpectrum, char_poly, char_poly_forest,
-                      char_poly_ring_with_pendants, courant_weyl_check,
-                      forest_multiplicity, inertia, inertia_integrality,
-                      join_formula, m_value, multiplicity,
-                      nullity_matching, nullity_poly, squared_shift_check)
+from .spectra import (SpectrumSummary, TreeSpectrum, char_poly,
+                      char_poly_forest, char_poly_ring_with_pendants,
+                      courant_weyl_check, forest_multiplicity, inertia,
+                      inertia_integrality, join_formula, m_value,
+                      multiplicity, nullity_matching, nullity_poly,
+                      squared_shift_check)
 from .trees import (Tree, TreeFormatError, attach_pendants, bipartition,
                     c_tree, delete_vertex, format_tree_text, hub_vertices,
                     join_trees, parse_tree_text, path, s_tree, star)

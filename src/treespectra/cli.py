@@ -13,10 +13,10 @@ import json
 import sys
 from typing import Optional
 
-from .polys import SpectrumSummary
 from .reduction import reduce_with_trace, reduced_census
 from .search import CursorError, SearchConfig, run_search, search_to_file
-from .spectra import TreeSpectrum, m_value, nullity_matching, nullity_poly
+from .spectra import (SpectrumSummary, TreeSpectrum, m_value,
+                      nullity_matching, nullity_poly)
 from .trees import Tree, TreeFormatError, parse_tree_text
 from .verifier import SUITES, run_suite
 

@@ -6,11 +6,12 @@ anywhere.  Root counting goes through Sturm chains on square-free parts;
 multiplicities are recovered by exact division.  Polynomial sums and
 products, IntPoly's and the matching-number fold's in spectra, run on the
 coefficient-list kernels _add and _mul; lift_square is the one x^2 lift.
+The module knows integer polynomials and their real roots; the format of
+a tree's integer spectrum, SpectrumSummary, belongs to spectra.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, floor, gcd
@@ -432,18 +433,6 @@ def _deflate(coeffs: list, t) -> tuple[int, list]:
     return mult, coeffs
 
 
-def rational_root_multiplicity(p: IntPoly, t) -> int:
-    """Multiplicity of the rational number t as a root of p."""
-    if p.is_zero:
-        raise ValueError("zero polynomial")
-    t = _as_fraction(t)
-    if t.denominator == 1:
-        t = t.numerator  # the deflation stays in the integers
-    elif _eval_scaled(p.coeffs, t.numerator, t.denominator):
-        return 0  # not a root, decided without Fraction arithmetic
-    return _deflate(list(p.coeffs), t)[0]
-
-
 def root_bound(p: IntPoly) -> int:
     """Cauchy bound: every real root has absolute value strictly below it."""
     if p.degree < 1:
@@ -451,66 +440,6 @@ def root_bound(p: IntPoly) -> int:
     lead = abs(p.coeffs[-1])
     biggest = max(abs(c) for c in p.coeffs[:-1])
     return 1 + (biggest + lead - 1) // lead
-
-
-# ---------------------------------------------------------------------------
-# integer roots / spectrum summary
-
-
-@dataclass(frozen=True)
-class SpectrumSummary:
-    """Integer roots with multiplicities plus the unfactored residual."""
-
-    roots: dict
-    residual: IntPoly
-    is_integral: bool
-    nullity: int
-
-    def reassemble(self) -> IntPoly:
-        out = self.residual
-        x = IntPoly.x()
-        for k, m in self.roots.items():
-            out = out * (x - IntPoly.const(k)) ** m
-        return out
-
-
-def integer_roots(p: IntPoly) -> SpectrumSummary:
-    """All integer roots of a monic polynomial, with exact multiplicities.
-
-    Candidates are the divisors of the lowest nonzero coefficient (both
-    signs) that clear the Cauchy root bound; zero is handled by valuation.
-    The residual is certified to have no further integer roots.
-    """
-    if p.is_zero:
-        raise ValueError("zero polynomial")
-    if not p.is_monic:
-        raise ValueError("integer_roots requires a monic polynomial")
-    h = 0
-    while p.coeffs[h] == 0:
-        h += 1
-    q = list(p.coeffs[h:])
-    roots: dict = {}
-    if h:
-        roots[0] = h
-    tail = abs(q[0])
-    bound = root_bound(IntPoly(q))
-    candidates = set()
-    d = 1
-    while d * d <= tail:
-        if tail % d == 0:
-            for c in (d, tail // d):
-                if c <= bound:
-                    candidates.add(c)
-                    candidates.add(-c)
-        d += 1
-    for k in sorted(candidates, key=lambda c: (abs(c), c)):
-        mult, q = _deflate(q, k)
-        if mult:
-            roots[k] = mult
-    residual = IntPoly(q)
-    return SpectrumSummary(roots=roots, residual=residual,
-                           is_integral=(residual.degree == 0),
-                           nullity=h)
 
 
 # ---------------------------------------------------------------------------

@@ -3,23 +3,24 @@
 A tree's characteristic polynomial is sum (-1)^k m_k x^(n-2k), with the
 matching numbers m_k counted in one bottom-up pass.  Tree spectra need no
 Sturm chain: the integer eigenvalues are +-k with k^2 <= n-1 (the trace
-bound), found by deflation in y = x^2, and the eigenvalues below or at a
-rational t are counted by the inertia of A - tI, read off an exact tree
-diagonalisation (Jacobs-Trevisan) kept in integer pairs; by Sylvester's
-law of inertia those counts are certificates, and the counts at t = 0, 1,
-..., isqrt(n-1) decide integrality without the polynomial.  The trace
-moments tr A^2 and tr A^4 depend only on the order and the degrees, and
-they may rule integrality out before any count (_moments_admit); a search
-with no nullity to cross-check tries them first.  These folds take no Tree:
-_signature, _integrality, _m_value and the greedy _matching_nullity take
-a bottom-up order and a parent array, which the public functions get from
-Tree.rooted_order() and the search and the verifier from the enumerator
-(range(n) and FreeTreeEnumerator.parent), so they build no Tree to
-filter.  Sturm chains stay for general polynomials, such as the
-eigenvalue comparisons below.  The one non-tree graph needed anywhere (a
-cycle with two pendants) gets its polynomial from tree polynomials by
-Schwenk's edge formula, so the matching fold is the only
-characteristic-polynomial algorithm.
+bound).  Printed records find them by deflation in y = x^2 (the
+SpectrumSummary of TreeSpectrum.analyze); verdicts read them off the
+inertia of A - tI, the eigenvalues below and at a rational t, from an
+exact tree diagonalisation (Jacobs-Trevisan) kept in integer pairs.  By
+Sylvester's law of inertia those counts are certificates, and the counts
+at t = 0, 1, ..., isqrt(n-1) decide integrality without the polynomial.
+The trace moments tr A^2 and tr A^4 depend only on the order and the
+degrees, and they may rule integrality out before any count
+(_moments_admit); a search with no nullity to cross-check tries them
+first.  These folds take no Tree: _signature, _integrality, _m_value and
+the greedy _matching_nullity take a bottom-up order and a parent array,
+which the public functions get from Tree.rooted_order() and the search and
+the verifier from the enumerator (range(n) and FreeTreeEnumerator.parent),
+so they build no Tree to filter.  Sturm chains stay for general
+polynomials, such as the eigenvalue comparisons below.  The one non-tree
+graph needed anywhere (a cycle with two pendants) gets its polynomial from
+tree polynomials by Schwenk's edge formula, so the matching fold is the
+only characteristic-polynomial algorithm.
 """
 
 from __future__ import annotations
@@ -31,9 +32,8 @@ from math import isqrt
 from operator import mul
 from typing import Sequence
 
-from .polys import (DivisibilityError, IntPoly, RealRoot, SpectrumSummary,
-                    _add, _deflate, _mul, compare_sum, even_part,
-                    lift_square, taylor_shift)
+from .polys import (DivisibilityError, IntPoly, RealRoot, _add, _deflate,
+                    _mul, compare_sum, even_part, lift_square, taylor_shift)
 from .trees import (Tree, attach_pendants, bipartition, delete_vertex,
                     parent_degrees, path)
 
@@ -265,6 +265,23 @@ def _matching_nullity(order, parent: list) -> int:
 
 
 @dataclass(frozen=True)
+class SpectrumSummary:
+    """Integer roots with multiplicities plus the unfactored residual."""
+
+    roots: dict
+    residual: IntPoly
+    is_integral: bool
+    nullity: int
+
+    def reassemble(self) -> IntPoly:
+        out = self.residual
+        x = IntPoly.x()
+        for k, m in self.roots.items():
+            out = out * (x - IntPoly.const(k)) ** m
+        return out
+
+
+@dataclass(frozen=True)
 class TreeSpectrum:
     """Bundle of the spectral facts the search and verifier care about."""
 
@@ -274,8 +291,8 @@ class TreeSpectrum:
 
     @classmethod
     def analyze(cls, tree: Tree) -> "TreeSpectrum":
-        """Integer roots of the characteristic polynomial, exactly as
-        integer_roots reports them, found in y = x^2.
+        """Integer roots of the characteristic polynomial with their
+        multiplicities, found in y = x^2 and listed as 0, -1, 1, -2, 2, ...
 
         With phi = x^h q(x^2), an integer root +-k != 0 of phi is a root
         k^2 of q, and both signs have its multiplicity there.  The trace

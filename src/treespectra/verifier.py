@@ -13,6 +13,7 @@ import random
 import time
 from dataclasses import dataclass, field
 from itertools import product
+from math import isqrt
 from typing import Callable, Iterable, Optional, Sequence
 
 from .catalog import CatalogRecord
@@ -24,7 +25,7 @@ from .polys import (DivisibilityError, IntPoly, RealRoot,
 from .reduction import (pendant_report, pendant_growth_holds,
                         strip_monotonicity_holds)
 from .search import SearchConfig, kept_codes, kept_record
-from .spectra import (TreeSpectrum, _integrality, _signature, char_poly,
+from .spectra import (_integrality, _signature, char_poly,
                       char_poly_ring_with_pendants, courant_weyl_check,
                       forest_multiplicity, inertia_integrality, join_formula,
                       multiplicity, squared_shift_check)
@@ -146,6 +147,9 @@ def s_nonintegral_scan(n: int, r_max: int) -> VerdictRecord:
     must fail integrality; counterexamples are reported."""
     if n < 2:
         raise ValueError("the single-group family can be integral; need n >= 2")
+    if r_max < 0:
+        raise ValueError("r_max must be nonnegative: a scan over no "
+                         "instances checks nothing")
     bad = []
     total = 0
     for r in product(range(r_max + 1), repeat=n):
@@ -177,21 +181,29 @@ def parter_witness(tree: Tree, eigenvalue: int) -> Optional[int]:
 
 def _parter_scan(trees: Iterable[Tree]) -> tuple[int, list]:
     """Witness search for every integer eigenvalue of multiplicity at least
-    two of each tree; returns (pairs checked, misses)."""
+    two of each tree, in the order 0, -1, 1, -2, 2, ...; returns (pairs
+    checked, misses).  The multiplicity of k is the inertia count at k for
+    k^2 <= n-1 (the trace bound), and -k has the multiplicity of k."""
     misses = []
     checked = 0
     for tree in trees:
-        for eig, mult in TreeSpectrum.analyze(tree).summary.roots.items():
-            if mult >= 2:
-                checked += 1
-                if parter_witness(tree, eig) is None:
-                    misses.append({"code": tree.code_str(), "eigenvalue": eig})
+        order, parent = tree.rooted_order()
+        for k in range(isqrt(tree.n - 1) + 1):
+            if _signature(order, parent, k, 1)[1] >= 2:
+                for eig in (-k, k) if k else (0,):
+                    checked += 1
+                    if parter_witness(tree, eig) is None:
+                        misses.append({"code": tree.code_str(),
+                                       "eigenvalue": eig})
     return checked, misses
 
 
 def parter_sweep(order_cap: int) -> VerdictRecord:
     """Exhaustive witness search over every tree up to the cap and every
     integer eigenvalue of multiplicity at least two."""
+    if order_cap < 1:
+        raise ValueError("order cap must be at least 1: a sweep over no "
+                         "trees checks nothing")
     checked, misses = _parter_scan(tree for n in range(1, order_cap + 1)
                                    for tree in enumerate_free_trees(n))
     return VerdictRecord(

@@ -4,8 +4,9 @@ Nothing here shares code paths with the package internals being tested:
 characteristic polynomials come from matching counts and from an integer
 Faddeev-LeVerrier determinant of the adjacency matrix, tree counts come from
 labeled-tree dedup and from the rooted-tree counting recurrence, free-tree
-codes come from networkx and from building each candidate tree, and maximum
-matchings come from subset enumeration.  The reference walk (_successor,
+codes come from networkx and from building each candidate tree, maximum
+matchings come from subset enumeration, and integer and rational roots come
+from a divisor scan and synthetic division.  The reference walk (_successor,
 _doomed_run_end, _is_center_code) builds a fresh list for every candidate
 and recomputes each fact it needs, where FreeTreeEnumerator works in place.
 """
@@ -14,9 +15,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import chain, combinations
+from math import isqrt
 from typing import Optional
 
 from treespectra.polys import IntPoly
+from treespectra.spectra import SpectrumSummary
 from treespectra.trees import Tree
 
 
@@ -82,6 +85,58 @@ def char_poly_determinant(matrix) -> IntPoly:
             raise ArithmeticError("Faddeev-LeVerrier division failed")
         coeffs[n - k] = c
     return IntPoly(coeffs)
+
+
+def _divide_out(coeffs: list, t) -> tuple[int, list]:
+    """(how often x - t divides, the quotient left) for ascending
+    coefficients, by synthetic division repeated while the remainder is
+    zero.  An int t keeps every coefficient an int."""
+    mult = 0
+    while len(coeffs) > 1:
+        quot, acc = [], 0
+        for c in reversed(coeffs):
+            acc = acc * t + c
+            quot.append(acc)
+        if quot.pop():  # the remainder, p(t)
+            break
+        coeffs = quot[::-1]
+        mult += 1
+    return mult, coeffs
+
+
+def rational_root_multiplicity(p: IntPoly, t) -> int:
+    """Multiplicity of the rational number t as a root of p."""
+    if p.is_zero:
+        raise ValueError("zero polynomial")
+    return _divide_out(list(p.coeffs), Fraction(t))[0]
+
+
+def integer_roots(p: IntPoly) -> SpectrumSummary:
+    """All integer roots of a monic polynomial with their multiplicities,
+    by the divisor scan: x^h is split off for the root 0, and every other
+    integer root divides the lowest nonzero coefficient.  Candidates are
+    tried as -1, 1, -2, 2, ..., the order TreeSpectrum.analyze lists its
+    roots in, and the residual has no integer root left."""
+    if p.is_zero:
+        raise ValueError("zero polynomial")
+    if not p.is_monic:
+        raise ValueError("integer_roots requires a monic polynomial")
+    h = 0
+    while p.coeffs[h] == 0:
+        h += 1
+    q = list(p.coeffs[h:])
+    roots = {0: h} if h else {}
+    tail = abs(q[0])
+    divisors = {c for d in range(1, isqrt(tail) + 1) if tail % d == 0
+                for c in (d, tail // d)}
+    for d in sorted(divisors):
+        for k in (-d, d):
+            mult, q = _divide_out(q, k)
+            if mult:
+                roots[k] = mult
+    residual = IntPoly(q)
+    return SpectrumSummary(roots=roots, residual=residual,
+                           is_integral=residual.degree == 0, nullity=h)
 
 
 def prufer_tree(rng, n: int) -> Tree:

@@ -43,9 +43,13 @@ def test_dotted_trace_target_is_a_class_member(name, module_name, attr):
 # Lap targets already gone from the package, whose removal from perfbench
 # is on the ROADMAP: polys.isolate_kth_largest was replaced by RealRoot,
 # and polys.count_roots_above_quadratic by comparing against the root of
-# (x - mu)^2 - m.
+# (x - mu)^2 - m.  polys.integer_roots and polys.rational_root_multiplicity
+# live on only as test oracles; no workload called either, so no lap is
+# lost.
 LAP_TARGETS_GONE = {("treespectra.polys", "isolate_kth_largest"),
-                    ("treespectra.polys", "count_roots_above_quadratic")}
+                    ("treespectra.polys", "count_roots_above_quadratic"),
+                    ("treespectra.polys", "integer_roots"),
+                    ("treespectra.polys", "rational_root_multiplicity")}
 
 
 def test_lap_targets_are_module_level_callables(monkeypatch):

@@ -1,8 +1,10 @@
 """Every name a package module imports is used in it (__init__.py is left
 out: it imports names to re-export them), every private module-level
-name is used somewhere in the package, and no function body imports
-anything: a module's dependencies are all at its top.  The free-tree
-stream is walked in one place: only enumerate_free_trees and the search's
+name is used somewhere in the package, every public module-level function
+and class is read somewhere in the package or named in an allowlist with
+the outside caller that keeps it, and no function body imports anything:
+a module's dependencies are all at its top.  The free-tree stream is
+walked in one place: only enumerate_free_trees and the search's
 kept_codes construct a FreeTreeEnumerator."""
 
 import ast
@@ -105,6 +107,51 @@ def test_dead_private_name_is_found():
                          "def _loop(n):\n    return _loop(n - 1)\n"),
                ast.parse("from a import _used\n")]
     assert dead_private_names(modules) == {"_LIMIT", "_loop"}
+
+
+def unread_public_names(modules: list) -> set:
+    """Public module-level functions and classes that no statement reads,
+    as a name or an attribute, but the one that defines them.  An import
+    is not a read, so __init__.py's re-exports keep nothing alive."""
+    reads = []
+    for m in modules:
+        for s in m.body:
+            names = used_names(s)
+            names.update(sub.attr for sub in ast.walk(s)
+                         if isinstance(sub, ast.Attribute))
+            reads.append((s, names))
+    return {node.name for m in modules for node in m.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef))
+            and not node.name.startswith("_")
+            and not any(node.name in names for s, names in reads
+                        if s is not node)}
+
+
+# Public names nothing in the package reads, each with what keeps it.
+KEPT_FOR_OUTSIDE_CALLERS = {
+    "clear_char_poly_cache": "perfbench/workloads.py, between repetitions",
+    "format_tree_text": "perfbench/workloads.py, writing tree files",
+    "reduce_core": "library API: the reduced core of one tree",
+    "star": "library API: the star K_(1,n-1)",
+}
+
+
+def test_every_public_name_is_read():
+    modules = [ast.parse(p.read_text(encoding="utf-8")) for p in SOURCES]
+    assert unread_public_names(modules) == set(KEPT_FOR_OUTSIDE_CALLERS)
+
+
+def test_unread_public_name_is_found():
+    modules = [ast.parse("def walk(n):\n    return walk(n - 1)\n"
+                         "def helper():\n    pass\n"
+                         "def method_target():\n    pass\n"
+                         "class Spectrum:\n    pass\n"
+                         "def _private():\n    pass\n"),
+               ast.parse("from a import walk, helper\n"
+                         "from . import a\n"
+                         "x: 'Spectrum' = a.method_target()\n")]
+    assert unread_public_names(modules) == {"walk", "helper"}
 
 
 def local_imports(tree: ast.Module) -> set:

@@ -7,9 +7,9 @@ from math import isqrt
 
 import pytest
 
+from oracles import rational_root_multiplicity
 from treespectra import search
 from treespectra.enumeration import FreeTreeEnumerator, enumerate_free_trees
-from treespectra.polys import rational_root_multiplicity
 from treespectra.reduction import pendant_report
 from treespectra.search import SearchConfig, kept_codes, run_search
 from treespectra.spectra import (TreeSpectrum, _degree_square_sum,

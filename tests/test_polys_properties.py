@@ -12,10 +12,10 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 
+from oracles import rational_root_multiplicity  # noqa: E402
 from treespectra.polys import (DivisibilityError, IntPoly,  # noqa: E402
                                RealRoot, count_roots_above,
-                               count_roots_at_least, count_roots_open,
-                               rational_root_multiplicity)
+                               count_roots_at_least, count_roots_open)
 
 RATIONALS = st.fractions(min_value=-4, max_value=4, max_denominator=6)
 NONSQUARES = st.integers(min_value=2, max_value=30).filter(

@@ -4,13 +4,14 @@ from fractions import Fraction
 import pytest
 
 from oracles import (adjacency_matrix, char_poly_determinant,
-                     char_poly_from_matchings, max_matching_brute, prufer_tree)
+                     char_poly_from_matchings, integer_roots,
+                     max_matching_brute, prufer_tree,
+                     rational_root_multiplicity)
 from treespectra import spectra
 from treespectra.enumeration import enumerate_free_trees
 from treespectra.polys import (IntPoly, count_roots_above,
                                count_roots_at_least, count_roots_open,
-                               even_part, integer_roots,
-                               rational_root_multiplicity, root_bound)
+                               even_part, root_bound)
 from treespectra.spectra import (TreeSpectrum, char_poly, char_poly_forest,
                                  char_poly_ring_with_pendants,
                                  courant_weyl_check, inertia, join_formula,

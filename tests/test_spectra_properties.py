@@ -9,7 +9,7 @@ hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 
 from oracles import (adjacency_matrix, char_poly_determinant,  # noqa: E402
-                     prufer_tree)
+                     prufer_tree, rational_root_multiplicity)
 from treespectra.enumeration import FreeTreeEnumerator  # noqa: E402
 from treespectra.spectra import char_poly  # noqa: E402
 from treespectra.trees import Tree  # noqa: E402
@@ -32,8 +32,7 @@ def test_char_poly_equals_determinant_route(picks):
                   st.fractions(min_value=-6, max_value=6, max_denominator=12)
                   .filter(lambda t: t.denominator > 1))
 def test_inertia_at_non_integer_rationals(seed, n, t):
-    from treespectra.polys import (count_roots_at_least,
-                                   rational_root_multiplicity)
+    from treespectra.polys import count_roots_at_least
     from treespectra.spectra import inertia
 
     tree = prufer_tree(random.Random(seed), n)

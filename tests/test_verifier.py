@@ -105,6 +105,11 @@ class TestNonIntegralScan:
             s_nonintegral_scan(1, 5)
         assert TreeSpectrum.analyze(s_tree([1])).summary.is_integral
 
+    def test_negative_r_max_refused(self):
+        # range(r_max + 1) would be empty: a pass over no instances
+        with pytest.raises(ValueError, match="r_max must be nonnegative"):
+            s_nonintegral_scan(2, -1)
+
 
 class TestParterWitness:
     def test_double_star_zero(self):
@@ -127,6 +132,11 @@ class TestParterWitness:
     def test_sweep_small(self):
         v = parter_sweep(9)
         assert v.passed and not v.certificate["absences"]
+
+    @pytest.mark.parametrize("order_cap", [0, -2])
+    def test_sweep_below_order_one_refused(self, order_cap):
+        with pytest.raises(ValueError, match="order cap must be at least 1"):
+            parter_sweep(order_cap)
 
 
 class TestNullityClassification:
@@ -260,9 +270,10 @@ class TestSuiteRunner:
             records = run_suite(name, seed=3, trials=3)
             assert records and all(r.passed for r in records), name
 
-    @pytest.mark.parametrize("name", ["inttr", "nul1"])
+    @pytest.mark.parametrize("name", ["inttr", "nul1", "parter"])
     def test_integrality_suites_build_no_polynomial(self, monkeypatch, name):
-        # both certify integrality by inertia and print no polynomial
+        # each reads integrality or multiplicities off inertia and prints no
+        # polynomial
         calls = []
 
         def counting(tree):
