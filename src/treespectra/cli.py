@@ -35,28 +35,16 @@ def _load_tree(args) -> Tree:
 
 
 def factored_text(summary: SpectrumSummary) -> str:
-    """Human-readable factorization: integer-root factors plus the residual."""
-    parts = []
-    roots = dict(summary.roots)
-    h = roots.pop(0, 0)
-    if h:
-        parts.append("x" if h == 1 else f"x^{h}")
-    for mag in sorted({abs(k) for k in roots}):
-        pos = roots.get(mag, 0)
-        neg = roots.get(-mag, 0)
-        paired = min(pos, neg)
-        if paired:
-            parts.append(f"(x^2 - {mag * mag})" + (f"^{paired}" if paired > 1 else ""))
-        if pos > paired:
-            e = pos - paired
-            parts.append(f"(x - {mag})" + (f"^{e}" if e > 1 else ""))
-        if neg > paired:
-            e = neg - paired
-            parts.append(f"(x + {mag})" + (f"^{e}" if e > 1 else ""))
+    """Human-readable factorization: x^h, then (x^2 - k^2)^m for each
+    integer eigenvalue pair +-k, then the residual.  A tree's spectrum is
+    symmetric, so k and -k share a multiplicity, and the residual is monic."""
+    h = summary.roots.get(0, 0)
+    parts = ["x" if h == 1 else f"x^{h}"] if h else []
+    for k in sorted(k for k in summary.roots if k > 0):
+        m = summary.roots[k]
+        parts.append(f"(x^2 - {k * k})" + (f"^{m}" if m > 1 else ""))
     if summary.residual.degree > 0:
         parts.append(f"({summary.residual})")
-    elif summary.residual.degree == 0 and summary.residual.coeffs[0] != 1:
-        parts.append(str(summary.residual.coeffs[0]))
     return " * ".join(parts) if parts else "1"
 
 
@@ -203,8 +191,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--trials", type=int, default=50)
     p.add_argument("--timings", action="store_true",
-                   help="include wall_time_ms in records (breaks byte "
-                        "determinism)")
+                   help="add wall_time_ms to every record: the time "
+                        "since the previous record of its suite (breaks "
+                        "byte determinism)")
     p.set_defaults(fn=_cmd_verify)
 
     p = sub.add_parser("census", help="reduced trees with a given count of "

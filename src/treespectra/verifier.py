@@ -4,6 +4,9 @@ multiplicity-raising witnesses, and nullity classifications.
 Every check returns a VerdictRecord whose certificate payload is enough to
 replay the instance standalone: polynomials in text form, exact interval
 endpoints, witness vertices, canonical codes.
+
+Each suite is a generator that yields its records; run_suite is the one
+loop that runs a suite and gives every record its wall_time_ms.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ import time
 from dataclasses import dataclass, field
 from itertools import product
 from math import isqrt
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .catalog import CatalogRecord
 from .enumeration import enumerate_free_trees
@@ -477,50 +480,37 @@ def random_tree(rng: random.Random, n: int) -> Tree:
     return Tree._build(n, [(rng.randrange(0, v), v) for v in range(1, n)])
 
 
-def _timed(fn: Callable[[], VerdictRecord]) -> VerdictRecord:
-    t0 = time.perf_counter()
-    record = fn()
-    record.wall_time_ms = (time.perf_counter() - t0) * 1000.0
-    return record
-
-
-def _suite_eigencat(rng: random.Random, trials: int) -> list[VerdictRecord]:
-    out = []
+def _suite_eigencat(rng: random.Random, trials: int) -> Iterator[VerdictRecord]:
     for n in (2, 3):
         cap = 6 if n == 2 else 3
         for r in product(range(cap + 1), repeat=n):
-            out.append(_timed(lambda r=r: eigencat_check(list(r))))
+            yield eigencat_check(list(r))
     for _ in range(trials):
         n = rng.randrange(2, 5)
-        r = [rng.randrange(0, 9) for _ in range(n)]
-        out.append(_timed(lambda r=r: eigencat_check(r)))
-    return out
+        yield eigencat_check([rng.randrange(0, 9) for _ in range(n)])
 
 
-def _suite_rhocat(rng: random.Random, trials: int) -> list[VerdictRecord]:
-    out = []
+def _suite_rhocat(rng: random.Random, trials: int) -> Iterator[VerdictRecord]:
     for n in range(1, 9):
         for j in range(1, n + 1):
-            out.append(_timed(lambda n=n, j=j: rhocat_check(n, j)))
-    out.append(_timed(lambda: ring_subdivision_check(6)))
-    return out
+            yield rhocat_check(n, j)
+    yield ring_subdivision_check(6)
 
 
-def _suite_inttr(rng: random.Random, trials: int) -> list[VerdictRecord]:
-    return [_timed(lambda: s_nonintegral_scan(2, 8)),
-            _timed(lambda: s_nonintegral_scan(3, 4))]
+def _suite_inttr(rng: random.Random, trials: int) -> Iterator[VerdictRecord]:
+    yield s_nonintegral_scan(2, 8)
+    yield s_nonintegral_scan(3, 4)
 
 
-def _suite_parter(rng: random.Random, trials: int) -> list[VerdictRecord]:
-    out = [_timed(lambda: parter_sweep(10))]
+def _suite_parter(rng: random.Random, trials: int) -> Iterator[VerdictRecord]:
+    yield parter_sweep(10)
     checked, misses = _parter_scan(random_tree(rng, rng.randrange(4, 15))
                                    for _ in range(trials))
-    out.append(VerdictRecord(
+    yield VerdictRecord(
         check="parter_random",
         instance={"trials": trials, "pairs_checked": checked},
         passed=not misses,
-        certificate={"absences": misses}))
-    return out
+        certificate={"absences": misses})
 
 
 def join_formula_case(t1: Tree, v1: int, t2: Tree, v2: int, k: int) -> VerdictRecord:
@@ -534,30 +524,27 @@ def join_formula_case(t1: Tree, v1: int, t2: Tree, v2: int, k: int) -> VerdictRe
         certificate={"formula": formula.to_text(), "direct": direct.to_text()})
 
 
-def _suite_join(rng: random.Random, trials: int) -> list[VerdictRecord]:
-    out = []
+def _suite_join(rng: random.Random, trials: int) -> Iterator[VerdictRecord]:
     for _ in range(trials):
         n1 = rng.randrange(1, 7)
         n2 = rng.randrange(1, 5)
         k = rng.randrange(1, 4)
         t1 = random_tree(rng, n1)
         t2 = random_tree(rng, n2)
-        out.append(_timed(lambda: join_formula_case(
-            t1, rng.randrange(n1), t2, rng.randrange(n2), k)))
+        yield join_formula_case(t1, rng.randrange(n1), t2, rng.randrange(n2), k)
     for _ in range(max(1, trials // 2)):
         n1 = rng.randrange(1, 7)
         tree = random_tree(rng, n1)
         picks = rng.sample(range(n1), k=min(n1, rng.randrange(1, 3)))
         spec = [(v, rng.randrange(1, 5)) for v in picks]
-        out.append(_timed(lambda tree=tree, spec=spec: VerdictRecord(
+        yield VerdictRecord(
             check="pendant_growth_bound",
             instance={"tree": tree.code_str(), "spec": spec},
             passed=all(courant_weyl_check(tree, spec)),
-            certificate={})))
-    return out
+            certificate={})
 
 
-def _suite_delp2(rng: random.Random, trials: int) -> list[VerdictRecord]:
+def _suite_delp2(rng: random.Random, trials: int) -> Iterator[VerdictRecord]:
     strip_viol = []
     grow_viol = []
     trees = 0
@@ -572,12 +559,12 @@ def _suite_delp2(rng: random.Random, trials: int) -> list[VerdictRecord]:
             for v, cnt in enumerate(report.per_vertex):
                 if cnt and not pendant_growth_holds(tree, v):
                     grow_viol.append({"code": tree.code_str(), "vertex": v})
-    out = [VerdictRecord(
+    yield VerdictRecord(
         check="pendant_strip_and_growth",
         instance={"order_cap": 9, "trees_with_pendants": trees},
         passed=not strip_viol and not grow_viol,
         certificate={"strip_violations": strip_viol,
-                     "growth_violations": grow_viol})]
+                     "growth_violations": grow_viol})
     planted = []
     for _ in range(trials):
         base = random_tree(rng, rng.randrange(2, 9))
@@ -585,15 +572,14 @@ def _suite_delp2(rng: random.Random, trials: int) -> list[VerdictRecord]:
         tree = attach_pendants(base, [(v, rng.randrange(1, 4))])
         ok = strip_monotonicity_holds(tree) and pendant_growth_holds(tree, v)
         planted.append(ok)
-    out.append(VerdictRecord(
+    yield VerdictRecord(
         check="pendant_planted_random",
         instance={"trials": trials},
         passed=all(planted),
-        certificate={"failures": planted.count(False)}))
-    return out
+        certificate={"failures": planted.count(False)})
 
 
-def _suite_shift(rng: random.Random, trials: int) -> list[VerdictRecord]:
+def _suite_shift(rng: random.Random, trials: int) -> Iterator[VerdictRecord]:
     failures = []
     for _ in range(trials):
         tree = random_tree(rng, rng.randrange(2, 9))
@@ -601,42 +587,39 @@ def _suite_shift(rng: random.Random, trials: int) -> list[VerdictRecord]:
         r = rng.randrange(0, 7)
         if not squared_shift_check(tree, side, r):
             failures.append({"code": tree.code_str(), "side": side, "r": r})
-    return [VerdictRecord(
+    yield VerdictRecord(
         check="squared_shift",
         instance={"trials": trials, "r_max": 6},
         passed=not failures,
-        certificate={"failures": failures})]
+        certificate={"failures": failures})
 
 
-def _suite_nul1(rng: random.Random, trials: int) -> list[VerdictRecord]:
-    return [_timed(lambda: nullity_one_class_check(13))]
+def _suite_nul1(rng: random.Random, trials: int) -> Iterator[VerdictRecord]:
+    yield nullity_one_class_check(13)
 
 
-def _suite_nul2(rng: random.Random, trials: int) -> list[VerdictRecord]:
-    out = []
+def _suite_nul2(rng: random.Random, trials: int) -> Iterator[VerdictRecord]:
     for h, cap in ((2, 12), (3, 12)):
         records = nullity_classification(h, cap)
-        out.append(VerdictRecord(
+        yield VerdictRecord(
             check="nullity_classification",
             instance={"nullity": h, "order_cap": cap},
             passed=len(records) == 1,
-            certificate={"found": [r.code for r in records]}))
+            certificate={"found": [r.code for r in records]})
     for _ in range(max(1, trials // 10)):
         p, q, r = rng.randrange(0, 5), rng.randrange(0, 5), rng.randrange(0, 4)
-        out.append(_timed(lambda: nullity3_case_polynomials(p, q, r, rng)))
-    return out
+        yield nullity3_case_polynomials(p, q, r, rng)
 
 
-def _suite_eq3(rng: random.Random, trials: int) -> list[VerdictRecord]:
-    out = [_timed(lambda: pendant_bundle_shape_check([1], [3])),
-           _timed(lambda: pendant_bundle_shape_check([0, 0], [2, 2])),
-           _timed(lambda: pendant_bundle_shape_check([1, 2], [1, 1]))]
+def _suite_eq3(rng: random.Random, trials: int) -> Iterator[VerdictRecord]:
+    yield pendant_bundle_shape_check([1], [3])
+    yield pendant_bundle_shape_check([0, 0], [2, 2])
+    yield pendant_bundle_shape_check([1, 2], [1, 1])
     for _ in range(max(1, trials // 20)):
         k = rng.randrange(1, 4)
         r = [rng.randrange(0, 4) for _ in range(k)]
-        bundle = [rng.randrange(1, 4) for _ in range(k)]
-        out.append(_timed(lambda r=r, b=bundle: pendant_bundle_shape_check(r, b)))
-    return out
+        yield pendant_bundle_shape_check(
+            r, [rng.randrange(1, 4) for _ in range(k)])
 
 
 SUITES: dict = {
@@ -656,7 +639,11 @@ SUITES: dict = {
 def run_suite(name: str, seed: int = 0, trials: int = 50) -> list[VerdictRecord]:
     """Run one named suite (or all of them) deterministically for a seed.
     A trial count below 1 is refused: checks over no trials would report
-    passes that checked nothing."""
+    passes that checked nothing.
+
+    This is the one loop that runs a suite: each record's wall_time_ms is
+    the time since the previous record of its suite (or since the suite
+    started), so a suite's times add up to its run time."""
     if trials < 1:
         raise ValueError("trial count must be nonnegative and nonzero: "
                          "a check over no trials checks nothing")
@@ -669,4 +656,11 @@ def run_suite(name: str, seed: int = 0, trials: int = 50) -> list[VerdictRecord]
         raise KeyError(f"unknown suite {name!r}; choose from "
                        f"{['all'] + sorted(SUITES)}")
     rng = random.Random(f"{seed}:{name}")
-    return SUITES[name](rng, trials)
+    out = []
+    start = time.perf_counter()
+    for record in SUITES[name](rng, trials):
+        now = time.perf_counter()
+        record.wall_time_ms = (now - start) * 1000.0
+        start = now
+        out.append(record)
+    return out

@@ -477,6 +477,18 @@ class TestCli:
         report = capsys.readouterr().out.encode("utf-8")
         assert hashlib.sha256(report).hexdigest() == digest
 
+    def test_verify_timings_on_every_line(self, capsys):
+        argv = ["verify", "all", "--trials", "5", "--seed", "3"]
+        assert main(argv) == 0
+        plain = capsys.readouterr().out.splitlines()
+        assert main(argv + ["--timings"]) == 0
+        timed = capsys.readouterr().out.splitlines()
+        assert len(timed) == len(plain) > 0
+        for line, expected in zip(timed, plain):
+            data = json.loads(line)
+            assert data.pop("wall_time_ms") >= 0
+            assert json.dumps(data, sort_keys=True) == expected
+
     def test_census_cli(self, capsys):
         assert main(["census", "--m-value", "0", "--max-order", "8"]) == 0
         lines = capsys.readouterr().out.splitlines()

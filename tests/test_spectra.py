@@ -100,6 +100,15 @@ class TestTreeRoutesAgainstPolynomialRoutes:
             assert summary == expected
             assert list(summary.roots.items()) == list(expected.roots.items())
 
+    def test_summary_is_symmetric_with_monic_residual(self):
+        # cli.factored_text pairs k with -k and prints no constant factor
+        for n in range(1, 11):
+            for tree in enumerate_free_trees(n):
+                summary = TreeSpectrum.analyze(tree).summary
+                for k, m in summary.roots.items():
+                    assert summary.roots.get(-k) == m, (tree, k)
+                assert summary.residual.coeffs[-1] == 1, tree
+
     def test_m_value_equals_sturm_count(self, trees):
         for tree in trees:
             expected = count_roots_open(char_poly(tree), -1, 1).with_multiplicity

@@ -1,6 +1,9 @@
+import inspect
 import io
+import itertools
 import json
 import random
+import types
 
 import pytest
 
@@ -285,6 +288,23 @@ class TestSuiteRunner:
         records = run_suite(name, seed=0, trials=1)
         assert records and all(r.passed for r in records)
         assert calls == []
+
+    def test_every_suite_yields_through_the_timing_loop(self):
+        # a suite that returned its records would skip run_suite's clock
+        for name, suite in SUITES.items():
+            assert inspect.isgeneratorfunction(suite), name
+        assert type(run_suite("rhocat", seed=0, trials=1)) is list
+        assert type(run_suite("all", seed=0, trials=1)) is list
+
+    def test_record_times_add_up_to_the_suite_time(self, monkeypatch):
+        # on a clock that ticks 1 s per read, every record gets exactly the
+        # time since the previous record, so no work goes untimed
+        ticks = itertools.count()
+        clock = types.SimpleNamespace(perf_counter=lambda: float(next(ticks)))
+        monkeypatch.setattr(verifier, "time", clock)
+        records = run_suite("nul2", seed=0, trials=1)
+        assert len(records) == 3
+        assert [r.wall_time_ms for r in records] == [1000.0] * 3
 
     def test_unknown_suite(self):
         with pytest.raises(KeyError):
