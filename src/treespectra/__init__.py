@@ -17,14 +17,13 @@ from .reduction import (PendantReport, pendant_growth_holds, pendant_report,
                         strip_monotonicity_holds, strip_pendant_p2)
 from .search import CursorError, SearchConfig, run_search
 from .spectra import (SpectrumSummary, TreeSpectrum, char_poly,
-                      char_poly_forest, char_poly_ring_with_pendants,
-                      courant_weyl_check, forest_multiplicity, inertia,
-                      inertia_integrality, join_formula, m_value,
+                      char_poly_ring_with_pendants, courant_weyl_check,
+                      inertia, inertia_integrality, join_formula, m_value,
                       multiplicity, nullity_matching, nullity_poly,
                       squared_shift_check)
 from .trees import (Tree, TreeFormatError, attach_pendants, bipartition,
-                    c_tree, delete_vertex, format_tree_text, hub_vertices,
-                    join_trees, parse_tree_text, path, s_tree, star)
+                    c_tree, format_tree_text, hub_vertices, join_trees,
+                    parse_tree_text, path, s_tree, star, without_vertex)
 from .verifier import (SUITES, VerdictRecord, eigencat_check,
                        nullity3_case_polynomials, nullity_classification,
                        nullity_one_class_check, parter_sweep, parter_witness,

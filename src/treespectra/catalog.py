@@ -32,7 +32,7 @@ class CatalogRecord:
         return cls(
             code=tree.code_str(),
             order=tree.n,
-            nullity=analysis.nullity,
+            nullity=analysis.summary.nullity,
             spectrum={str(k): m for k, m in sorted(analysis.summary.roots.items())},
             char_poly=analysis.char_poly.to_text(),
             order_cap=order_cap,

@@ -65,7 +65,7 @@ def _cmd_spectrum(args) -> int:
         "integer_roots": {str(k): m for k, m in sorted(analysis.summary.roots.items())},
         "residual": analysis.summary.residual.to_text(),
         "is_integral": analysis.summary.is_integral,
-        "nullity": analysis.nullity,
+        "nullity": analysis.summary.nullity,
         "eigenvalues_in_unit_gap": m_value(tree),
     }, sort_keys=True))
     return EXIT_OK

@@ -334,7 +334,9 @@ def _eval_scaled(coeffs: tuple[int, ...], num: int, den: int) -> int:
 
 
 def _as_fraction(t) -> Fraction:
-    return t if isinstance(t, Fraction) else Fraction(t)
+    """An exact point or width: a Fraction, or an int through
+    operator.index, which raises TypeError for a float or a string."""
+    return t if isinstance(t, Fraction) else Fraction(index(t))
 
 
 class RootCount(NamedTuple):

@@ -119,7 +119,7 @@ def kept_record(config: SearchConfig, code: tuple,
     filters decide the same fact, they must agree."""
     tree = Tree._from_canonical_code(code)
     analysis = TreeSpectrum.analyze(tree)
-    if config.nullity is not None and analysis.nullity != config.nullity:
+    if config.nullity not in (None, analysis.summary.nullity):
         raise AssertionError(f"nullity routes disagree on {tree.code_str()}")
     if config.integral_only and not analysis.summary.is_integral:
         raise AssertionError(

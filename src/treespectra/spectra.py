@@ -12,12 +12,14 @@ at t = 0, 1, ..., isqrt(n-1) decide integrality without the polynomial.
 The trace moments tr A^2 and tr A^4 depend only on the order and the
 degrees, and they may rule integrality out before any count
 (_moments_admit); a search with no nullity to cross-check tries them
-first.  These folds take no Tree: _signature, _integrality, _m_value and
-the greedy _matching_nullity take a bottom-up order and a parent array,
-which the public functions get from Tree.rooted_order() and the search and
-the verifier from the enumerator (range(n) and FreeTreeEnumerator.parent),
-so they build no Tree to filter.  Sturm chains stay for general
-polynomials, such as the eigenvalue comparisons below.  The one non-tree
+first.  These folds take no Tree: they take a bottom-up order and a parent
+array, which the public functions get from Tree.rooted_order() and the
+search and the verifier from the enumerator (range(n) and
+FreeTreeEnumerator.parent), so they build no Tree to filter.  _char_poly
+and _signature also take a forest, an order with several roots, such as
+T - v cut by trees.without_vertex; the others take trees only.  Sturm
+chains stay for general polynomials, such as the eigenvalue comparisons
+below.  The one non-tree
 graph needed anywhere (a cycle with two pendants) gets its polynomial from
 tree polynomials by Schwenk's edge formula, so the matching fold is the
 only characteristic-polynomial algorithm.
@@ -26,18 +28,16 @@ only characteristic-polynomial algorithm.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from math import isqrt
 from operator import mul
 from typing import Sequence
 
-from .polys import (DivisibilityError, IntPoly, RealRoot, _add, _deflate,
-                    _mul, compare_sum, even_part, lift_square, taylor_shift)
-from .trees import (Tree, attach_pendants, bipartition, delete_vertex,
-                    parent_degrees, path)
-
-_ONE = IntPoly.one()
+from .polys import (DivisibilityError, IntPoly, RealRoot, _add, _as_fraction,
+                    _deflate, _mul, compare_sum, even_part, lift_square,
+                    taylor_shift)
+from .trees import (Tree, attach_pendants, bipartition, parent_degrees, path,
+                    without_vertex)
 
 
 def clear_char_poly_cache() -> None:
@@ -50,15 +50,22 @@ def clear_char_poly_cache() -> None:
 def char_poly(tree: Tree) -> IntPoly:
     """Monic characteristic polynomial of the tree's adjacency matrix,
     sum over k of (-1)^k m_k x^(n-2k) with m_k the k-edge matchings."""
-    n = tree.n
+    return _char_poly(*tree.rooted_order())
+
+
+def _char_poly(order, parent: list) -> IntPoly:
+    """char_poly of the tree or forest on one rooted order (1 for an empty
+    one): n = len(order) and the m_k of its matchings."""
+    n = len(order)
     phi = [0] * (n + 1)
-    for k, m in enumerate(_matching_numbers(tree)):
+    for k, m in enumerate(_matching_numbers(order, parent)):
         phi[n - 2 * k] = -m if k & 1 else m
     return IntPoly(phi)
 
 
-def _matching_numbers(tree: Tree) -> list[int]:
-    """[m_0, m_1, ...]: the tree's k-edge matchings, by one bottom-up pass.
+def _matching_numbers(order, parent: list) -> list[int]:
+    """[m_0, m_1, ...]: the k-edge matchings of a tree or forest, by one
+    bottom-up pass on a rooted order.
 
     Lists are indexed by matching size.  For v with children c, let A_c
     count the matchings of c's subtree and B_c those that leave c
@@ -66,24 +73,19 @@ def _matching_numbers(tree: Tree) -> list[int]:
     one edge vc: S = sum B_c prod_{c' != c} A_c' counts the rest of it, so
     A_v is P plus S shifted up one size.  P and S are updated child by
     child: S <- S*A_c + P*B_c, then P <- P*A_c, by the kernels of polys.
+    The forest's matchings are the product of the A of its roots.
     """
-    order, parent = tree.rooted_order()
-    prod = [[1] for _ in order]  # P of each vertex so far
-    cover = [[] for _ in order]  # S of each vertex so far
+    prod = [[1]] * len(parent)  # P of each vertex so far
+    cover = [[]] * len(parent)  # S of each vertex so far
+    out = [1]
     for v in reversed(order):
         a = _add(prod[v], [0] + cover[v])
         u = parent[v]
         if u < 0:
-            return a
-        cover[u] = _add(_mul(cover[u], a), _mul(prod[u], prod[v]))
-        prod[u] = _mul(prod[u], a)
-
-
-def char_poly_forest(components: Sequence[Tree]) -> IntPoly:
-    """Product of component characteristic polynomials (1 for no components)."""
-    out = _ONE
-    for t in components:
-        out = out * char_poly(t)
+            out = _mul(out, a)
+        else:
+            cover[u] = _add(_mul(cover[u], a), _mul(prod[u], prod[v]))
+            prod[u] = _mul(prod[u], a)
     return out
 
 
@@ -115,16 +117,16 @@ def char_poly_ring_with_pendants(extra: int = 0) -> IntPoly:
 
 def inertia(tree: Tree, t) -> tuple[int, int]:
     """(eigenvalues below t, multiplicity of t), both with multiplicity, for
-    a rational t: the negative and zero counts of a diagonal matrix
-    congruent to A - tI (Sylvester's law of inertia)."""
-    t = Fraction(t)
+    a rational t, an int or a Fraction: the negative and zero counts of a
+    diagonal matrix congruent to A - tI (Sylvester's law of inertia)."""
+    t = _as_fraction(t)
     order, parent = tree.rooted_order()
     return _signature(order, parent, t.numerator, t.denominator)
 
 
 def _signature(order: list, parent: list, num: int, den: int
                ) -> tuple[int, int]:
-    """inertia at t = num/den on one rooted order.
+    """inertia at t = num/den on one rooted order of a tree or a forest.
 
     The diagonal comes from the Jacobs-Trevisan tree diagonalisation: every
     vertex starts at -t, and bottom-up each vertex v subtracts 1/d(c) for
@@ -134,7 +136,7 @@ def _signature(order: list, parent: list, num: int, den: int
     no gcd: a/b - 1/(a_c/b_c) = (a a_c - b b_c) / (b a_c), so the sign of
     d(v) is the sign of a b and d(v) = 0 exactly when a = 0.
     """
-    n = len(order)
+    n = len(parent)
     a = [-num] * n
     b = [den] * n
     zero_child = [-1] * n
@@ -169,7 +171,7 @@ def inertia_integrality(tree: Tree) -> tuple[int, bool]:
 
 def _integrality(order, parent: list) -> tuple[int, bool]:
     """(nullity, whether every eigenvalue is an integer), from the inertia
-    of A - kI for k = 0, 1, ..., isqrt(n-1) on one rooted order.
+    of A - kI for k = 0, 1, ..., isqrt(n-1) on one rooted order of a tree.
 
     The trace bound of TreeSpectrum.analyze puts every integer eigenvalue
     at +-k with k^2 <= n-1, and the spectrum is symmetric, so the tree is
@@ -224,19 +226,15 @@ def m_value(tree: Tree) -> int:
 
 
 def _m_value(order, parent: list) -> int:
-    """m_value on one rooted order.  The spectrum is symmetric, so as many
-    eigenvalues lie at or below -1 as at or above 1, which leaves
-    2 * (eigenvalues below 1) - n in (-1, 1)."""
+    """m_value on one rooted order of a tree.  The spectrum is symmetric,
+    so as many eigenvalues lie at or below -1 as at or above 1, which
+    leaves 2 * (eigenvalues below 1) - n in (-1, 1)."""
     return 2 * _signature(order, parent, 1, 1)[0] - len(order)
 
 
 def multiplicity(tree: Tree, eigenvalue: int) -> int:
     """Exact multiplicity of an integer eigenvalue, by inertia."""
     return inertia(tree, eigenvalue)[1]
-
-
-def forest_multiplicity(components: Sequence[Tree], eigenvalue: int) -> int:
-    return sum(multiplicity(t, eigenvalue) for t in components)
 
 
 def nullity_poly(tree: Tree) -> int:
@@ -250,10 +248,11 @@ def nullity_matching(tree: Tree) -> int:
 
 
 def _matching_nullity(order, parent: list) -> int:
-    """nullity_matching on one rooted order (the root first, every vertex
-    after its parent).  Bottom-up, each vertex still free is matched to its
-    parent if that is free too: a leaf of what is left is always matchable
-    to its neighbor without loss, so the matching is maximum."""
+    """nullity_matching on one rooted order of a tree (the root first,
+    every vertex after its parent).  Bottom-up, each vertex still free is
+    matched to its parent if that is free too: a leaf of what is left is
+    always matchable to its neighbor without loss, so the matching is
+    maximum."""
     free = bytearray([1]) * len(parent)
     unmatched = len(parent)
     for v in order[:0:-1]:
@@ -287,7 +286,6 @@ class TreeSpectrum:
 
     char_poly: IntPoly
     summary: SpectrumSummary
-    nullity: int
 
     @classmethod
     def analyze(cls, tree: Tree) -> "TreeSpectrum":
@@ -312,7 +310,7 @@ class TreeSpectrum:
                 roots[-k] = roots[k] = mult
         summary = SpectrumSummary(roots=roots, residual=lift_square(q),
                                   is_integral=len(q) == 1, nullity=h)
-        return cls(char_poly=phi, summary=summary, nullity=h)
+        return cls(char_poly=phi, summary=summary)
 
 
 # ---------------------------------------------------------------------------
@@ -328,8 +326,8 @@ def join_formula(t1: Tree, v1: int, t2: Tree, v2: int, k: int) -> IntPoly:
         raise ValueError("need k >= 1")
     p1 = char_poly(t1)
     p2 = char_poly(t2)
-    q1 = char_poly_forest(delete_vertex(t1, v1))
-    q2 = char_poly_forest(delete_vertex(t2, v2))
+    q1 = _char_poly(*without_vertex(t1, v1))
+    q2 = _char_poly(*without_vertex(t2, v2))
     return (p2 ** (k - 1)) * (p1 * p2 - k * (q1 * q2))
 
 

@@ -210,6 +210,19 @@ class Tree:
                           tuple(code))
 
 
+def without_vertex(tree: Tree, v: int) -> tuple[list[int], list[int]]:
+    """The forest tree - v as a rooted order in the tree's own labels: the
+    tree rooted at v, with v left out of the order and each neighbor of v
+    made a root (parent -1).  Reversed, the order is bottom-up, as the
+    folds of spectra take it; no component is relabeled or built."""
+    if not 0 <= v < tree.n:
+        raise ValueError(f"vertex {v} out of range")
+    order, parent = tree.rooted_order(v)
+    for w in tree.adj[v]:
+        parent[w] = -1
+    return order[1:], parent
+
+
 def code_parents(code: Sequence[int]) -> list[int]:
     """The parent of each vertex of a level sequence, labels in preorder
     (-1 for the root): the parent of v is the last earlier vertex one
@@ -338,31 +351,6 @@ def attach_pendants(tree: Tree, spec: Sequence[tuple[int, int]]) -> Tree:
             edges.append((nxt, nxt + 1))
             nxt += 2
     return Tree._build(nxt, edges)
-
-
-def delete_vertex(tree: Tree, v: int) -> list[Tree]:
-    """Connected components of tree - v, relabeled to 0..k-1 each.
-
-    Components are ordered by their smallest original vertex label.
-    """
-    if not 0 <= v < tree.n:
-        raise ValueError(f"vertex {v} out of range")
-    visited = bytearray(tree.n)
-    visited[v] = 1
-    components = []
-    for start in range(tree.n):
-        if visited[start]:
-            continue
-        comp = [start]
-        visited[start] = 1
-        for u in comp:
-            for w in tree.adj[u]:
-                if not visited[w]:
-                    visited[w] = 1
-                    comp.append(w)
-        comp.sort()
-        components.append(_induced_subtree(tree, comp))
-    return components
 
 
 def _induced_subtree(tree: Tree, keep: Sequence[int]) -> Tree:

@@ -30,10 +30,10 @@ from .reduction import (pendant_report, pendant_growth_holds,
 from .search import SearchConfig, kept_codes, kept_record
 from .spectra import (_integrality, _signature, char_poly,
                       char_poly_ring_with_pendants, courant_weyl_check,
-                      forest_multiplicity, inertia_integrality, join_formula,
-                      multiplicity, squared_shift_check)
-from .trees import (Tree, attach_pendants, c_tree, delete_vertex,
-                    hub_vertices, join_trees, s_tree)
+                      inertia_integrality, join_formula, multiplicity,
+                      squared_shift_check)
+from .trees import (Tree, attach_pendants, c_tree, hub_vertices, join_trees,
+                    s_tree, without_vertex)
 
 _Y = IntPoly.x()  # the squared-eigenvalue variable y = x^2
 
@@ -172,12 +172,13 @@ def s_nonintegral_scan(n: int, r_max: int) -> VerdictRecord:
 
 def parter_witness(tree: Tree, eigenvalue: int) -> Optional[int]:
     """A vertex whose deletion raises the multiplicity of the eigenvalue by
-    one, or None when no vertex works (which the theorem forbids)."""
+    one, or None when no vertex works (which the theorem forbids); T - v
+    is counted on T's parent array cut at v, with no component built."""
     base = multiplicity(tree, eigenvalue)
     if base < 2:
         raise ValueError("witness search needs multiplicity at least 2")
     for v in range(tree.n):
-        if forest_multiplicity(delete_vertex(tree, v), eigenvalue) == base + 1:
+        if _signature(*without_vertex(tree, v), eigenvalue, 1)[1] == base + 1:
             return v
     return None
 
@@ -220,12 +221,10 @@ def parter_sweep(order_cap: int) -> VerdictRecord:
 # nullity classification censuses
 
 
-def nullity_classification(h: int, order_cap: int,
-                           shard: tuple = (0, 1)) -> list[CatalogRecord]:
+def nullity_classification(h: int, order_cap: int) -> list[CatalogRecord]:
     """All integral trees with the given nullity up to the order cap, through
     the search's filters (orders of the wrong parity are skipped)."""
-    config = SearchConfig(max_order=order_cap, nullity=h, integral_only=True,
-                          shard=shard)
+    config = SearchConfig(max_order=order_cap, nullity=h, integral_only=True)
     return [kept_record(config, code) for n in config.orders()
             for code, _ in kept_codes(config, n)]
 

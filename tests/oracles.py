@@ -5,10 +5,12 @@ characteristic polynomials come from matching counts and from an integer
 Faddeev-LeVerrier determinant of the adjacency matrix, tree counts come from
 labeled-tree dedup and from the rooted-tree counting recurrence, free-tree
 codes come from networkx and from building each candidate tree, maximum
-matchings come from subset enumeration, and integer and rational roots come
-from a divisor scan and synthetic division.  The reference walk (_successor,
-_doomed_run_end, _is_center_code) builds a fresh list for every candidate
-and recomputes each fact it needs, where FreeTreeEnumerator works in place.
+matchings come from subset enumeration, integer and rational roots come
+from a divisor scan and synthetic division, and the components of T - v
+come from a breadth-first search, each built by the checked constructor.
+The reference walk (_successor, _doomed_run_end, _is_center_code) builds a
+fresh list for every candidate and recomputes each fact it needs, where
+FreeTreeEnumerator works in place.
 """
 
 from __future__ import annotations
@@ -137,6 +139,32 @@ def integer_roots(p: IntPoly) -> SpectrumSummary:
     residual = IntPoly(q)
     return SpectrumSummary(roots=roots, residual=residual,
                            is_integral=residual.degree == 0, nullity=h)
+
+
+def delete_vertex(tree: Tree, v: int) -> list[Tree]:
+    """Connected components of tree - v, each relabeled 0..k-1 in the order
+    of its original labels and built by the checked Tree constructor; the
+    components come in the order of their smallest original label."""
+    if not 0 <= v < tree.n:
+        raise ValueError(f"vertex {v} out of range")
+    seen = {v}
+    components = []
+    for start in range(tree.n):
+        if start in seen:
+            continue
+        comp = [start]
+        seen.add(start)
+        for u in comp:
+            for w in tree.adj[u]:
+                if w not in seen:
+                    seen.add(w)
+                    comp.append(w)
+        comp.sort()
+        index = {orig: i for i, orig in enumerate(comp)}
+        components.append(Tree(len(comp), [
+            (index[a], index[b]) for a in comp for b in tree.adj[a]
+            if b in index and a < b]))
+    return components
 
 
 def prufer_tree(rng, n: int) -> Tree:

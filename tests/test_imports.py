@@ -5,7 +5,9 @@ and class is read somewhere in the package or named in an allowlist with
 the outside caller that keeps it, and no function body imports anything:
 a module's dependencies are all at its top.  The free-tree stream is
 walked in one place: only enumerate_free_trees and the search's
-kept_codes construct a FreeTreeEnumerator."""
+kept_codes construct a FreeTreeEnumerator.  The test oracles take no
+private name from the package, so they share no code path with it beyond
+its public API."""
 
 import ast
 from pathlib import Path
@@ -13,6 +15,7 @@ from pathlib import Path
 import pytest
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "treespectra"
+ORACLES = Path(__file__).resolve().parent / "oracles.py"
 SOURCES = sorted(PACKAGE.glob("*.py"))
 MODULES = [p for p in SOURCES if p.name != "__init__.py"]
 
@@ -216,3 +219,49 @@ def test_enumerator_construction_is_found():
                      "        return enumeration.FreeTreeEnumerator(n)\n"
                      "    return FreeTreeEnumerator\n")
     assert enumerator_constructions(tree) == {"<module>", "inner"}
+
+
+def private_package_names(tree: ast.Module) -> set:
+    """Names with one leading underscore that a module takes from
+    treespectra: imported from it, or read as an attribute of anything
+    imported from it (a module, a class, a function)."""
+    found = set()
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update((a.asname or a.name).split(".")[0]
+                            for a in node.names
+                            if a.name.split(".")[0] == "treespectra")
+        elif (isinstance(node, ast.ImportFrom)
+              and (node.module or "").split(".")[0] == "treespectra"):
+            imported.update(a.asname or a.name for a in node.names)
+            found.update(a.name for a in node.names
+                         if a.name.startswith("_")
+                         and not a.name.startswith("__"))
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and node.attr.startswith("_")
+                and not node.attr.startswith("__")):
+            base = node.value
+            while isinstance(base, ast.Attribute):
+                base = base.value
+            if isinstance(base, ast.Name) and base.id in imported:
+                found.add(node.attr)
+    return found
+
+
+def test_oracles_take_no_private_name():
+    tree = ast.parse(ORACLES.read_text(encoding="utf-8"))
+    assert private_package_names(tree) == set()
+
+
+def test_private_package_name_is_found():
+    tree = ast.parse("from treespectra.spectra import _signature, char_poly\n"
+                     "from treespectra import spectra as sp, trees\n"
+                     "import treespectra.polys\n"
+                     "from fractions import _private\n"
+                     "x = sp._matching_numbers(char_poly.__name__)\n"
+                     "y = trees.Tree._build\n"
+                     "z = treespectra.polys._as_fraction\n"
+                     "def f(tree):\n    return tree._code\n")
+    assert private_package_names(tree) == {
+        "_signature", "_matching_numbers", "_build", "_as_fraction"}

@@ -2,6 +2,7 @@
 search's cross-checks between them."""
 
 import io
+from fractions import Fraction
 from itertools import product
 from math import isqrt
 
@@ -46,9 +47,12 @@ class TestInertiaIntegrality:
                     assert multiplicity(tree, k) == rational_root_multiplicity(
                         phi, k), (tree.code_str(), k)
 
-    def test_inertia_accepts_fraction_text(self):
+    def test_inertia_refuses_float_and_text(self):
         # path P_4: eigenvalues +-1.618 and +-0.618
-        assert inertia(path(4), "1/2") == inertia(path(4), 0.5) == (2, 0)
+        assert inertia(path(4), Fraction(1, 2)) == (2, 0)
+        for t in ("1/2", 0.5):
+            with pytest.raises(TypeError, match="cannot be interpreted as an"):
+                inertia(path(4), t)
 
 
 class TestCodeRoute:

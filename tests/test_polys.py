@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -7,6 +8,7 @@ from oracles import integer_roots, rational_root_multiplicity
 from treespectra import polys
 from treespectra.polys import (DivisibilityError, IntPoly, PrecisionExhausted,
                                RealRoot, SymmetryError, compare_sum,
+                               count_roots_above, count_roots_at_least,
                                count_roots_open, even_part, poly_gcd,
                                root_bound, square_free_decomposition,
                                taylor_shift, _sum_poly)
@@ -141,6 +143,22 @@ class TestRootCounting:
     def test_zero_polynomial_rejected(self):
         with pytest.raises(ValueError):
             count_roots_open(IntPoly.zero(), 0, 1)
+
+    @pytest.mark.parametrize("point", [math.sqrt(2), 1.0, "7/5", None])
+    def test_inexact_points_refused(self, point):
+        # math.sqrt(2) is a binary rational just above sqrt 2; read as an
+        # exact point, it put sqrt 2 below itself
+        p = IntPoly((-2, 0, 1))
+        root = RealRoot(p, 1)
+        for call in (lambda: count_roots_open(p, point, 2),
+                     lambda: count_roots_open(p, -2, point),
+                     lambda: count_roots_above(p, point),
+                     lambda: count_roots_at_least(p, point),
+                     lambda: root.compare(point),
+                     lambda: root.refine(point)):
+            with pytest.raises(TypeError, match="cannot be interpreted as an"):
+                call()
+        assert root.compare(Fraction(7, 5)) == 1 and root.compare(2) == -1
 
     def test_rational_root_multiplicity(self):
         p = IntPoly((1, 2, 1)) * lin(3)

@@ -2,13 +2,14 @@ import random
 
 import pytest
 
+from oracles import delete_vertex
 from treespectra.enumeration import enumerate_free_trees
 from treespectra.reduction import (pendant_report, pendant_growth_holds,
                                    reduce_core, reduce_with_trace,
                                    reduced_census, strip_monotonicity_holds,
                                    strip_pendant_p2)
 from treespectra.spectra import m_value, multiplicity
-from treespectra.trees import Tree, attach_pendants, delete_vertex, path, s_tree
+from treespectra.trees import Tree, attach_pendants, path, s_tree
 
 
 def literal_pendant_counts(tree: Tree) -> tuple:

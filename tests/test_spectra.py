@@ -1,10 +1,12 @@
 import random
 from fractions import Fraction
+from functools import reduce
+from operator import mul
 
 import pytest
 
 from oracles import (adjacency_matrix, char_poly_determinant,
-                     char_poly_from_matchings, integer_roots,
+                     char_poly_from_matchings, delete_vertex, integer_roots,
                      max_matching_brute, prufer_tree,
                      rational_root_multiplicity)
 from treespectra import spectra
@@ -12,16 +14,21 @@ from treespectra.enumeration import enumerate_free_trees
 from treespectra.polys import (IntPoly, count_roots_above,
                                count_roots_at_least, count_roots_open,
                                even_part, root_bound)
-from treespectra.spectra import (TreeSpectrum, char_poly, char_poly_forest,
-                                 char_poly_ring_with_pendants,
+from treespectra.spectra import (TreeSpectrum, _char_poly, _signature,
+                                 char_poly, char_poly_ring_with_pendants,
                                  courant_weyl_check, inertia, join_formula,
                                  m_value, multiplicity,
                                  nullity_matching, nullity_poly,
                                  squared_shift_check)
-from treespectra.trees import (Tree, c_tree, delete_vertex, join_trees, path,
-                               s_tree, star)
+from treespectra.trees import (Tree, c_tree, join_trees, path, s_tree, star,
+                               without_vertex)
 
 X = IntPoly.x()
+
+
+def component_product(parts) -> IntPoly:
+    """The product of the components' matching polynomials, 1 for none."""
+    return reduce(mul, map(char_poly_from_matchings, parts), IntPoly.one())
 
 
 def double_star_2_2() -> Tree:
@@ -52,9 +59,9 @@ class TestCharPoly:
                 assert char_poly(tree) == char_poly_from_matchings(tree)
 
     def test_forest_product(self):
-        parts = delete_vertex(star(3), 0)
-        assert char_poly_forest(parts) == IntPoly.monomial(3)
-        assert char_poly_forest([]) == IntPoly.one()
+        # a rooted forest order: star minus its center, and the empty forest
+        assert _char_poly(*without_vertex(star(3), 0)) == IntPoly.monomial(3)
+        assert _char_poly(*without_vertex(path(1), 0)) == IntPoly.one()
 
     def test_monic_degree(self):
         rng = random.Random(12)
@@ -225,7 +232,7 @@ class TestStatistics:
 
     def test_analyze_bundle(self):
         spec = TreeSpectrum.analyze(s_tree([1]))
-        assert spec.nullity == 1 and m_value(s_tree([1])) == 1
+        assert spec.summary.nullity == 1 and m_value(s_tree([1])) == 1
         assert spec.summary.is_integral
 
     def test_pendant_edge_preserves_nullity(self):
@@ -272,11 +279,39 @@ class TestInterlacing:
             t = random_tree(rng, rng.randrange(2, 9))
             phi = char_poly(t)
             for v in range(t.n):
-                sub = char_poly_forest(delete_vertex(t, v))
+                sub = component_product(delete_vertex(t, v))
                 for a in grid:
                     big = count_roots_above(phi, a).with_multiplicity
                     small = count_roots_above(sub, a).with_multiplicity
                     assert small <= big <= small + 1
+
+
+class TestForestCut:
+    """The folds on without_vertex's rooted forest order against the
+    oracle's components of T - v, for every tree up to order 9 and every v."""
+
+    POINTS = [Fraction(k) for k in range(-3, 4)] + [Fraction(1, 2)]
+
+    @staticmethod
+    def cuts():
+        for n in range(1, 10):
+            for tree in enumerate_free_trees(n):
+                for v in range(n):
+                    yield (tree, v, without_vertex(tree, v),
+                           delete_vertex(tree, v))
+
+    def test_signature_sums_component_inertia(self):
+        for tree, v, (order, parent), parts in self.cuts():
+            for t in self.POINTS:
+                summed = [sum(inertia(p, t)[i] for p in parts) for i in (0, 1)]
+                assert list(_signature(order, parent, t.numerator,
+                                       t.denominator)) == summed, (
+                    tree.code_str(), v, t)
+
+    def test_char_poly_is_component_product(self):
+        for tree, v, (order, parent), parts in self.cuts():
+            assert _char_poly(order, parent) == component_product(parts), (
+                tree.code_str(), v)
 
 
 class TestJoinFormula:

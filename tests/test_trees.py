@@ -2,12 +2,13 @@ import random
 
 import pytest
 
-from oracles import eccentricities, prufer_tree, rooted_code_by_shifting
+from oracles import (delete_vertex, eccentricities, prufer_tree,
+                     rooted_code_by_shifting)
 from treespectra.enumeration import enumerate_free_trees
 from treespectra.trees import (Tree, TreeFormatError, attach_pendants,
-                               bipartition, c_tree, delete_vertex,
-                               format_tree_text, hub_vertices, join_trees,
-                               parse_tree_text, path, s_tree, star)
+                               bipartition, c_tree, format_tree_text,
+                               hub_vertices, join_trees, parse_tree_text,
+                               path, s_tree, star, without_vertex)
 
 
 def shuffled_copy(tree: Tree, rng: random.Random) -> Tree:
@@ -108,21 +109,51 @@ class TestAttachPendants:
             attach_pendants(path(2), [(0, 0)])
 
 
+def assert_cut(tree: Tree, v: int, order: list, parent: list) -> None:
+    """order and parent are the forest tree - v: every vertex but v once,
+    each after its parent, every parent edge a tree edge, and the roots
+    exactly the neighbors of v.  That makes n - 1 - deg(v) distinct edges,
+    all of tree - v."""
+    assert sorted(order) == [w for w in range(tree.n) if w != v]
+    position = {w: i for i, w in enumerate(order)}
+    roots = []
+    for w in order:
+        p = parent[w]
+        if p < 0:
+            roots.append(w)
+        else:
+            assert p in tree.adj[w] and position[p] < position[w]
+    assert sorted(roots) == list(tree.adj[v])
+
+
+def roots_and_sizes(order: list, parent: list) -> dict:
+    """Each root of a rooted forest order with the order of its component."""
+    root = {}
+    for w in order:
+        root[w] = w if parent[w] < 0 else root[parent[w]]
+    sizes = {}
+    for w in order:
+        sizes[root[w]] = sizes.get(root[w], 0) + 1
+    return sizes
+
+
 class TestDeleteVertex:
+    """T - v as without_vertex cuts it from the tree's own parent array."""
+
     def test_star_center(self):
-        parts = delete_vertex(star(4), 0)
-        assert [p.n for p in parts] == [1, 1, 1, 1]
+        order, parent = without_vertex(star(4), 0)
+        assert roots_and_sizes(order, parent) == {1: 1, 2: 1, 3: 1, 4: 1}
 
     def test_path_leaf(self):
-        parts = delete_vertex(path(3), 0)
-        assert len(parts) == 1 and parts[0].is_isomorphic(path(2))
+        order, parent = without_vertex(path(3), 0)
+        assert order == [1, 2] and parent[1:] == [-1, 1]
 
     def test_spider_center(self):
         spider = s_tree([1])
         center = next(v for v in range(spider.n) if spider.degree(v) == 3)
-        parts = delete_vertex(spider, center)
-        assert len(parts) == 3
-        assert all(p.is_isomorphic(path(2)) for p in parts)
+        order, parent = without_vertex(spider, center)
+        assert_cut(spider, center, order, parent)
+        assert sorted(roots_and_sizes(order, parent).values()) == [2, 2, 2]
 
     def test_orders_sum(self):
         rng = random.Random(4)
@@ -130,11 +161,15 @@ class TestDeleteVertex:
             n = rng.randrange(2, 12)
             t = Tree(n, [(rng.randrange(0, v), v) for v in range(1, n)])
             v = rng.randrange(n)
-            assert sum(p.n for p in delete_vertex(t, v)) == n - 1
+            order, parent = without_vertex(t, v)
+            assert_cut(t, v, order, parent)
+            assert (sorted(roots_and_sizes(order, parent).values())
+                    == sorted(p.n for p in delete_vertex(t, v)))
 
     def test_out_of_range(self):
-        with pytest.raises(ValueError):
-            delete_vertex(path(2), 7)
+        for v in (2, 7, -1):
+            with pytest.raises(ValueError, match=f"vertex {v} out of range"):
+                without_vertex(path(2), v)
 
 
 class TestCanonicalCodes:
@@ -336,12 +371,12 @@ class TestUncheckedBuilds:
             assert_checks_pass(tree)
 
     def test_deletions_and_strips_up_to_order_nine(self):
+        # a deletion builds no Tree: its parent array must be tree - v
         from treespectra.reduction import pendant_report, strip_pendant_p2
 
         for tree in relabelled_trees(9, seed=5):
             for v in range(tree.n):
-                for part in delete_vertex(tree, v):
-                    assert_checks_pass(part)
+                assert_cut(tree, v, *without_vertex(tree, v))
                 if pendant_report(tree).per_vertex[v]:
                     assert_checks_pass(strip_pendant_p2(tree, v))
 

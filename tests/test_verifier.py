@@ -4,13 +4,15 @@ import itertools
 import json
 import random
 import types
+from math import isqrt
 
 import pytest
 
 from treespectra import spectra, verifier
+from treespectra.enumeration import enumerate_free_trees
 from treespectra.polys import DivisibilityError, IntPoly, count_roots_open
 from treespectra.search import SearchConfig, run_search
-from treespectra.spectra import TreeSpectrum, char_poly
+from treespectra.spectra import TreeSpectrum, char_poly, multiplicity
 from treespectra.trees import Tree, path, s_tree, star
 from treespectra.verifier import (SUITES, eigencat_check,
                                   nullity3_case_polynomials,
@@ -24,6 +26,19 @@ from treespectra.verifier import (SUITES, eigencat_check,
 
 def double_star_2_2() -> Tree:
     return Tree(6, [(0, 1), (0, 2), (0, 3), (1, 4), (1, 5)])
+
+
+def search_records(h: int, order_cap: int, shard: tuple) -> list:
+    """The records an integral search for nullity h writes, as dicts
+    without their timestamps."""
+    out = io.StringIO()
+    run_search(SearchConfig(max_order=order_cap, nullity=h,
+                            integral_only=True, shard=shard),
+               out, io.StringIO())
+    records = [json.loads(line) for line in out.getvalue().splitlines()]
+    for data in records:
+        data.pop("timestamp")
+    return records
 
 
 class TestEigenBounds:
@@ -136,6 +151,27 @@ class TestParterWitness:
         v = parter_sweep(9)
         assert v.passed and not v.certificate["absences"]
 
+    def test_builds_no_tree(self, monkeypatch):
+        # every repeated integer eigenvalue of every tree up to order 10:
+        # T - v is cut from T's parent array, never built
+        trees = [t for n in range(1, 11) for t in enumerate_free_trees(n)]
+        built = []
+        build = Tree._build.__func__
+
+        def recording(cls, *args, **kwargs):
+            built.append(args)
+            return build(cls, *args, **kwargs)
+
+        monkeypatch.setattr(Tree, "_build", classmethod(recording))
+        pairs = 0
+        for tree in trees:
+            bound = isqrt(tree.n - 1)
+            for k in range(-bound, bound + 1):
+                if multiplicity(tree, k) >= 2:
+                    assert parter_witness(tree, k) is not None
+                    pairs += 1
+        assert pairs > 100 and built == []
+
     @pytest.mark.parametrize("order_cap", [0, -2])
     def test_sweep_below_order_one_refused(self, order_cap):
         with pytest.raises(ValueError, match="order cap must be at least 1"):
@@ -161,23 +197,27 @@ class TestNullityClassification:
             assert record.roundtrip_ok()
 
     def test_shard_invariance(self):
+        # the census is the union of the sharded searches
         full = {r.code for r in nullity_classification(8, 11)}
+        assert full
         sharded = set()
         for i in range(3):
-            sharded |= {r.code for r in nullity_classification(8, 11, (i, 3))}
+            sharded |= {data["code"] for data in search_records(8, 11, (i, 3))}
         assert sharded == full
 
     @pytest.mark.parametrize("shard", [(0, 1), (1, 2)])
     @pytest.mark.parametrize("h", range(4))
     def test_equals_search_records(self, h, shard):
-        out = io.StringIO()
-        run_search(SearchConfig(max_order=11, nullity=h, integral_only=True,
-                                shard=shard), out, io.StringIO())
-        searched = [json.loads(line) for line in out.getvalue().splitlines()]
+        # a shard's search writes the census records it owns, in order
+        searched = search_records(h, 11, shard)
+        census = [json.loads(r.to_json())
+                  for r in nullity_classification(h, 11)]
+        for data in census:
+            assert data.pop("shard") == "0/1"
         for data in searched:
-            data.pop("timestamp")
-        assert [json.loads(r.to_json())
-                for r in nullity_classification(h, 11, shard)] == searched
+            assert data.pop("shard") == f"{shard[0]}/{shard[1]}"
+        owned = {data["code"] for data in searched}
+        assert [data for data in census if data["code"] in owned] == searched
 
 
 class TestNullityOneClass:
