@@ -24,14 +24,14 @@ class CatalogRecord:
     timestamp: Optional[str] = None
 
     @classmethod
-    def from_tree(cls, tree: Tree, analysis: Optional[TreeSpectrum] = None,
-                  order_cap: Optional[int] = None, shard: Optional[str] = None,
-                  timestamp: Optional[str] = None) -> "CatalogRecord":
-        if analysis is None:
-            analysis = TreeSpectrum.analyze(tree)
+    def from_analysis(cls, code: str, analysis: TreeSpectrum,
+                      order_cap: Optional[int] = None,
+                      shard: Optional[str] = None,
+                      timestamp: Optional[str] = None) -> "CatalogRecord":
+        """The record of canonical code text and its analysis."""
         return cls(
-            code=tree.code_str(),
-            order=tree.n,
+            code=code,
+            order=analysis.char_poly.degree,
             nullity=analysis.summary.nullity,
             spectrum={str(k): m for k, m in sorted(analysis.summary.roots.items())},
             char_poly=analysis.char_poly.to_text(),
@@ -68,7 +68,8 @@ class CatalogRecord:
     def roundtrip_ok(self) -> bool:
         """Re-derive everything from the code and compare to stored fields."""
         tree = Tree.from_code(self.code)
-        fresh = CatalogRecord.from_tree(tree)
+        fresh = CatalogRecord.from_analysis(tree.code_str(),
+                                            TreeSpectrum.analyze(tree))
         return (fresh.code == self.code and fresh.order == self.order
                 and fresh.nullity == self.nullity
                 and fresh.spectrum == self.spectrum

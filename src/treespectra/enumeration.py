@@ -40,9 +40,9 @@ class appears once, as its canonical code.
 
 Sharding hands out emitted trees round-robin by emission index, which keeps
 shard unions exactly equal to the unsharded stream.  The enumerator yields
-the canonical codes of the trees the shard owns, as tuples; a caller that
-needs the Tree builds it from the code, which the tree keeps as its
-canonical code (enumerate_free_trees does so for every code).
+the canonical codes of the trees the shard owns, as tuples, and builds no
+tree: a filter or a catalog record needs only the code and parent array.
+enumerate_free_trees builds each Tree with the checked Tree.from_code.
 """
 
 from __future__ import annotations
@@ -173,4 +173,4 @@ class FreeTreeEnumerator:
 
 def enumerate_free_trees(n: int) -> Iterator[Tree]:
     """All free trees of order n, one per isomorphism class."""
-    return map(Tree._from_canonical_code, FreeTreeEnumerator(n))
+    return map(Tree.from_code, FreeTreeEnumerator(n))

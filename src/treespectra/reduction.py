@@ -114,7 +114,8 @@ def reduced_census(k: int, order_cap: int) -> list[Tree]:
     if k < 0:
         raise ValueError("k must be nonnegative")
     config = SearchConfig(max_order=order_cap, reduced_only=True)
-    return sorted((Tree._from_canonical_code(code) for n in config.orders()
-                   for code, parent in kept_codes(config, n)
-                   if _m_value(range(n), parent) == k),
-                  key=lambda t: (t.n, t.canonical_code))
+    codes = sorted((code for n in config.orders()
+                    for code, parent in kept_codes(config, n)
+                    if _m_value(range(n), parent) == k),
+                   key=lambda code: (len(code), code))
+    return [Tree.from_code(code) for code in codes]

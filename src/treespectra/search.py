@@ -21,8 +21,8 @@ from typing import Callable, Iterator, Optional, TextIO
 
 from .catalog import CatalogRecord
 from .enumeration import EnumerationCursor, FreeTreeEnumerator
-from .spectra import (TreeSpectrum, _degree_square_sum, _integrality,
-                      _matching_nullity, _moments_admit)
+from .spectra import (TreeSpectrum, _char_poly, _degree_square_sum,
+                      _integrality, _matching_nullity, _moments_admit)
 from .trees import Tree, _is_reduced
 
 
@@ -112,20 +112,19 @@ def _integral(code: tuple, parent: list, nullity: Optional[int]) -> bool:
     return integral
 
 
-def kept_record(config: SearchConfig, code: tuple,
+def kept_record(config: SearchConfig, code: tuple, parent: list,
                 timestamp: Optional[str] = None) -> CatalogRecord:
-    """The catalog record of a kept code: its Tree and characteristic
-    polynomial, built only here.  Where the polynomial and the parent-array
-    filters decide the same fact, they must agree."""
-    tree = Tree._from_canonical_code(code)
-    analysis = TreeSpectrum.analyze(tree)
+    """The catalog record of a kept code and parent array: its polynomial,
+    folded on them only here, with no Tree built.  Where the polynomial
+    and the parent-array filters decide the same fact, they must agree."""
+    text = ",".join(map(str, code))
+    analysis = TreeSpectrum.of(_char_poly(range(len(code)), parent))
     if config.nullity not in (None, analysis.summary.nullity):
-        raise AssertionError(f"nullity routes disagree on {tree.code_str()}")
+        raise AssertionError(f"nullity routes disagree on {text}")
     if config.integral_only and not analysis.summary.is_integral:
-        raise AssertionError(
-            f"integrality routes disagree on {tree.code_str()}")
-    return CatalogRecord.from_tree(
-        tree, analysis, order_cap=config.max_order,
+        raise AssertionError(f"integrality routes disagree on {text}")
+    return CatalogRecord.from_analysis(
+        text, analysis, order_cap=config.max_order,
         shard=f"{config.shard[0]}/{config.shard[1]}", timestamp=timestamp)
 
 
@@ -251,9 +250,9 @@ def run_search(config: SearchConfig, out: TextIO, err: TextIO,
         start_cursor = None
         hits = 0
         save = partial(_save_cursor, config, out, n, complete=False)
-        for code, _ in kept_codes(config, n, cursor, save):
+        for code, parent in kept_codes(config, n, cursor, save):
             stamp = datetime.now(timezone.utc).isoformat(timespec="seconds")
-            out.write(kept_record(config, code, stamp).to_json() + "\n")
+            out.write(kept_record(config, code, parent, stamp).to_json() + "\n")
             hits += 1
         per_order[n] = hits
         print(f"order {n}: {hits} matching trees", file=err)

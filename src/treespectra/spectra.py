@@ -4,22 +4,23 @@ A tree's characteristic polynomial is sum (-1)^k m_k x^(n-2k), with the
 matching numbers m_k counted in one bottom-up pass.  Tree spectra need no
 Sturm chain: the integer eigenvalues are +-k with k^2 <= n-1 (the trace
 bound).  Printed records find them by deflation in y = x^2 (the
-SpectrumSummary of TreeSpectrum.analyze); verdicts read them off the
-inertia of A - tI, the eigenvalues below and at a rational t, from an
-exact tree diagonalisation (Jacobs-Trevisan) kept in integer pairs.  By
-Sylvester's law of inertia those counts are certificates, and the counts
-at t = 0, 1, ..., isqrt(n-1) decide integrality without the polynomial.
+SpectrumSummary of TreeSpectrum.of, which takes the polynomial and no
+Tree); verdicts read them off the inertia of A - tI, the eigenvalues below
+and at a rational t, from an exact tree diagonalisation (Jacobs-Trevisan)
+kept in integer pairs.  By Sylvester's law of inertia those counts are
+certificates, and the counts at t = 0, 1, ..., isqrt(n-1) decide
+integrality without the polynomial.
 The trace moments tr A^2 and tr A^4 depend only on the order and the
 degrees, and they may rule integrality out before any count
 (_moments_admit); a search with no nullity to cross-check tries them
 first.  These folds take no Tree: they take a bottom-up order and a parent
 array, which the public functions get from Tree.rooted_order() and the
 search and the verifier from the enumerator (range(n) and
-FreeTreeEnumerator.parent), so they build no Tree to filter.  _char_poly
-and _signature also take a forest, an order with several roots, such as
-T - v cut by trees.without_vertex; the others take trees only.  Sturm
-chains stay for general polynomials, such as the eigenvalue comparisons
-below.  The one non-tree
+FreeTreeEnumerator.parent), so they build no Tree to filter or to record.
+_char_poly and _signature also take a forest, an order with several roots,
+such as T - v, which trees.without_vertex cuts from the order the caller
+already folds; the others take trees only.  Sturm chains stay for general
+polynomials, such as the eigenvalue comparisons below.  The one non-tree
 graph needed anywhere (a cycle with two pendants) gets its polynomial from
 tree polynomials by Schwenk's edge formula, so the matching fold is the
 only characteristic-polynomial algorithm.
@@ -173,7 +174,7 @@ def _integrality(order, parent: list) -> tuple[int, bool]:
     """(nullity, whether every eigenvalue is an integer), from the inertia
     of A - kI for k = 0, 1, ..., isqrt(n-1) on one rooted order of a tree.
 
-    The trace bound of TreeSpectrum.analyze puts every integer eigenvalue
+    The trace bound of TreeSpectrum.of puts every integer eigenvalue
     at +-k with k^2 <= n-1, and the spectrum is symmetric, so the tree is
     integral exactly when at(0) + 2 * sum of at(k) over those k is n.  An
     eigenvalue in (k-1, k) shows as below(k) != below(k-1) + at(k-1) and
@@ -289,8 +290,13 @@ class TreeSpectrum:
 
     @classmethod
     def analyze(cls, tree: Tree) -> "TreeSpectrum":
-        """Integer roots of the characteristic polynomial with their
-        multiplicities, found in y = x^2 and listed as 0, -1, 1, -2, 2, ...
+        """TreeSpectrum.of the tree's characteristic polynomial."""
+        return cls.of(char_poly(tree))
+
+    @classmethod
+    def of(cls, phi: IntPoly) -> "TreeSpectrum":
+        """Integer roots of a tree's polynomial phi with multiplicities,
+        found in y = x^2 and listed as 0, -1, 1, -2, 2, ...
 
         With phi = x^h q(x^2), an integer root +-k != 0 of phi is a root
         k^2 of q, and both signs have its multiplicity there.  The trace
@@ -300,11 +306,10 @@ class TreeSpectrum:
         Hence deflating q by y - k^2 for k = 1..isqrt(n-1) removes every
         integer root, and what is left is the residual.
         """
-        phi = char_poly(tree)
         h, q = even_part(phi)
         roots: dict = {0: h} if h else {}
         q = list(q.coeffs)
-        for k in range(1, isqrt(tree.n - 1) + 1):
+        for k in range(1, isqrt(phi.degree - 1) + 1):
             mult, q = _deflate(q, k * k)
             if mult:
                 roots[-k] = roots[k] = mult
@@ -324,10 +329,10 @@ def join_formula(t1: Tree, v1: int, t2: Tree, v2: int, k: int) -> IntPoly:
     """
     if k < 1:
         raise ValueError("need k >= 1")
-    p1 = char_poly(t1)
-    p2 = char_poly(t2)
-    q1 = _char_poly(*without_vertex(t1, v1))
-    q2 = _char_poly(*without_vertex(t2, v2))
+    o1, o2 = t1.rooted_order(), t2.rooted_order()
+    p1, p2 = _char_poly(*o1), _char_poly(*o2)
+    q1 = _char_poly(*without_vertex(*o1, v1))
+    q2 = _char_poly(*without_vertex(*o2, v2))
     return (p2 ** (k - 1)) * (p1 * p2 - k * (q1 * q2))
 
 

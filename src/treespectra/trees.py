@@ -3,7 +3,9 @@
 A Tree is immutable once built.  Its canonical code is the level sequence of
 the tree rooted at its center (the lexicographically larger choice when two
 centers exist), with children ordered by their subtree codes descending; two
-trees are isomorphic exactly when their codes are equal.
+trees are isomorphic exactly when their codes are equal.  Past the input
+boundary a tree is one rooted order and parent array, and without_vertex
+cuts T - v from the one the caller holds.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ class TreeFormatError(ValueError):
 class Tree:
     """Immutable labeled tree on vertices 0..n-1."""
 
-    __slots__ = ("n", "adj", "_code")
+    __slots__ = ("n", "adj", "_code")  # _code: canonical_code's memo
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
         """The checked constructor, for edges from outside the package:
@@ -39,22 +41,19 @@ class Tree:
         if len(edges) != n - 1:
             raise ValueError(f"tree of order {n} needs {n - 1} edges, "
                              f"got {len(edges)}")
-        self._fill(n, edges, None)
+        self._fill(n, edges)
         # n - 1 edges that reach every vertex: connected, hence acyclic
         if len(self.rooted_order()[0]) != n:
             raise ValueError("edge set is not connected")
 
     @classmethod
-    def _build(cls, n: int, edges: Iterable[tuple[int, int]],
-               code: tuple | None = None) -> "Tree":
-        """The tree on edges known to form one, unchecked; code, if given,
-        is kept as its canonical code."""
+    def _build(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Tree":
+        """The tree on edges known to form one, unchecked."""
         tree = object.__new__(cls)
-        tree._fill(n, edges, code)
+        tree._fill(n, edges)
         return tree
 
-    def _fill(self, n: int, edges: Iterable[tuple[int, int]],
-              code: tuple | None) -> None:
+    def _fill(self, n: int, edges: Iterable[tuple[int, int]]) -> None:
         """The one place that builds adj: each neighbor list ascending."""
         adj: list[list[int]] = [[] for _ in range(n)]
         for u, v in edges:
@@ -64,7 +63,7 @@ class Tree:
             a.sort()
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "adj", tuple(map(tuple, adj)))
-        object.__setattr__(self, "_code", code)
+        object.__setattr__(self, "_code", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Tree is immutable")
@@ -109,6 +108,8 @@ class Tree:
     def rooted_order(self, root: int = 0) -> tuple[list[int], list[int]]:
         """Vertices in breadth-first order from root, and each vertex's
         parent (-1 for the root); reversed, the order is bottom-up."""
+        if not 0 <= root < self.n:
+            raise ValueError(f"vertex {root} out of range")
         adj = self.adj
         parent = [-1] * self.n
         order = [root]
@@ -200,27 +201,17 @@ class Tree:
                 raise ValueError(f"level jump at position {v}")
         return cls._build(len(code), enumerate(code_parents(code)[1:], 1))
 
-    @classmethod
-    def _from_canonical_code(cls, code: Sequence[int]) -> "Tree":
-        """The tree of a level sequence known to be its canonical code,
-        which the tree keeps instead of computing it again.  Unlike
-        from_code it does not validate: the sequences come from the
-        enumerator, which only produces level sequences of trees."""
-        return cls._build(len(code), enumerate(code_parents(code)[1:], 1),
-                          tuple(code))
 
-
-def without_vertex(tree: Tree, v: int) -> tuple[list[int], list[int]]:
-    """The forest tree - v as a rooted order in the tree's own labels: the
-    tree rooted at v, with v left out of the order and each neighbor of v
-    made a root (parent -1).  Reversed, the order is bottom-up, as the
-    folds of spectra take it; no component is relabeled or built."""
-    if not 0 <= v < tree.n:
+def without_vertex(order, parent: list, v: int) -> tuple[list, list]:
+    """The forest T - v, cut from any rooted order of a tree T and its
+    parent array: the order without v, with v's children made roots
+    (parent -1).  The component that held v's parent keeps the old root.
+    Reversed, the order is bottom-up, as the folds of spectra take it; no
+    component is relabeled or built."""
+    if not 0 <= v < len(parent):
         raise ValueError(f"vertex {v} out of range")
-    order, parent = tree.rooted_order(v)
-    for w in tree.adj[v]:
-        parent[w] = -1
-    return order[1:], parent
+    return ([w for w in order if w != v],
+            [-1 if p == v else p for p in parent])
 
 
 def code_parents(code: Sequence[int]) -> list[int]:

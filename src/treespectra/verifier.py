@@ -30,8 +30,7 @@ from .reduction import (pendant_report, pendant_growth_holds,
 from .search import SearchConfig, kept_codes, kept_record
 from .spectra import (_integrality, _signature, char_poly,
                       char_poly_ring_with_pendants, courant_weyl_check,
-                      inertia_integrality, join_formula, multiplicity,
-                      squared_shift_check)
+                      inertia_integrality, join_formula, squared_shift_check)
 from .trees import (Tree, attach_pendants, c_tree, hub_vertices, join_trees,
                     s_tree, without_vertex)
 
@@ -172,13 +171,15 @@ def s_nonintegral_scan(n: int, r_max: int) -> VerdictRecord:
 
 def parter_witness(tree: Tree, eigenvalue: int) -> Optional[int]:
     """A vertex whose deletion raises the multiplicity of the eigenvalue by
-    one, or None when no vertex works (which the theorem forbids); T - v
-    is counted on T's parent array cut at v, with no component built."""
-    base = multiplicity(tree, eigenvalue)
+    one, or None when no vertex works (which the theorem forbids).  The
+    count in T and in every T - v is read off one rooted order of T."""
+    order, parent = tree.rooted_order()
+    base = _signature(order, parent, eigenvalue, 1)[1]
     if base < 2:
         raise ValueError("witness search needs multiplicity at least 2")
     for v in range(tree.n):
-        if _signature(*without_vertex(tree, v), eigenvalue, 1)[1] == base + 1:
+        if _signature(*without_vertex(order, parent, v),
+                      eigenvalue, 1)[1] == base + 1:
             return v
     return None
 
@@ -187,18 +188,19 @@ def _parter_scan(trees: Iterable[Tree]) -> tuple[int, list]:
     """Witness search for every integer eigenvalue of multiplicity at least
     two of each tree, in the order 0, -1, 1, -2, 2, ...; returns (pairs
     checked, misses).  The multiplicity of k is the inertia count at k for
-    k^2 <= n-1 (the trace bound), and -k has the multiplicity of k."""
+    k^2 <= n-1 (the trace bound).  T and every T - v are bipartite, so -k
+    has the multiplicity of k in each: one search at k answers for both."""
     misses = []
     checked = 0
     for tree in trees:
         order, parent = tree.rooted_order()
         for k in range(isqrt(tree.n - 1) + 1):
             if _signature(order, parent, k, 1)[1] >= 2:
-                for eig in (-k, k) if k else (0,):
-                    checked += 1
-                    if parter_witness(tree, eig) is None:
-                        misses.append({"code": tree.code_str(),
-                                       "eigenvalue": eig})
+                pair = (-k, k) if k else (0,)
+                checked += len(pair)
+                if parter_witness(tree, k) is None:
+                    misses += [{"code": tree.code_str(), "eigenvalue": eig}
+                               for eig in pair]
     return checked, misses
 
 
@@ -225,8 +227,8 @@ def nullity_classification(h: int, order_cap: int) -> list[CatalogRecord]:
     """All integral trees with the given nullity up to the order cap, through
     the search's filters (orders of the wrong parity are skipped)."""
     config = SearchConfig(max_order=order_cap, nullity=h, integral_only=True)
-    return [kept_record(config, code) for n in config.orders()
-            for code, _ in kept_codes(config, n)]
+    return [kept_record(config, code, parent) for n in config.orders()
+            for code, parent in kept_codes(config, n)]
 
 
 def nullity_one_class_check(order_cap: int) -> VerdictRecord:

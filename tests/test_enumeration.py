@@ -28,7 +28,7 @@ class TestSuccessorRule:
         for n in range(1, 8):
             seq = list(range(n))
             while seq is not None:
-                tree = Tree._from_canonical_code(seq)
+                tree = Tree.from_code(seq)
                 assert tree.rooted_code(0) == tuple(seq)
                 seq = _successor(seq)
 
@@ -42,13 +42,14 @@ class TestSuccessorRule:
 
 
     def test_direct_build_matches_validated_build(self):
-        # every rooted candidate, center-rooted or not, builds the same tree
-        # with and without validation
+        # every rooted candidate, center-rooted or not: from_code's
+        # unchecked build is the tree the checked constructor makes of the
+        # code's parent array
         for n in range(1, 11):
             seq = list(range(n))
             while seq is not None:
-                direct = Tree._from_canonical_code(seq)
-                checked = Tree.from_code(seq)
+                direct = Tree.from_code(seq)
+                checked = Tree(n, enumerate(code_parents(seq)[1:], 1))
                 assert (direct.n, direct.adj) == (checked.n, checked.adj), seq
                 assert direct.edges() == checked.edges(), seq
                 seq = _successor(seq)
@@ -155,12 +156,11 @@ class TestFreeTreeStream:
         assert ours == free_tree_codes_networkx(n)
 
     def test_emitted_code_is_recomputed_code(self):
-        # the enumerator hands each tree its code; it must be the one the
-        # tree would compute from its centers
+        # each yielded code is the canonical code its tree computes from
+        # its centers
         for n in range(1, 13):
-            for tree in enumerate_free_trees(n):
-                assert tree._code == max(tree.rooted_code(c)
-                                         for c in tree.centers())
+            for code in FreeTreeEnumerator(n):
+                assert code == Tree.from_code(code).canonical_code, code
 
     def test_no_duplicates_and_sorted(self):
         for n in range(1, 10):

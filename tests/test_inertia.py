@@ -2,6 +2,7 @@
 search's cross-checks between them."""
 
 import io
+import json
 from fractions import Fraction
 from itertools import product
 from math import isqrt
@@ -9,10 +10,11 @@ from math import isqrt
 import pytest
 
 from oracles import rational_root_multiplicity
-from treespectra import search
+from treespectra import search, spectra
 from treespectra.enumeration import FreeTreeEnumerator, enumerate_free_trees
 from treespectra.reduction import pendant_report
-from treespectra.search import SearchConfig, kept_codes, run_search
+from treespectra.search import (SearchConfig, kept_codes, run_search,
+                               search_to_file)
 from treespectra.spectra import (TreeSpectrum, _degree_square_sum,
                                  _integrality, _matching_nullity,
                                  _moments_admit, _signature, char_poly,
@@ -62,7 +64,7 @@ class TestCodeRoute:
         checked = 0
         for n in range(1, 15):
             for code in FreeTreeEnumerator(n):
-                tree = Tree._from_canonical_code(code)
+                tree = Tree.from_code(code)
                 parent = code_parents(code)
                 order = range(n)
                 assert _matching_nullity(order, parent) == nullity_matching(
@@ -145,31 +147,56 @@ class TestSearchRoutesAgree:
                            match="nullity routes disagree on 0,1,1"):
             list(kept_codes(config, 3))
 
-    def test_polynomial_only_for_records(self, monkeypatch):
-        calls = []
-        analyze = TreeSpectrum.analyze
+    # integral to order 10: A077027; and unfiltered, shard 1/3 to --out:
+    # the trees of each order up to 9 with emission index 1 mod 3,
+    # (A000055(n) + 1) // 3 of them
+    RECORD_SEARCHES = [(dict(max_order=10, integral_only=True), 6),
+                       (dict(max_order=9, shard=(1, 3)), 32)]
 
-        def counting(tree):
-            calls.append(tree.code_str())
-            return analyze(tree)
+    @staticmethod
+    def _record_search(monkeypatch, tmp_path, config):
+        """Runs a search with Tree._build and the polynomial fold counted;
+        returns the built calls, the folded parent arrays and the records."""
+        built, folded = [], []
+        build = Tree._build.__func__
+        fold = spectra._matching_numbers
 
-        monkeypatch.setattr(search.TreeSpectrum, "analyze", counting)
-        out = io.StringIO()
-        run_search(SearchConfig(max_order=10, integral_only=True), out,
-                   io.StringIO())
-        records = out.getvalue().splitlines()
-        assert len(records) == len(calls) == 6  # A077027, orders 1-10
+        def building(cls, *args):
+            built.append(args)
+            return build(cls, *args)
 
-    def test_tree_only_for_records(self, monkeypatch):
-        calls = []
-        build = Tree._from_canonical_code.__func__
+        def folding(order, parent):
+            folded.append(list(parent))
+            return fold(order, parent)
 
-        def counting(cls, code):
-            calls.append(code)
-            return build(cls, code)
+        monkeypatch.setattr(Tree, "_build", classmethod(building))
+        monkeypatch.setattr(spectra, "_matching_numbers", folding)
+        err = io.StringIO()
+        if "shard" in config:
+            out_path = tmp_path / "records.jsonl"
+            search_to_file(SearchConfig(out_path=str(out_path), **config),
+                           err)
+            lines = out_path.read_text(encoding="utf-8").splitlines()
+        else:
+            out = io.StringIO()
+            run_search(SearchConfig(**config), out, err)
+            lines = out.getvalue().splitlines()
+        return built, folded, lines
 
-        monkeypatch.setattr(Tree, "_from_canonical_code", classmethod(counting))
-        out = io.StringIO()
-        run_search(SearchConfig(max_order=10, integral_only=True), out,
-                   io.StringIO())
-        assert len(out.getvalue().splitlines()) == len(calls) == 6
+    def test_polynomial_only_for_records(self, monkeypatch, tmp_path):
+        # the one polynomial per record is folded on the walk's parent array
+        for config, records in self.RECORD_SEARCHES:
+            _, folded, lines = self._record_search(monkeypatch, tmp_path,
+                                                   config)
+            assert len(lines) == len(folded) == records
+            for line, parent in zip(lines, folded):
+                assert parent == code_parents(
+                    tuple(map(int, json.loads(line)["code"].split(","))))
+
+    def test_tree_only_for_records(self, monkeypatch, tmp_path):
+        # a record comes from the walk's (code, parent): no Tree is built
+        for config, records in self.RECORD_SEARCHES:
+            built, _, lines = self._record_search(monkeypatch, tmp_path,
+                                                  config)
+            assert built == []
+            assert len(lines) == records

@@ -60,8 +60,10 @@ class TestCharPoly:
 
     def test_forest_product(self):
         # a rooted forest order: star minus its center, and the empty forest
-        assert _char_poly(*without_vertex(star(3), 0)) == IntPoly.monomial(3)
-        assert _char_poly(*without_vertex(path(1), 0)) == IntPoly.one()
+        assert _char_poly(*without_vertex(*star(3).rooted_order(), 0)) == (
+            IntPoly.monomial(3))
+        assert _char_poly(*without_vertex(*path(1).rooted_order(), 0)) == (
+            IntPoly.one())
 
     def test_monic_degree(self):
         rng = random.Random(12)
@@ -287,8 +289,9 @@ class TestInterlacing:
 
 
 class TestForestCut:
-    """The folds on without_vertex's rooted forest order against the
-    oracle's components of T - v, for every tree up to order 9 and every v."""
+    """The folds on without_vertex's rooted forest order, cut from the
+    tree rooted at 0 and at n - 1, against the oracle's components of
+    T - v, for every tree up to order 9 and every v."""
 
     POINTS = [Fraction(k) for k in range(-3, 4)] + [Fraction(1, 2)]
 
@@ -296,9 +299,11 @@ class TestForestCut:
     def cuts():
         for n in range(1, 10):
             for tree in enumerate_free_trees(n):
-                for v in range(n):
-                    yield (tree, v, without_vertex(tree, v),
-                           delete_vertex(tree, v))
+                for root in {0, n - 1}:
+                    rooted = tree.rooted_order(root)
+                    for v in range(n):
+                        yield (tree, v, without_vertex(*rooted, v),
+                               delete_vertex(tree, v))
 
     def test_signature_sums_component_inertia(self):
         for tree, v, (order, parent), parts in self.cuts():

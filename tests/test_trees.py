@@ -110,20 +110,32 @@ class TestAttachPendants:
 
 
 def assert_cut(tree: Tree, v: int, order: list, parent: list) -> None:
-    """order and parent are the forest tree - v: every vertex but v once,
-    each after its parent, every parent edge a tree edge, and the roots
-    exactly the neighbors of v.  That makes n - 1 - deg(v) distinct edges,
-    all of tree - v."""
+    """order and parent are the forest tree - v, cut from a rooted order of
+    the tree at any root: every vertex but v exactly once, each after its
+    parent, every parent edge a tree edge, and deg(v) roots, one per
+    component of tree - v.  That makes n - 1 - deg(v) distinct edges, all
+    of tree - v."""
     assert sorted(order) == [w for w in range(tree.n) if w != v]
     position = {w: i for i, w in enumerate(order)}
-    roots = []
+    root_of = {}
     for w in order:
         p = parent[w]
         if p < 0:
-            roots.append(w)
+            root_of[w] = w
         else:
-            assert p in tree.adj[w] and position[p] < position[w]
-    assert sorted(roots) == list(tree.adj[v])
+            assert p != v and p in tree.adj[w] and position[p] < position[w]
+            root_of[w] = root_of[p]
+    roots = [w for w in order if parent[w] < 0]
+    assert len(roots) == tree.degree(v)
+    for r in roots:  # the component of r in tree - v, by flood fill
+        component = {r}
+        stack = [r]
+        while stack:
+            for w in tree.adj[stack.pop()]:
+                if w != v and w not in component:
+                    component.add(w)
+                    stack.append(w)
+        assert component == {w for w in order if root_of[w] == r}
 
 
 def roots_and_sizes(order: list, parent: list) -> dict:
@@ -138,20 +150,25 @@ def roots_and_sizes(order: list, parent: list) -> dict:
 
 
 class TestDeleteVertex:
-    """T - v as without_vertex cuts it from the tree's own parent array."""
+    """T - v as without_vertex cuts it from a rooted order of the tree."""
 
     def test_star_center(self):
-        order, parent = without_vertex(star(4), 0)
+        order, parent = without_vertex(*star(4).rooted_order(), 0)
         assert roots_and_sizes(order, parent) == {1: 1, 2: 1, 3: 1, 4: 1}
 
     def test_path_leaf(self):
-        order, parent = without_vertex(path(3), 0)
+        order, parent = without_vertex(*path(3).rooted_order(), 0)
         assert order == [1, 2] and parent[1:] == [-1, 1]
+
+    def test_path_middle_from_an_end(self):
+        # the root keeps its component; v's child starts the other
+        order, parent = without_vertex(*path(3).rooted_order(2), 1)
+        assert order == [2, 0] and parent == [-1, 2, -1]
 
     def test_spider_center(self):
         spider = s_tree([1])
         center = next(v for v in range(spider.n) if spider.degree(v) == 3)
-        order, parent = without_vertex(spider, center)
+        order, parent = without_vertex(*spider.rooted_order(), center)
         assert_cut(spider, center, order, parent)
         assert sorted(roots_and_sizes(order, parent).values()) == [2, 2, 2]
 
@@ -161,7 +178,8 @@ class TestDeleteVertex:
             n = rng.randrange(2, 12)
             t = Tree(n, [(rng.randrange(0, v), v) for v in range(1, n)])
             v = rng.randrange(n)
-            order, parent = without_vertex(t, v)
+            order, parent = without_vertex(*t.rooted_order(rng.randrange(n)),
+                                           v)
             assert_cut(t, v, order, parent)
             assert (sorted(roots_and_sizes(order, parent).values())
                     == sorted(p.n for p in delete_vertex(t, v)))
@@ -169,7 +187,16 @@ class TestDeleteVertex:
     def test_out_of_range(self):
         for v in (2, 7, -1):
             with pytest.raises(ValueError, match=f"vertex {v} out of range"):
-                without_vertex(path(2), v)
+                without_vertex(*path(2).rooted_order(), v)
+
+    def test_root_out_of_range(self):
+        # a root outside 0..n-1 is refused, not read as a label from the end
+        for root in (-1, 3):
+            with pytest.raises(ValueError, match=f"vertex {root} out of range"):
+                path(3).rooted_order(root)
+        for root in (-1, 3):
+            with pytest.raises(ValueError, match=f"vertex {root} out of range"):
+                path(3).rooted_code(root)
 
 
 class TestCanonicalCodes:
@@ -360,9 +387,7 @@ class TestUncheckedBuilds:
                       for v1 in range(t1.n) for v2 in range(t2.n)
                       for k in (1, 2)]
         for n in range(1, 10):
-            for tree in enumerate_free_trees(n):
-                built.append(tree)  # kept its canonical code
-                built.append(Tree.from_code(tree.canonical_code))
+            built += enumerate_free_trees(n)  # Tree.from_code of each code
         rng = random.Random(4)
         built += [random_tree(rng, n) for n in range(1, 40)]
         for p, q, r in product(range(1, 4), range(1, 4), range(3)):
@@ -375,8 +400,10 @@ class TestUncheckedBuilds:
         from treespectra.reduction import pendant_report, strip_pendant_p2
 
         for tree in relabelled_trees(9, seed=5):
+            rooted = [tree.rooted_order(root) for root in {0, tree.n - 1}]
             for v in range(tree.n):
-                assert_cut(tree, v, *without_vertex(tree, v))
+                for order, parent in rooted:
+                    assert_cut(tree, v, *without_vertex(order, parent, v))
                 if pendant_report(tree).per_vertex[v]:
                     assert_checks_pass(strip_pendant_p2(tree, v))
 
