@@ -136,9 +136,10 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_census(args) -> int:
-    for tree in reduced_census(args.m_value, args.max_order):
-        print(json.dumps({"code": tree.code_str(), "order": tree.n,
-                          "m_value": args.m_value}, sort_keys=True))
+    for code in reduced_census(args.m_value, args.max_order):
+        print(json.dumps({"code": ",".join(map(str, code)),
+                          "order": len(code), "m_value": args.m_value},
+                         sort_keys=True))
     return EXIT_OK
 
 

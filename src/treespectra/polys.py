@@ -3,9 +3,13 @@
 Everything here is certificate-grade: coefficients are arbitrary-precision
 integers, interval endpoints are rationals, and no floating point is used
 anywhere.  Root counting goes through Sturm chains on square-free parts;
-multiplicities are recovered by exact division.  Polynomial sums and
-products, IntPoly's and the matching-number fold's in spectra, run on the
-coefficient-list kernels _add and _mul; lift_square is the one x^2 lift.
+multiplicities are recovered by exact division.  IntPoly's sums and
+products run on the coefficient-list kernels _add and _mul.  The
+matching-number fold in spectra runs on packed ints instead (Kronecker
+substitution): a polynomial with coefficients in [0, 2^w) is its value at
+x = 2^w, _slot_width gives the w that holds every matching count of a
+forest, and _unpack reads the coefficients back.  lift_square is the one
+x^2 lift.
 The module knows integer polynomials and their real roots; the format of
 a tree's integer spectrum, SpectrumSummary, belongs to spectra.
 """
@@ -56,6 +60,28 @@ def _add(f: Sequence[int], g: Sequence[int]) -> list:
     out = list(f)
     for i, gi in enumerate(g):
         out[i] += gi
+    return out
+
+
+def _slot_width(n: int) -> int:
+    """F(n+1).bit_length(), F(k) the Fibonacci numbers: slots of this many
+    bits hold every matching count of a forest on at most n vertices (the
+    bound is argued at spectra._matching_numbers)."""
+    a, b = 0, 1
+    for _ in range(n):
+        a, b = b, a + b
+    return b.bit_length()
+
+
+def _unpack(packed: int, width: int) -> list:
+    """Ascending coefficients of the polynomial f with coefficients in
+    [0, 2^width) and f(2^width) = packed: one slot of width bits each,
+    lowest first, with no trailing zero."""
+    mask = (1 << width) - 1
+    out = []
+    while packed:
+        out.append(packed & mask)
+        packed >>= width
     return out
 
 

@@ -108,14 +108,13 @@ def pendant_growth_holds(tree: Tree, v: int) -> bool:
             and multiplicity(grown, 1) == multiplicity(tree, 1) + 1)
 
 
-def reduced_census(k: int, order_cap: int) -> list[Tree]:
-    """All reduced trees with exactly k eigenvalues in (-1, 1), up to the
-    given order, sorted by (order, canonical code)."""
+def reduced_census(k: int, order_cap: int) -> list[tuple[int, ...]]:
+    """The canonical codes of all reduced trees with exactly k eigenvalues
+    in (-1, 1), up to the given order, sorted by (order, code)."""
     if k < 0:
         raise ValueError("k must be nonnegative")
     config = SearchConfig(max_order=order_cap, reduced_only=True)
-    codes = sorted((code for n in config.orders()
-                    for code, parent in kept_codes(config, n)
-                    if _m_value(range(n), parent) == k),
-                   key=lambda code: (len(code), code))
-    return [Tree.from_code(code) for code in codes]
+    return sorted((code for n in config.orders()
+                   for code, parent in kept_codes(config, n)
+                   if _m_value(range(n), parent) == k),
+                  key=lambda code: (len(code), code))

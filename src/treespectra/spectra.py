@@ -1,15 +1,15 @@
 """Characteristic polynomials of trees and the spectral statistics built on them.
 
 A tree's characteristic polynomial is sum (-1)^k m_k x^(n-2k), with the
-matching numbers m_k counted in one bottom-up pass.  Tree spectra need no
-Sturm chain: the integer eigenvalues are +-k with k^2 <= n-1 (the trace
-bound).  Printed records find them by deflation in y = x^2 (the
-SpectrumSummary of TreeSpectrum.of, which takes the polynomial and no
-Tree); verdicts read them off the inertia of A - tI, the eigenvalues below
-and at a rational t, from an exact tree diagonalisation (Jacobs-Trevisan)
-kept in integer pairs.  By Sylvester's law of inertia those counts are
-certificates, and the counts at t = 0, 1, ..., isqrt(n-1) decide
-integrality without the polynomial.
+matching numbers m_k counted in one bottom-up pass of big-integer
+products.  Tree spectra need no Sturm chain: the integer eigenvalues are
++-k with k^2 <= n-1 (the trace bound).  Printed records find them by
+deflation in y = x^2 (the SpectrumSummary of TreeSpectrum.of, which takes
+the polynomial and no Tree); verdicts read them off the inertia of A - tI,
+the eigenvalues below and at a rational t, from an exact tree
+diagonalisation (Jacobs-Trevisan) kept in integer pairs.  By Sylvester's
+law of inertia those counts are certificates, and the counts at t = 0, 1,
+..., isqrt(n-1) decide integrality without the polynomial.
 The trace moments tr A^2 and tr A^4 depend only on the order and the
 degrees, and they may rule integrality out before any count
 (_moments_admit); a search with no nullity to cross-check tries them
@@ -34,9 +34,9 @@ from math import isqrt
 from operator import mul
 from typing import Sequence
 
-from .polys import (DivisibilityError, IntPoly, RealRoot, _add, _as_fraction,
-                    _deflate, _mul, compare_sum, even_part, lift_square,
-                    taylor_shift)
+from .polys import (DivisibilityError, IntPoly, RealRoot, _as_fraction,
+                    _deflate, _slot_width, _unpack, compare_sum, even_part,
+                    lift_square, taylor_shift)
 from .trees import (Tree, attach_pendants, bipartition, parent_degrees, path,
                     without_vertex)
 
@@ -68,26 +68,36 @@ def _matching_numbers(order, parent: list) -> list[int]:
     """[m_0, m_1, ...]: the k-edge matchings of a tree or forest, by one
     bottom-up pass on a rooted order.
 
-    Lists are indexed by matching size.  For v with children c, let A_c
+    A polynomial in the matching size is held as one int, its value at
+    x = 2^w (polys._slot_width, _unpack).  For v with children c, let A_c
     count the matchings of c's subtree and B_c those that leave c
     uncovered.  Then B_v = P = prod A_c, and a matching that covers v uses
     one edge vc: S = sum B_c prod_{c' != c} A_c' counts the rest of it, so
-    A_v is P plus S shifted up one size.  P and S are updated child by
-    child: S <- S*A_c + P*B_c, then P <- P*A_c, by the kernels of polys.
-    The forest's matchings are the product of the A of its roots.
+    A_v = P + (S << w), S shifted up one size.  P and S are updated child
+    by child: S <- S*A_c + P*B_c, then P <- P*A_c.  The forest's matchings
+    are the product of the A of its roots.
+
+    Evaluation at 2^w is a ring map, so the int at the end is the matching
+    polynomial's value there, and one unpack reads it exactly when every
+    m_k lies in [0, 2^w).  Each m_k is at most the forest's total matching
+    count Z, and a forest G on j vertices has Z(G) <= F(j+1), F(i) the
+    Fibonacci numbers: take a leaf u with neighbour p, then Z(G) =
+    Z(G - u) + Z(G - u - p), and induct (with no leaf, no edge and Z = 1).
+    So w = F(n+1).bit_length(), n = len(order), keeps the slots apart.
     """
-    prod = [[1]] * len(parent)  # P of each vertex so far
-    cover = [[]] * len(parent)  # S of each vertex so far
-    out = [1]
+    w = _slot_width(len(order))
+    prod = [1] * len(parent)  # P of each vertex so far
+    cover = [0] * len(parent)  # S of each vertex so far
+    out = 1
     for v in reversed(order):
-        a = _add(prod[v], [0] + cover[v])
+        a = prod[v] + (cover[v] << w)
         u = parent[v]
         if u < 0:
-            out = _mul(out, a)
+            out *= a
         else:
-            cover[u] = _add(_mul(cover[u], a), _mul(prod[u], prod[v]))
-            prod[u] = _mul(prod[u], a)
-    return out
+            cover[u] = cover[u] * a + prod[u] * prod[v]
+            prod[u] *= a
+    return _unpack(out, w)
 
 
 def char_poly_ring_with_pendants(extra: int = 0) -> IntPoly:

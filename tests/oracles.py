@@ -1,8 +1,10 @@
 """Independent reference implementations used to cross-check the library.
 
 Nothing here shares code paths with the package internals being tested:
-characteristic polynomials come from matching counts and from an integer
-Faddeev-LeVerrier determinant of the adjacency matrix, tree counts come from
+characteristic polynomials come from matching counts (by subset
+enumeration, or for large trees by a two-state recursion in IntPoly
+arithmetic) and from an integer Faddeev-LeVerrier determinant of the
+adjacency matrix, tree counts come from
 labeled-tree dedup and from the rooted-tree counting recurrence, free-tree
 codes come from networkx and from building each candidate tree, maximum
 matchings come from subset enumeration, integer and rational roots come
@@ -16,8 +18,10 @@ FreeTreeEnumerator works in place.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
 from itertools import chain, combinations
 from math import isqrt
+from operator import mul
 from typing import Optional
 
 from treespectra.polys import IntPoly
@@ -45,6 +49,31 @@ def matchings_by_size(tree: Tree) -> list[int]:
     while counts and counts[-1] == 0:
         counts.pop()
     return counts
+
+
+def matchings_by_recursion(tree: Tree) -> list[int]:
+    """m[k] = number of k-edge matchings, for trees too large for subset
+    enumeration.  Rooted at 0 by a breadth-first search, each vertex v has
+    free(v), the matchings of its subtree that leave v uncovered, and
+    every(v), all of them, as polynomials in the matching size:
+    free(v) = prod every(c) over the children c, and every(v) = free(v)
+    + x * sum over c of free(c) * prod of every(c') over the c' != c."""
+    x = IntPoly.x()
+    parent = {0: None}
+    order = [0]
+    for v in order:
+        for w in tree.adj[v]:
+            if w not in parent:
+                parent[w] = v
+                order.append(w)
+    free, every = {}, {}
+    for v in reversed(order):
+        kids = [c for c in tree.adj[v] if c != parent[v]]
+        free[v] = reduce(mul, (every[c] for c in kids), IntPoly.one())
+        every[v] = free[v] + x * sum(
+            (reduce(mul, (every[d] for d in kids if d != c), free[c])
+             for c in kids), IntPoly.zero())
+    return list(every[0].coeffs)
 
 
 def char_poly_from_matchings(tree: Tree) -> IntPoly:

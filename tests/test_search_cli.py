@@ -10,7 +10,7 @@ from treespectra.cli import main
 from treespectra.enumeration import FreeTreeEnumerator
 from treespectra.search import CursorError, SearchConfig, run_search
 from treespectra.spectra import _integrality
-from treespectra.trees import format_tree_text, path, s_tree
+from treespectra.trees import Tree, format_tree_text, path, s_tree
 
 
 def run_engine(tmp_path, **kwargs):
@@ -493,6 +493,21 @@ class TestCli:
         assert main(["census", "--m-value", "0", "--max-order", "8"]) == 0
         lines = capsys.readouterr().out.splitlines()
         assert len(lines) == 1 and json.loads(lines[0])["code"] == "0,1"
+
+    def test_census_roots_no_tree(self, capsys, monkeypatch):
+        # the census prints the codes the walk yields: no tree is rooted
+        # at its centres again to recompute one
+        calls = []
+        rooted_code = Tree.rooted_code
+
+        def counted(self, root):
+            calls.append(root)
+            return rooted_code(self, root)
+
+        monkeypatch.setattr(Tree, "rooted_code", counted)
+        assert main(["census", "--m-value", "3", "--max-order", "12"]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 4
+        assert calls == []
 
     def test_verify_negative_trials_refused(self, capsys):
         assert main(["verify", "rhocat", "--trials", "-3"]) == 2

@@ -1,20 +1,23 @@
 import random
 from fractions import Fraction
 from functools import reduce
+from math import comb
 from operator import mul
 
 import pytest
 
 from oracles import (adjacency_matrix, char_poly_determinant,
                      char_poly_from_matchings, delete_vertex, integer_roots,
+                     matchings_by_recursion, matchings_by_size,
                      max_matching_brute, prufer_tree,
                      rational_root_multiplicity)
 from treespectra import spectra
 from treespectra.enumeration import enumerate_free_trees
-from treespectra.polys import (IntPoly, count_roots_above,
+from treespectra.polys import (IntPoly, _slot_width, count_roots_above,
                                count_roots_at_least, count_roots_open,
                                even_part, root_bound)
-from treespectra.spectra import (TreeSpectrum, _char_poly, _signature,
+from treespectra.spectra import (TreeSpectrum, _char_poly,
+                                 _matching_numbers, _signature,
                                  char_poly, char_poly_ring_with_pendants,
                                  courant_weyl_check, inertia, join_formula,
                                  m_value, multiplicity,
@@ -84,6 +87,58 @@ class TestCharPoly:
         char_poly(c_tree([2, 3]))
         TreeSpectrum.analyze(s_tree([1, 2]))
         assert calls == []
+
+
+def fibonacci(k: int) -> int:
+    a, b = 0, 1
+    for _ in range(k):
+        a, b = b, a + b
+    return a
+
+
+def fold(tree: Tree) -> list:
+    return _matching_numbers(*tree.rooted_order())
+
+
+class TestPackedFold:
+    """_matching_numbers, the fold on packed ints, against the oracles'
+    matching counts; on the forests T - v, TestForestCut checks it through
+    _char_poly."""
+
+    @pytest.fixture(scope="class")
+    def small_trees(self):
+        return [(tree, matchings_by_size(tree)) for n in range(1, 13)
+                for tree in enumerate_free_trees(n)]
+
+    def test_every_tree_to_order_12(self, small_trees):
+        for tree, counts in small_trees:
+            assert fold(tree) == counts, tree.code_str()
+
+    def test_paths_to_order_300(self):
+        # P_n has the most matchings of any tree of order n, so its counts
+        # come closest to filling the slots
+        for n in range(1, 301):
+            assert fold(path(n)) == [comb(n - k, k) for k in range(n // 2 + 1)]
+
+    def test_stars(self):
+        assert fold(star(0)) == [1]
+        for k in range(1, 400, 9):
+            assert fold(star(k)) == [1, k]
+
+    def test_random_trees_of_orders_30_to_400(self):
+        rng = random.Random(22)
+        for n in range(30, 401, 10):
+            tree = prufer_tree(rng, n)
+            assert fold(tree) == matchings_by_recursion(tree), n
+
+    def test_slot_width_bound(self, small_trees):
+        # the width F(n+1).bit_length() needs every forest on n vertices to
+        # have at most F(n+1) matchings; P_n has exactly that many
+        for n in range(1, 41):
+            assert sum(fold(path(n))) == fibonacci(n + 1)
+            assert _slot_width(n) == fibonacci(n + 1).bit_length()
+        for tree, counts in small_trees:
+            assert sum(counts) <= fibonacci(tree.n + 1), tree.code_str()
 
 
 def oracle_trees():
