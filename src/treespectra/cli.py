@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import cache
 from typing import Optional
 
 from .reduction import reduce_with_trace, reduced_census
@@ -149,7 +150,13 @@ def _add_tree_input(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--code", help="inline canonical code, e.g. 0,1,2,2,1")
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and shared by every
+    later one: each parse_args makes a fresh Namespace, and the parser
+    holds only immutable defaults and the _cmd_* functions.  Only callers
+    that run several commands in one process gain; the console script runs
+    one."""
     parser = argparse.ArgumentParser(
         prog="treespectra",
         description="Exact spectral analysis and search over trees")
@@ -183,7 +190,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--resume", help="cursor file for restartable runs "
                                     "(requires --out)")
     p.add_argument("--cursor-every", type=int, default=100000,
-                   help="persist the cursor every N enumerated trees")
+                   help="persist the cursor every N owned trees")
     p.set_defaults(fn=_cmd_search)
 
     p = sub.add_parser("verify", help="run a verification suite")
@@ -207,8 +214,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[list] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
     except (TreeFormatError, CursorError, ValueError, OSError) as exc:

@@ -112,7 +112,7 @@ def reduced_census(k: int, order_cap: int) -> list[tuple[int, ...]]:
     """The canonical codes of all reduced trees with exactly k eigenvalues
     in (-1, 1), up to the given order, sorted by (order, code)."""
     if k < 0:
-        raise ValueError("k must be nonnegative")
+        raise ValueError(f"m-value must be nonnegative, got {k}")
     config = SearchConfig(max_order=order_cap, reduced_only=True)
     return sorted((code for n in config.orders()
                    for code, parent in kept_codes(config, n)

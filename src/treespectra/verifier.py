@@ -177,9 +177,14 @@ def parter_witness(tree: Tree, eigenvalue: int) -> Optional[int]:
     base = _signature(order, parent, eigenvalue, 1)[1]
     if base < 2:
         raise ValueError("witness search needs multiplicity at least 2")
-    for v in range(tree.n):
-        if _signature(*without_vertex(order, parent, v),
-                      eigenvalue, 1)[1] == base + 1:
+    return _witness(order, parent, eigenvalue, base)
+
+
+def _witness(order, parent: list, k: int, base: int) -> Optional[int]:
+    """parter_witness on one rooted order of a tree whose eigenvalue k has
+    multiplicity base there."""
+    for v in range(len(parent)):
+        if _signature(*without_vertex(order, parent, v), k, 1)[1] == base + 1:
             return v
     return None
 
@@ -195,10 +200,11 @@ def _parter_scan(trees: Iterable[Tree]) -> tuple[int, list]:
     for tree in trees:
         order, parent = tree.rooted_order()
         for k in range(isqrt(tree.n - 1) + 1):
-            if _signature(order, parent, k, 1)[1] >= 2:
+            base = _signature(order, parent, k, 1)[1]
+            if base >= 2:
                 pair = (-k, k) if k else (0,)
                 checked += len(pair)
-                if parter_witness(tree, k) is None:
+                if _witness(order, parent, k, base) is None:
                     misses += [{"code": tree.code_str(), "eigenvalue": eig}
                                for eig in pair]
     return checked, misses

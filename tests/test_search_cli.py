@@ -1,12 +1,18 @@
+import argparse
 import hashlib
 import io
 import json
+import os
+import re
+import subprocess
+import sys
 
 import pytest
 
+import treespectra
 from treespectra import search
 from treespectra.catalog import CatalogRecord
-from treespectra.cli import main
+from treespectra.cli import build_parser, main
 from treespectra.enumeration import FreeTreeEnumerator
 from treespectra.search import CursorError, SearchConfig, run_search
 from treespectra.spectra import _integrality
@@ -527,5 +533,87 @@ class TestCli:
         assert out.out == ""
         assert "max order must be at least 1" in out.err
 
+    def test_census_negative_m_value_refused(self, capsys):
+        assert main(["census", "--m-value", "-1", "--max-order", "5"]) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == "error: m-value must be nonnegative, got -1\n"
+
     def test_missing_input(self, capsys):
         assert main(["charpoly"]) == 2
+
+
+def _count_parsers(monkeypatch) -> list:
+    """Record every ArgumentParser construction from here on: subparsers
+    are ArgumentParsers too."""
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    return built
+
+
+class TestParserReuse:
+    # one top-level parser and seven subcommands
+    PARSERS = 8
+
+    def test_parser_built_once_per_process(self, capsys, monkeypatch):
+        build_parser.cache_clear()
+        built = _count_parsers(monkeypatch)
+        for _ in range(10):
+            assert main(["spectrum", "--code", "0,1,2,1"]) == 0
+        assert len(built) == self.PARSERS
+        assert len(capsys.readouterr().out.splitlines()) == 10
+
+    def test_import_builds_no_parser(self):
+        src = os.path.dirname(os.path.dirname(treespectra.__file__))
+        script = (
+            "import argparse\n"
+            "built = []\n"
+            "init = argparse.ArgumentParser.__init__\n"
+            "def counted(self, *a, **k):\n"
+            "    built.append(1)\n"
+            "    init(self, *a, **k)\n"
+            "argparse.ArgumentParser.__init__ = counted\n"
+            "import treespectra.cli\n"
+            "print(len(built))\n")
+        env = dict(os.environ, PYTHONPATH=src)
+        done = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=60,
+                              check=True)
+        assert done.stdout == "0\n"
+
+    CALLS = [
+        ["verify", "nosuch"],
+        ["--help"],
+        ["search", "--max-order", "3", "--shard", "1/2"],
+        ["search", "--max-order", "3"],
+        ["spectrum", "--code", "0,1,2,1"],
+        ["verify", "eq3", "--seed", "1", "--trials", "1"],
+    ]
+
+    @staticmethod
+    def _run(argv, capsys):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        out = capsys.readouterr()
+        # records carry their wall-clock second of discovery
+        stamp = re.compile(r'"timestamp": "[^"]*"')
+        return code, stamp.sub("", out.out), out.err
+
+    def test_reused_parser_matches_fresh_parser(self, capsys):
+        fresh = []
+        for argv in self.CALLS:
+            build_parser.cache_clear()
+            fresh.append(self._run(argv, capsys))
+        build_parser.cache_clear()
+        reused = [self._run(argv, capsys) for argv in self.CALLS]
+        assert build_parser.cache_info().misses == 1
+        assert [code for code, _, _ in fresh] == [2, 0, 0, 0, 0, 0]
+        assert reused == fresh
