@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .search import SearchConfig, kept_codes
-from .spectra import _m_value, m_value, multiplicity
+from .spectra import _m_value, inertia, m_value
 from .trees import Tree, _induced_subtree, attach_pendants
 
 
@@ -27,6 +27,8 @@ class PendantReport:
 
 def _pendant_midpoints(tree: Tree, v: int) -> list[int]:
     """Midpoints w of pendant P2s at v (v-w-leaf with deg w = 2)."""
+    if not 0 <= v < tree.n:
+        raise ValueError(f"vertex {v} out of range")
     out = []
     for w in tree.adj[v]:
         if tree.degree(w) != 2:
@@ -100,12 +102,15 @@ def strip_monotonicity_holds(tree: Tree) -> bool:
 
 def pendant_growth_holds(tree: Tree, v: int) -> bool:
     """Adding one more pendant P2 at a vertex that already has one keeps the
-    (-1, 1) eigenvalue count and raises the multiplicity of 1 by one."""
+    (-1, 1) eigenvalue count and raises the multiplicity of 1 by one.
+
+    The count is 2 * (eigenvalues below 1) - n and the grown tree has two
+    more vertices, so it is kept when one more eigenvalue lies below 1."""
     if not _pendant_midpoints(tree, v):
         raise ValueError(f"no existing pendant P2 at vertex {v}")
-    grown = attach_pendants(tree, [(v, 1)])
-    return (m_value(grown) == m_value(tree)
-            and multiplicity(grown, 1) == multiplicity(tree, 1) + 1)
+    below, at = inertia(tree, 1)
+    below_grown, at_grown = inertia(attach_pendants(tree, [(v, 1)]), 1)
+    return below_grown == below + 1 and at_grown == at + 1
 
 
 def reduced_census(k: int, order_cap: int) -> list[tuple[int, ...]]:

@@ -37,8 +37,8 @@ from typing import Sequence
 from .polys import (DivisibilityError, IntPoly, RealRoot, _as_fraction,
                     _deflate, _slot_width, _unpack, compare_sum, even_part,
                     lift_square, taylor_shift)
-from .trees import (Tree, attach_pendants, bipartition, parent_degrees, path,
-                    without_vertex)
+from .trees import (Tree, attach_pendants, bipartition, grow, parent_degrees,
+                    path, without_vertex)
 
 
 def clear_char_poly_cache() -> None:
@@ -116,9 +116,7 @@ def char_poly_ring_with_pendants(extra: int = 0) -> IntPoly:
     if extra < 0:
         raise ValueError("extra must be nonnegative")
     cycle = 6 + extra
-    opened = Tree._build(cycle + 2, [(i, i + 1) for i in range(cycle - 1)]
-                         + [(0, cycle), (0, cycle + 1)])
-    return char_poly(opened) - IntPoly.monomial(2) * (
+    return char_poly(grow(path(cycle), [0, 0])) - IntPoly.monomial(2) * (
         char_poly(path(cycle - 2)) + IntPoly.const(2))
 
 
@@ -390,13 +388,7 @@ def squared_shift_check(tree: Tree, side: int, r: int) -> bool:
     cls = bipartition(tree)[side]
     if not cls:
         raise ValueError("empty bipartition class")
-    edges = tree.edges()
-    nxt = tree.n
-    for v in cls:
-        for _ in range(r):
-            edges.append((v, nxt))
-            nxt += 1
-    grown = Tree._build(nxt, edges)
+    grown = grow(tree, [v for v in cls for _ in range(r)])
 
     _, q_base = even_part(char_poly(tree))
     _, q_grown = even_part(char_poly(grown))

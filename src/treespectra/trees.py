@@ -24,7 +24,8 @@ class Tree:
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
         """The checked constructor, for edges from outside the package:
-        trees the package makes itself come from the unchecked _build."""
+        trees the package makes itself come from the unchecked _build,
+        which only this module calls."""
         if n < 1:
             raise ValueError("tree needs at least one vertex")
         edges = list(edges)
@@ -250,18 +251,43 @@ def _is_reduced(parent: Sequence[int]) -> bool:
 # constructors
 
 
+def grow(tree: Tree, parents: Sequence[int]) -> Tree:
+    """tree plus one new vertex per entry of parents, labeled tree.n,
+    tree.n + 1, ... in order: new vertex tree.n + i is joined to
+    parents[i], a vertex of tree or one added earlier in the list.
+    Unchecked, like _build: the entries must be such vertices."""
+    edges = tree.edges()
+    edges += [(p, v) for v, p in enumerate(parents, tree.n)]
+    return Tree._build(tree.n + len(parents), edges)
+
+
+_VERTEX = Tree.from_code((0,))  # the one-vertex tree the constructors grow
+
+
 def path(n: int) -> Tree:
     """The path P_n."""
     if n < 1:
         raise ValueError("path needs n >= 1")
-    return Tree._build(n, [(i, i + 1) for i in range(n - 1)])
+    return grow(_VERTEX, range(n - 1))
 
 
 def star(k: int) -> Tree:
     """The star K_{1,k} of order k+1, center labeled 0."""
     if k < 0:
         raise ValueError("star needs k >= 0")
-    return Tree._build(k + 1, [(0, i) for i in range(1, k + 1)])
+    return grow(_VERTEX, [0] * k)
+
+
+def _caterpillar_parents(r: Sequence[int]) -> list[int]:
+    """The parents of vertices 1, 2, ... of c_tree(r) grown from vertex 0:
+    the rest of the spine, then each hub's leaves in hub order."""
+    if len(r) < 1:
+        raise ValueError("c_tree needs at least one group")
+    if any(x < 0 for x in r):
+        raise ValueError("leaf counts must be nonnegative")
+    return [*range(2 * len(r)),
+            *(hub for hub, count in zip(hub_vertices(r), r)
+              for _ in range(count))]
 
 
 def c_tree(r: Sequence[int]) -> Tree:
@@ -272,20 +298,7 @@ def c_tree(r: Sequence[int]) -> Tree:
     attached at v_{2i} (label 2i-1).  Leaves are appended after the spine in
     attachment order.
     """
-    n = len(r)
-    if n < 1:
-        raise ValueError("c_tree needs at least one group")
-    if any(x < 0 for x in r):
-        raise ValueError("leaf counts must be nonnegative")
-    spine = 2 * n + 1
-    edges = [(i, i + 1) for i in range(spine - 1)]
-    nxt = spine
-    for i in range(1, n + 1):
-        hub = 2 * i - 1
-        for _ in range(r[i - 1]):
-            edges.append((hub, nxt))
-            nxt += 1
-    return Tree._build(nxt, edges)
+    return grow(_VERTEX, _caterpillar_parents(r))
 
 
 def s_tree(r: Sequence[int]) -> Tree:
@@ -297,18 +310,11 @@ def s_tree(r: Sequence[int]) -> Tree:
     The spider hubs v_2, v_4, ..., v_{2n} keep their c_tree labels 1, 3, ...,
     2n-1.
     """
-    n = len(r)
-    base = c_tree(r)
-    edges = base.edges()
-    nxt = base.n
-    for v in range(base.n):
-        if base.degree(v) == 1:
-            edges.append((v, nxt))
-            nxt += 1
-    for k in range(3, 2 * n, 2):  # v_3, v_5, ..., v_{2n-1}
-        edges.append((k - 1, nxt))
-        nxt += 1
-    return Tree._build(nxt, edges)
+    parents = _caterpillar_parents(r)
+    end = 2 * len(r)
+    # c_tree's degree-1 vertices are the spine ends 0 and 2n, then hub leaves
+    return grow(_VERTEX, [*parents, 0, *range(end, len(parents) + 1),
+                          *range(2, end, 2)])
 
 
 def hub_vertices(r: Sequence[int]) -> tuple[int, ...]:
@@ -334,14 +340,11 @@ def attach_pendants(tree: Tree, spec: Sequence[tuple[int, int]]) -> Tree:
         if s < 1:
             raise ValueError("pendant counts must be >= 1")
         seen.add(v)
-    edges = tree.edges()
-    nxt = tree.n
+    parents: list[int] = []
     for v, s in spec:
         for _ in range(s):
-            edges.append((v, nxt))
-            edges.append((nxt, nxt + 1))
-            nxt += 2
-    return Tree._build(nxt, edges)
+            parents += (v, tree.n + len(parents))  # midpoint at v, leaf at it
+    return grow(tree, parents)
 
 
 def _induced_subtree(tree: Tree, keep: Sequence[int]) -> Tree:

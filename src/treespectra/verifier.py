@@ -31,8 +31,8 @@ from .search import SearchConfig, kept_codes, kept_record
 from .spectra import (_integrality, _signature, char_poly,
                       char_poly_ring_with_pendants, courant_weyl_check,
                       inertia_integrality, join_formula, squared_shift_check)
-from .trees import (Tree, attach_pendants, c_tree, hub_vertices, join_trees,
-                    s_tree, without_vertex)
+from .trees import (Tree, attach_pendants, c_tree, grow, hub_vertices,
+                    join_trees, path, s_tree, without_vertex)
 
 _Y = IntPoly.x()  # the squared-eigenvalue variable y = x^2
 
@@ -291,28 +291,22 @@ def _attach_cases(p: int, q: int, r: int):
     # case (i): new vertex joined to leg midpoints (vertex 0) of the
     # spiders s_tree([p]) and s_tree([q]), plus r pendant P2s; should
     # reproduce the three-group construction
-    sp, sq = s_tree([p]), s_tree([q])
-    off_q = 1 + sp.n
-    edges = [(1 + a, 1 + b) for a, b in sp.edges()]
-    edges.extend((off_q + a, off_q + b) for a, b in sq.edges())
-    edges += [(0, 1), (0, off_q)]
-    case_i = with_p2s(Tree._build(off_q + sq.n, edges), 0)
+    joined = join_trees(path(1), 0, s_tree([p]), 0, 1)
+    case_i = with_p2s(join_trees(joined, 0, s_tree([q]), 0, 1), 0)
 
     # case (ii), former option: a new vertex on one leg midpoint of the
     # two-group tree (both sides, since the displayed polynomial is one-sided)
     base = s_tree([p, q])
-    case_ii_a = Tree._build(base.n + 1, base.edges() + [(0, base.n)])
-    case_ii_b = Tree._build(base.n + 1, base.edges() + [(4, base.n)])
+    case_ii_a = grow(base, [0])
+    case_ii_b = grow(base, [4])
 
     # case (ii), latter option: new vertex on the common neighbor of the two
     # hubs (label 2), carrying r pendant P2s
-    case_ii_latter = with_p2s(
-        Tree._build(base.n + 1, base.edges() + [(2, base.n)]), base.n)
+    case_ii_latter = with_p2s(grow(base, [2]), base.n)
 
     # case (iii): double star plus a new vertex at a degree-3 center,
     # carrying r pendant P2s
-    y_edges = [(0, 1), (0, 2), (0, 3), (1, 4), (1, 5)]
-    case_iii = with_p2s(Tree._build(7, y_edges + [(0, 6)]), 6)
+    case_iii = with_p2s(grow(path(1), [0, 0, 0, 1, 1, 0]), 6)
     return case_i, case_ii_a, case_ii_b, case_ii_latter, case_iii
 
 
@@ -484,7 +478,7 @@ def random_tree(rng: random.Random, n: int) -> Tree:
     """Uniformly shaped random labeled tree via a random parent sequence."""
     if n < 1:
         raise ValueError("order must be positive")
-    return Tree._build(n, [(rng.randrange(0, v), v) for v in range(1, n)])
+    return grow(path(1), [rng.randrange(0, v) for v in range(1, n)])
 
 
 def _suite_eigencat(rng: random.Random, trials: int) -> Iterator[VerdictRecord]:

@@ -5,7 +5,8 @@ and class is read somewhere in the package or named in an allowlist with
 the outside caller that keeps it, and no function body imports anything:
 a module's dependencies are all at its top.  The free-tree stream is
 walked in one place: only enumerate_free_trees and the search's
-kept_codes construct a FreeTreeEnumerator.  The test oracles take no
+kept_codes construct a FreeTreeEnumerator.  The unchecked Tree._build is
+private to trees.py: no other module names it.  The test oracles take no
 private name from the package, so they share no code path with it beyond
 its public API."""
 
@@ -135,6 +136,8 @@ def unread_public_names(modules: list) -> set:
 KEPT_FOR_OUTSIDE_CALLERS = {
     "clear_char_poly_cache": "perfbench/workloads.py, between repetitions",
     "format_tree_text": "perfbench/workloads.py, writing tree files",
+    "multiplicity": "library API: the multiplicity of one integer "
+                    "eigenvalue; the package reads inertia directly",
     "parter_witness": "library API: a Parter vertex of one tree; verify "
                       "parter scans through its helper _witness",
     "reduce_core": "library API: the reduced core of one tree",
@@ -221,6 +224,35 @@ def test_enumerator_construction_is_found():
                      "        return enumeration.FreeTreeEnumerator(n)\n"
                      "    return FreeTreeEnumerator\n")
     assert enumerator_constructions(tree) == {"<module>", "inner"}
+
+
+def builder_references(tree: ast.Module) -> set:
+    """Line numbers where a module names _build: as a name, an attribute
+    or an imported name."""
+    found = set()
+    for node in ast.walk(tree):
+        name = (node.id if isinstance(node, ast.Name)
+                else node.attr if isinstance(node, ast.Attribute)
+                else node.name if isinstance(node, ast.alias) else None)
+        if name == "_build":
+            found.add(node.lineno)
+    return found
+
+
+def test_only_trees_names_the_unchecked_builder():
+    found = {path.name for path in SOURCES
+             if builder_references(ast.parse(path.read_text(encoding="utf-8")))}
+    assert found == {"trees.py"}
+
+
+def test_builder_reference_is_found():
+    tree = ast.parse("from .trees import Tree\n"
+                     "def grow(t):\n"
+                     "    return Tree._build(t.n, t.edges())\n"
+                     "build = Tree.__init__\n"
+                     "from .trees import _build as make\n"
+                     "copy = _build\n")
+    assert builder_references(tree) == {3, 5, 6}
 
 
 def private_package_names(tree: ast.Module) -> set:

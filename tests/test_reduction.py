@@ -128,6 +128,13 @@ class TestStripAndGrowth:
         with pytest.raises(ValueError):
             pendant_growth_holds(path(2), 0)
 
+    @pytest.mark.parametrize("v", [-1, -3, 3])
+    def test_vertex_out_of_range(self, v):
+        # in P3 a negative index would wrap to an end that has a pendant P2
+        for check in (strip_pendant_p2, pendant_growth_holds):
+            with pytest.raises(ValueError, match=f"vertex {v} out of range"):
+                check(path(3), v)
+
     def test_no_pendant_monotonicity_error(self):
         with pytest.raises(ValueError):
             strip_monotonicity_holds(path(2))

@@ -9,6 +9,7 @@ from treespectra.trees import (Tree, TreeFormatError, attach_pendants,
                                bipartition, c_tree, format_tree_text,
                                hub_vertices, join_trees, parse_tree_text,
                                path, s_tree, star, without_vertex)
+from treespectra.verifier import _attach_cases, random_tree
 
 
 def shuffled_copy(tree: Tree, rng: random.Random) -> Tree:
@@ -107,6 +108,56 @@ class TestAttachPendants:
             attach_pendants(path(2), [(0, 1), (0, 2)])
         with pytest.raises(ValueError):
             attach_pendants(path(2), [(0, 0)])
+
+
+class TestLabels:
+    """The labelled edges each constructor's docstring promises; canonical
+    codes, and so the verify digests, cannot see a relabelling."""
+
+    def test_star(self):
+        assert star(3).edges() == [(0, 1), (0, 2), (0, 3)]
+
+    def test_c_tree(self):
+        # spine 0..6, then one leaf at hub 1 and two at hub 5
+        assert c_tree([1, 0, 2]).edges() == [
+            (0, 1), (1, 2), (1, 7), (2, 3), (3, 4), (4, 5), (5, 6), (5, 8),
+            (5, 9)]
+
+    def test_s_tree(self):
+        # c_tree([1, 2]) is the spine 0..4 with leaf 5 at hub 1 and leaves
+        # 6, 7 at hub 3; new leaves 8..12 go to its degree-1 vertices
+        # 0, 4, 5, 6, 7, and 13 to the odd spine vertex v_3 (label 2)
+        assert s_tree([1, 2]).edges() == [
+            (0, 1), (0, 8), (1, 2), (1, 5), (2, 3), (2, 13), (3, 4), (3, 6),
+            (3, 7), (4, 9), (5, 10), (6, 11), (7, 12)]
+
+    def test_attach_pendants(self):
+        # spec order, midpoint before leaf: 3-4 and 5-6 at 2, then 7-8 at 0
+        assert attach_pendants(path(3), [(2, 2), (0, 1)]).edges() == [
+            (0, 1), (0, 7), (1, 2), (2, 3), (2, 5), (3, 4), (5, 6), (7, 8)]
+
+    def test_random_tree_draws_one_parent_per_vertex(self):
+        rng, twin = random.Random(5), random.Random(5)
+        for n in range(1, 12):
+            assert random_tree(rng, n).edges() == sorted(
+                (twin.randrange(0, v), v) for v in range(1, n))
+        assert rng.random() == twin.random()
+
+    def test_attach_cases(self):
+        # s_tree([1]) has order 7 and s_tree([2]) order 9; r = 1 adds one
+        # pendant P2 to case (i) at 0, to case (ii) latter at 14 and to
+        # case (iii) at 6; s_tree([1, 2]) is pinned by test_s_tree
+        s_12 = set(s_tree([1, 2]).edges())
+        expected = [
+            {(0, 1), (0, 8), (0, 17), (1, 2), (1, 5), (2, 3), (2, 4), (3, 6),
+             (4, 7), (8, 9), (8, 13), (9, 10), (9, 11), (9, 12), (10, 14),
+             (11, 15), (12, 16), (17, 18)},
+            s_12 | {(0, 14)},
+            s_12 | {(4, 14)},
+            s_12 | {(2, 14), (14, 15), (15, 16)},
+            {(0, 1), (0, 2), (0, 3), (0, 6), (1, 4), (1, 5), (6, 7), (7, 8)},
+        ]
+        assert [set(t.edges()) for t in _attach_cases(1, 2, 1)] == expected
 
 
 def assert_cut(tree: Tree, v: int, order: list, parent: list) -> None:
@@ -368,8 +419,6 @@ def relabelled_trees(max_order: int, seed: int):
 class TestUncheckedBuilds:
     def test_constructors(self):
         from itertools import product
-
-        from treespectra.verifier import _attach_cases, random_tree
 
         built = [path(n) for n in range(1, 12)]
         built += [star(k) for k in range(10)]
