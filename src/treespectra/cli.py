@@ -16,7 +16,7 @@ from typing import Optional
 
 from .reduction import reduce_with_trace, reduced_census
 from .search import CursorError, SearchConfig, run_search, search_to_file
-from .spectra import (SpectrumSummary, TreeSpectrum, m_value,
+from .spectra import (SpectrumSummary, TreeSpectrum, _char_poly, _m_value,
                       nullity_matching, nullity_poly)
 from .trees import Tree, TreeFormatError, parse_tree_text
 from .verifier import SUITES, run_suite
@@ -59,7 +59,8 @@ def _cmd_charpoly(args) -> int:
 
 def _cmd_spectrum(args) -> int:
     tree = _load_tree(args)
-    analysis = TreeSpectrum.analyze(tree)
+    order, parent = tree.rooted_order()
+    analysis = TreeSpectrum.of(_char_poly(order, parent))
     print(json.dumps({
         "code": tree.code_str(),
         "order": tree.n,
@@ -67,7 +68,7 @@ def _cmd_spectrum(args) -> int:
         "residual": analysis.summary.residual.to_text(),
         "is_integral": analysis.summary.is_integral,
         "nullity": analysis.summary.nullity,
-        "eigenvalues_in_unit_gap": m_value(tree),
+        "eigenvalues_in_unit_gap": _m_value(order, parent),
     }, sort_keys=True))
     return EXIT_OK
 

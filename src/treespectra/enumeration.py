@@ -9,6 +9,11 @@ of q (parent[i] = parent[q]), and any deeper vertex keeps its offset to its
 parent in the block (parent[i] = parent[i - L] + L).  The enumerator's
 parent attribute is that array, the parent array of the code it yielded
 last; it is valid until the next step, and a caller must not keep it.
+The degree attribute and degree_square_sum, the sum of the squared
+degrees, follow the same rule.  They are built once, when a walk starts,
+and then kept in step: a rewrite that moves vertex i from parent o to
+parent w lowers degree[o] and raises degree[w] by 1, so the square sum
+loses 2 d_o - 1 and gains 2 d_w + 1 (the degrees before the move).
 
 With k the position of the second 1 (n if none), H = max(seq) and d =
 max(seq[k:]), each computed at most once per candidate (k and H only when
@@ -35,8 +40,9 @@ the sequence is at least the code rooted there.  The root has eccentricity
 H and vertex 1 has max(H - 1, d + 1).  If d == H, the root is the only
 center.  Otherwise d == H - 1, the centers are the root and vertex 1, and
 the code rooted at vertex 1 is [0, 1], the root's side shifted one level
-down, then vertex 1's subtrees shifted one level up.  So each isomorphism
-class appears once, as its canonical code.
+down, then vertex 1's subtrees shifted one level up; it is compared entry
+by entry with the sequence, up to the first difference, and never built.
+So each isomorphism class appears once, as its canonical code.
 
 Sharding hands out emitted trees round-robin by emission index, which keeps
 shard unions exactly equal to the unsharded stream.  The enumerator yields
@@ -51,7 +57,7 @@ import json
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
-from .trees import Tree, code_parents
+from .trees import Tree, code_parents, parent_degrees
 
 
 @dataclass
@@ -65,14 +71,18 @@ class EnumerationCursor:
     exhausted: bool
     shard: tuple
 
-    def to_json(self) -> str:
-        return json.dumps({
+    def to_dict(self) -> dict:
+        """The cursor as the dict of plain JSON values that to_json writes."""
+        return {
             "n": self.n,
             "sequence": list(self.sequence) if self.sequence is not None else None,
             "emitted": self.emitted,
             "exhausted": self.exhausted,
             "shard": list(self.shard),
-        })
+        }
+
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict())
 
     @classmethod
     def from_json(cls, text: str) -> "EnumerationCursor":
@@ -99,6 +109,8 @@ class FreeTreeEnumerator:
         self.n = n
         self.shard = (index, count)
         self.parent: Optional[list] = None
+        self.degree: Optional[list] = None
+        self.degree_square_sum: Optional[int] = None
         if cursor is not None:
             if cursor.n != n or tuple(cursor.shard) != self.shard:
                 raise ValueError("cursor does not match enumerator parameters")
@@ -128,7 +140,9 @@ class FreeTreeEnumerator:
             seq, parent, step = list(range(n)), list(range(-1, n - 1)), False
         else:
             seq, parent, step = list(self._seq), code_parents(self._seq), True
-        self._seq, self.parent = seq, parent
+        degree = parent_degrees(parent)
+        square_sum = sum(d * d for d in degree)
+        self._seq, self.parent, self.degree = seq, parent, degree
         p, k, h = 0, n, 0  # p <= k: the first candidate computes k and H
         while True:
             if step:
@@ -143,7 +157,13 @@ class FreeTreeEnumerator:
                 for i in range(p, n):
                     depth = seq[i - gap]
                     seq[i] = depth
-                    parent[i] = parent[i - gap] + gap if depth > top else up
+                    new = parent[i - gap] + gap if depth > top else up
+                    old = parent[i]
+                    if new != old:  # vertex i moves from old to new
+                        parent[i] = new
+                        d_old, d_new = degree[old], degree[new]
+                        degree[old], degree[new] = d_old - 1, d_new + 1
+                        square_sum += (2 * d_new + 1) - (2 * d_old - 1)
             step = True
             if p <= k:  # else seq[:k+1] is kept, and with it k, H and Rule B
                 try:
@@ -162,12 +182,22 @@ class FreeTreeEnumerator:
                 if d < h - 1:  # Rule A
                     seq[k:] = [1] * (n - k)
                     continue
-                if d < h and seq < ([0, 1] + [x + 1 for x in seq[k:]]
-                                    + [x - 1 for x in seq[2:k]]):
-                    continue  # the code rooted at vertex 1 is larger
+                if d < h:
+                    # seq[2:] against the code rooted at vertex 1 past its
+                    # [0, 1]: seq[k:] one level deeper, then seq[2:k] one
+                    # level shallower; the first difference decides
+                    shift = k - 2
+                    for i in range(2, n):
+                        j = i + shift
+                        x = seq[j] + 1 if j < n else seq[j + 2 - n] - 1
+                        if seq[i] != x:
+                            break
+                    if seq[i] < x:
+                        continue  # the code rooted at vertex 1 is larger
             take = self._emitted % count == index
             self._emitted += 1
             if take:
+                self.degree_square_sum = square_sum
                 yield tuple(seq)
 
 

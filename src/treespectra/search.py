@@ -21,8 +21,8 @@ from typing import Callable, Iterator, Optional, TextIO
 
 from .catalog import CatalogRecord
 from .enumeration import EnumerationCursor, FreeTreeEnumerator
-from .spectra import (TreeSpectrum, _char_poly, _degree_square_sum,
-                      _integrality, _matching_nullity, _moments_admit)
+from .spectra import (TreeSpectrum, _char_poly, _integrality,
+                      _matching_nullity, _moments_admit)
 from .trees import Tree, _is_reduced
 
 
@@ -73,7 +73,8 @@ def kept_codes(config: SearchConfig, n: int,
                save: Optional[Callable] = None) -> Iterator[tuple]:
     """(code, parent) for each code of order n that the config's shard owns
     and its filters keep; parent is the enumerator's, valid until the next
-    step.  The filters run on the parent array, bottom-up: the
+    step.  The filters run on the parent array, bottom-up, and on the
+    degrees and their square sum the enumerator keeps in step with it: the
     matching-number nullity and the reduced test first, then, with
     integral_only, the trace moments and the inertia counts, so no Tree is
     built here.  With ``save``, save(cursor) follows every
@@ -85,9 +86,11 @@ def kept_codes(config: SearchConfig, n: int,
     for code in enum:
         parent = enum.parent
         if ((nullity is None or _matching_nullity(order, parent) == nullity)
-                and (not config.reduced_only or _is_reduced(parent))
+                and (not config.reduced_only
+                     or _is_reduced(parent, enum.degree))
                 and (not config.integral_only
-                     or _integral(code, parent, nullity))):
+                     or _integral(code, parent, enum.degree_square_sum,
+                                  nullity))):
             yield code, parent
         if save:
             since_save += 1
@@ -96,14 +99,14 @@ def kept_codes(config: SearchConfig, n: int,
                 since_save = 0
 
 
-def _integral(code: tuple, parent: list, nullity: Optional[int]) -> bool:
-    """Whether the tree of a code is integral, by its parent array.  With
-    no nullity to cross-check, the trace moments alone may turn the tree
-    down before any inertia count; with one, the count at t = 0 is needed
+def _integral(code: tuple, parent: list, degree_square_sum: int,
+              nullity: Optional[int]) -> bool:
+    """Whether the tree of a code is integral, by its parent array and the
+    sum of its squared degrees.  With no nullity to cross-check, the trace
+    moments alone may turn the tree down before any inertia count; with one, the count at t = 0 is needed
     anyway, and the moments would stand in only for the count at t = 1,
     which measured no faster."""
-    if nullity is None and not _moments_admit(len(code),
-                                              _degree_square_sum(parent)):
+    if nullity is None and not _moments_admit(len(code), degree_square_sum):
         return False
     inertia_nullity, integral = _integrality(range(len(code)), parent)
     if nullity is not None and inertia_nullity != nullity:
@@ -200,7 +203,7 @@ def _save_cursor(config: SearchConfig, out: TextIO, order: int,
     path = config.resume_path
     if not path:
         return
-    cursor_data = json.loads(cursor.to_json()) if cursor else None
+    cursor_data = cursor.to_dict() if cursor else None
     state = {
         "filters": config.filters_key(),
         "order": order,
@@ -212,7 +215,7 @@ def _save_cursor(config: SearchConfig, out: TextIO, order: int,
     }
     tmp = path + ".tmp"
     with open(tmp, "w", encoding="utf-8") as fh:
-        json.dump(state, fh)
+        fh.write(json.dumps(state))
     os.replace(tmp, path)
 
 

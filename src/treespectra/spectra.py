@@ -13,7 +13,8 @@ law of inertia those counts are certificates, and the counts at t = 0, 1,
 The trace moments tr A^2 and tr A^4 depend only on the order and the
 degrees, and they may rule integrality out before any count
 (_moments_admit); a search with no nullity to cross-check tries them
-first.  These folds take no Tree: they take a bottom-up order and a parent
+first, on the sum of squared degrees the enumerator keeps in step with
+its parent array.  These folds take no Tree: they take a bottom-up order and a parent
 array, which the public functions get from Tree.rooted_order() and the
 search and the verifier from the enumerator (range(n) and
 FreeTreeEnumerator.parent), so they build no Tree to filter or to record.
@@ -31,14 +32,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from math import isqrt
-from operator import mul
 from typing import Sequence
 
 from .polys import (DivisibilityError, IntPoly, RealRoot, _as_fraction,
                     _deflate, _slot_width, _unpack, compare_sum, even_part,
                     lift_square, taylor_shift)
-from .trees import (Tree, attach_pendants, bipartition, grow, parent_degrees,
-                    path, without_vertex)
+from .trees import (Tree, attach_pendants, bipartition, grow, path,
+                    without_vertex)
 
 
 def clear_char_poly_cache() -> None:
@@ -201,13 +201,6 @@ def _integrality(order, parent: list) -> tuple[int, bool]:
         counted += 2 * at
         last = below + at
     return nullity, counted == n
-
-
-def _degree_square_sum(parent: list) -> int:
-    """Sum of the squared degrees of the tree of a parent array rooted at
-    vertex 0."""
-    degree = parent_degrees(parent)
-    return sum(map(mul, degree, degree))
 
 
 @lru_cache(maxsize=None)

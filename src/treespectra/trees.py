@@ -238,11 +238,10 @@ def parent_degrees(parent: Sequence[int]) -> list[int]:
     return degree
 
 
-def _is_reduced(parent: Sequence[int]) -> bool:
-    """Whether a parent array (-1 for the root) has no pendant P2: no edge
-    joins a vertex of degree 2 to a leaf, that is, no edge has end degrees
-    of product 2."""
-    degree = parent_degrees(parent)
+def _is_reduced(parent: Sequence[int], degree: Sequence[int]) -> bool:
+    """Whether a parent array (-1 for the root) with its degrees has no
+    pendant P2: no edge joins a vertex of degree 2 to a leaf, that is, no
+    edge has end degrees of product 2."""
     return all(degree[v] * degree[parent[v]] != 2
                for v in range(1, len(parent)))
 

@@ -17,6 +17,7 @@ FreeTreeEnumerator works in place.
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from functools import reduce
 from itertools import chain, combinations
@@ -310,6 +311,13 @@ def eccentricities(tree: Tree) -> list[int]:
                     queue.append(w)
         out.append(max(dist))
     return out
+
+
+def _degree_square_sum(parent: list[int]) -> int:
+    """Sum of the squared degrees of the tree of a parent array (-1 for the
+    root), each degree counted as a vertex's children plus its parent."""
+    children = Counter(parent)
+    return sum((children[v] + (p >= 0)) ** 2 for v, p in enumerate(parent))
 
 
 def _successor(seq: list[int]) -> Optional[list[int]]:

@@ -2,12 +2,13 @@ import random
 
 import pytest
 
-from oracles import (_doomed_run_end, _is_center_code, _successor,
-                     free_tree_codes_networkx, free_tree_counts_by_recurrence,
-                     is_free_tree_code, labeled_tree_codes)
+from oracles import (_degree_square_sum, _doomed_run_end, _is_center_code,
+                     _successor, free_tree_codes_networkx,
+                     free_tree_counts_by_recurrence, is_free_tree_code,
+                     labeled_tree_codes)
 from treespectra.enumeration import (EnumerationCursor, FreeTreeEnumerator,
                                      enumerate_free_trees)
-from treespectra.trees import Tree, code_parents
+from treespectra.trees import Tree, code_parents, parent_degrees
 
 # counts for n = 1..12, from the labeled-tree dedup oracle (live below for
 # n <= 8) and the counting recurrence (cross-checked live for all 12)
@@ -87,19 +88,27 @@ def skipping_reference_codes(n):
 
 
 def walk_with_parents(enum):
-    return [(code, list(enum.parent)) for code in enum]
+    """(code, parent array, degrees, sum of squared degrees) at each yield."""
+    return [(code, list(enum.parent), list(enum.degree),
+             enum.degree_square_sum) for code in enum]
+
+
+def code_state(code):
+    parent = code_parents(code)
+    return code, parent, parent_degrees(parent), _degree_square_sum(parent)
 
 
 class TestSkippingWalk:
     def test_in_place_walk_matches_reference_and_code_parents(self):
-        # codes and the parent array at every yield, for every shard
+        # codes, the parent array and the degrees kept in step with it at
+        # every yield, for every shard
         for n in range(1, 15):
             full = skipping_reference_codes(n)
             for count in (1, 3, 4):
                 for index in range(count):
                     ours = walk_with_parents(
                         FreeTreeEnumerator(n, (index, count)))
-                    assert ours == [(code, code_parents(code))
+                    assert ours == [code_state(code)
                                     for code in full[index::count]], (
                         n, index, count)
 

@@ -9,19 +9,19 @@ from math import isqrt
 
 import pytest
 
-from oracles import rational_root_multiplicity
-from treespectra import search, spectra
+from oracles import _degree_square_sum, rational_root_multiplicity
+from treespectra import enumeration, search, spectra, trees
 from treespectra.enumeration import FreeTreeEnumerator, enumerate_free_trees
 from treespectra.reduction import pendant_report
 from treespectra.search import (SearchConfig, kept_codes, run_search,
                                search_to_file)
-from treespectra.spectra import (TreeSpectrum, _degree_square_sum,
-                                 _integrality, _matching_nullity,
-                                 _moments_admit, _signature, char_poly,
-                                 inertia, inertia_integrality, multiplicity,
+from treespectra.spectra import (TreeSpectrum, _integrality,
+                                 _matching_nullity, _moments_admit,
+                                 _signature, char_poly, inertia,
+                                 inertia_integrality, multiplicity,
                                  nullity_matching)
-from treespectra.trees import (Tree, _is_reduced, code_parents, path, s_tree,
-                               star)
+from treespectra.trees import (Tree, _is_reduced, code_parents,
+                               parent_degrees, path, s_tree, star)
 
 
 class TestInertiaIntegrality:
@@ -69,7 +69,8 @@ class TestCodeRoute:
                 order = range(n)
                 assert _matching_nullity(order, parent) == nullity_matching(
                     tree), code
-                assert _is_reduced(parent) == pendant_report(tree).is_reduced, code
+                assert _is_reduced(parent, parent_degrees(parent)) == (
+                    pendant_report(tree).is_reduced), code
                 assert _integrality(order, parent) == inertia_integrality(tree), code
                 for t in (0, 1, 2):
                     assert _signature(order, parent, t, 1) == inertia(tree, t), (
@@ -146,6 +147,27 @@ class TestSearchRoutesAgree:
         with pytest.raises(AssertionError,
                            match="nullity routes disagree on 0,1,1"):
             list(kept_codes(config, 3))
+
+    @pytest.mark.parametrize("reduced_only", [False, True])
+    def test_degrees_built_once_per_order(self, monkeypatch, reduced_only):
+        # the moments and the reduced test read the degrees the walk keeps
+        # in step: they are built when the walk of an order starts, not
+        # once per tree (987 trees up to order 12)
+        calls = []
+
+        def counted(parent):
+            calls.append(len(parent))
+            return parent_degrees(parent)
+
+        monkeypatch.setattr(trees, "parent_degrees", counted)
+        monkeypatch.setattr(enumeration, "parent_degrees", counted)
+        out = io.StringIO()
+        run_search(SearchConfig(max_order=12, integral_only=True,
+                                reduced_only=reduced_only),
+                   out, io.StringIO())
+        assert calls == list(range(1, 13))
+        # A077027 to order 12, and the reduced ones among them
+        assert len(out.getvalue().splitlines()) == (5 if reduced_only else 6)
 
     # integral to order 10: A077027; and unfiltered, shard 1/3 to --out:
     # the trees of each order up to 9 with emission index 1 mod 3,

@@ -515,6 +515,28 @@ class TestCli:
         assert len(capsys.readouterr().out.splitlines()) == 4
         assert calls == []
 
+    def test_spectrum_roots_the_tree_once_for_phi_and_m(self, tmp_path,
+                                                        capsys, monkeypatch):
+        # one rooted order from vertex 0 for the parse's connectivity check,
+        # one that both the polynomial and m(T) fold on, and one per center
+        # for the printed code
+        calls = []
+        rooted_order = Tree.rooted_order
+
+        def counted(self, root=0):
+            calls.append(root)
+            return rooted_order(self, root)
+
+        monkeypatch.setattr(Tree, "rooted_order", counted)
+        for tree, centers in ((s_tree([1, 2]), [2]), (path(6), [2, 3])):
+            f = tmp_path / "tree.txt"
+            f.write_text(format_tree_text(tree))
+            calls.clear()
+            assert main(["spectrum", str(f)]) == 0
+            data = json.loads(capsys.readouterr().out)
+            assert data["order"] == tree.n
+            assert calls == [0, 0] + centers
+
     def test_verify_negative_trials_refused(self, capsys):
         assert main(["verify", "rhocat", "--trials", "-3"]) == 2
         out = capsys.readouterr()
