@@ -103,9 +103,9 @@ def _integral(code: tuple, parent: list, degree_square_sum: int,
               nullity: Optional[int]) -> bool:
     """Whether the tree of a code is integral, by its parent array and the
     sum of its squared degrees.  With no nullity to cross-check, the trace
-    moments alone may turn the tree down before any inertia count; with one, the count at t = 0 is needed
-    anyway, and the moments would stand in only for the count at t = 1,
-    which measured no faster."""
+    moments alone may turn the tree down before any inertia count; with
+    one, the count at t = 0 is needed anyway, and the moments would stand
+    in only for the count at t = 1, which measured no faster."""
     if nullity is None and not _moments_admit(len(code), degree_square_sum):
         return False
     inertia_nullity, integral = _integrality(range(len(code)), parent)
