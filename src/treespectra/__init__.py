@@ -7,7 +7,7 @@ by exact division, and tree enumeration by canonical level sequences.
 """
 
 from .catalog import CatalogRecord
-from .enumeration import EnumerationCursor, FreeTreeEnumerator, enumerate_free_trees
+from .enumeration import FreeTreeEnumerator, enumerate_free_trees
 from .polys import (DivisibilityError, IntPoly, PrecisionExhausted, RealRoot,
                     RootCount, SymmetryError, count_roots_open, even_part,
                     poly_gcd, root_bound, square_free_decomposition,

@@ -45,7 +45,12 @@ by entry with the sequence, up to the first difference, and never built.
 So each isomorphism class appears once, as its canonical code.
 
 Sharding hands out emitted trees round-robin by emission index, which keeps
-shard unions exactly equal to the unsharded stream.  The enumerator yields
+shard unions exactly equal to the unsharded stream.  A walk's position is
+the pair (sequence, emitted): the last candidate examined and the global
+emission count.  A walk started from a position goes on with the rest of
+the stream; the last candidate of a finished walk has no successor, so it
+yields nothing.  The search owns the file that stores a position; this
+module reads and writes none.  The enumerator yields
 the canonical codes of the trees the shard owns, as tuples, and builds no
 tree: a filter or a catalog record needs only the code and parent array.
 enumerate_free_trees builds each Tree with the checked Tree.from_code.
@@ -53,46 +58,9 @@ enumerate_free_trees builds each Tree with the checked Tree.from_code.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
 from typing import Iterator, Optional
 
 from .trees import Tree, code_parents, parent_degrees
-
-
-@dataclass
-class EnumerationCursor:
-    """Restart point: the last candidate sequence examined plus the global
-    count of trees emitted so far (across all shards)."""
-
-    n: int
-    sequence: Optional[tuple]
-    emitted: int
-    exhausted: bool
-    shard: tuple
-
-    def to_dict(self) -> dict:
-        """The cursor as the dict of plain JSON values that to_json writes."""
-        return {
-            "n": self.n,
-            "sequence": list(self.sequence) if self.sequence is not None else None,
-            "emitted": self.emitted,
-            "exhausted": self.exhausted,
-            "shard": list(self.shard),
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict())
-
-    @classmethod
-    def from_json(cls, text: str) -> "EnumerationCursor":
-        data = json.loads(text)
-        seq = data["sequence"]
-        return cls(n=int(data["n"]),
-                   sequence=tuple(seq) if seq is not None else None,
-                   emitted=int(data["emitted"]),
-                   exhausted=bool(data["exhausted"]),
-                   shard=tuple(data["shard"]))
 
 
 class FreeTreeEnumerator:
@@ -100,40 +68,34 @@ class FreeTreeEnumerator:
     order n (one shard)."""
 
     def __init__(self, n: int, shard: tuple = (0, 1),
-                 cursor: Optional[EnumerationCursor] = None):
+                 position: tuple = (None, 0)):
         if n < 1:
             raise ValueError("order must be at least 1")
         index, count = shard
         if count < 1 or not 0 <= index < count:
             raise ValueError(f"invalid shard {shard}")
+        sequence, emitted = position
+        if sequence is not None and len(sequence) != n:
+            raise ValueError(f"position sequence is not of order {n}")
+        if emitted < 0:
+            raise ValueError("position count must be nonnegative")
         self.n = n
         self.shard = (index, count)
         self.parent: Optional[list] = None
         self.degree: Optional[list] = None
         self.degree_square_sum: Optional[int] = None
-        if cursor is not None:
-            if cursor.n != n or tuple(cursor.shard) != self.shard:
-                raise ValueError("cursor does not match enumerator parameters")
-            self._seq = list(cursor.sequence) if cursor.sequence is not None else None
-            self._emitted = cursor.emitted
-            self._exhausted = cursor.exhausted
-        else:
-            self._seq = None
-            self._emitted = 0
-            self._exhausted = False
+        self._seq = list(sequence) if sequence is not None else None
+        self._emitted = emitted
 
-    def cursor(self) -> EnumerationCursor:
-        return EnumerationCursor(
-            n=self.n,
-            sequence=tuple(self._seq) if self._seq is not None else None,
-            emitted=self._emitted,
-            exhausted=self._exhausted,
-            shard=self.shard,
-        )
+    def position(self) -> tuple:
+        """(sequence, emitted): the last candidate examined (None before
+        the walk starts) and the count of trees emitted so far, across all
+        shards.  An enumerator given it goes on with the rest of the
+        stream; after the end, the last candidate has no successor."""
+        seq = self._seq
+        return (tuple(seq) if seq is not None else None, self._emitted)
 
     def __iter__(self) -> Iterator[tuple]:
-        if self._exhausted:
-            return
         n = self.n
         index, count = self.shard
         if self._seq is None:
@@ -150,7 +112,6 @@ class FreeTreeEnumerator:
                 while p and seq[p] < 2:
                     p -= 1
                 if not p:
-                    self._exhausted = True
                     return
                 q = parent[p]
                 gap, top, up = p - q, seq[q], parent[q]

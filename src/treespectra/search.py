@@ -1,9 +1,12 @@
 """Sharded, resumable search over all trees up to a given order.
 
 The search streams CatalogRecords for every tree passing the configured
-filters.  A cursor file makes interrupted runs restartable; it records how
-far the output file had got, and a resumed run cuts that file back to it, so
-no record is written twice; a refused cursor leaves the file as it was.
+filters.  A cursor file makes interrupted runs restartable, and this module
+alone reads and writes it: one flat JSON record of the search parameters,
+the order and the enumerator position (sequence, emitted) to go on from,
+whether the search is complete, and how far the output file had got, all
+under one CRC-32.  A resumed run cuts the output file back to that offset,
+so no record is written twice; a refused cursor leaves the file as it was.
 Shards partition the emitted stream round-robin so that the union over
 shards equals an unsharded run.  kept_codes is the one filtered walk of an
 order: the search, the census and the verifier's nullity checks share it.
@@ -20,7 +23,7 @@ from functools import partial
 from typing import Callable, Iterator, Optional, TextIO
 
 from .catalog import CatalogRecord
-from .enumeration import EnumerationCursor, FreeTreeEnumerator
+from .enumeration import FreeTreeEnumerator
 from .spectra import (TreeSpectrum, _char_poly, _integrality,
                       _matching_nullity, _moments_admit)
 from .trees import Tree, _is_reduced
@@ -68,51 +71,44 @@ class SearchConfig:
         }
 
 
-def kept_codes(config: SearchConfig, n: int,
-               cursor: Optional[EnumerationCursor] = None,
+def kept_codes(config: SearchConfig, n: int, position: tuple = (None, 0),
                save: Optional[Callable] = None) -> Iterator[tuple]:
     """(code, parent) for each code of order n that the config's shard owns
-    and its filters keep; parent is the enumerator's, valid until the next
-    step.  The filters run on the parent array, bottom-up, and on the
-    degrees and their square sum the enumerator keeps in step with it: the
-    matching-number nullity and the reduced test first, then, with
-    integral_only, the trace moments and the inertia counts, so no Tree is
-    built here.  With ``save``, save(cursor) follows every
-    config.cursor_every owned codes."""
-    enum = FreeTreeEnumerator(n, config.shard, cursor)
+    and its filters keep, walked from an enumerator position; parent is the
+    enumerator's, valid until the next step.  The filters run on the parent
+    array, bottom-up, and on the degrees and their square sum the
+    enumerator keeps in step with it: the matching-number nullity and the
+    reduced test first, then, with integral_only, the trace moments and the
+    inertia counts, so no Tree is built here.  With ``save``,
+    save(position) follows every config.cursor_every owned codes."""
+    enum = FreeTreeEnumerator(n, config.shard, position)
     order = range(n)
     nullity = config.nullity
+    # with a nullity to cross-check, the inertia count at t = 0 is needed
+    # anyway, and the moments would stand in only for the count at t = 1,
+    # which measured no faster
+    moments = config.integral_only and nullity is None
     since_save = 0
     for code in enum:
         parent = enum.parent
-        if ((nullity is None or _matching_nullity(order, parent) == nullity)
+        keep = ((nullity is None
+                 or _matching_nullity(order, parent) == nullity)
                 and (not config.reduced_only
                      or _is_reduced(parent, enum.degree))
-                and (not config.integral_only
-                     or _integral(code, parent, enum.degree_square_sum,
-                                  nullity))):
+                and (not moments
+                     or _moments_admit(n, enum.degree_square_sum)))
+        if keep and config.integral_only:
+            inertia_nullity, keep = _integrality(order, parent)
+            if nullity is not None and inertia_nullity != nullity:
+                raise AssertionError(f"nullity routes disagree on "
+                                     f"{','.join(map(str, code))}")
+        if keep:
             yield code, parent
         if save:
             since_save += 1
             if since_save >= config.cursor_every:
-                save(enum.cursor())
+                save(enum.position())
                 since_save = 0
-
-
-def _integral(code: tuple, parent: list, degree_square_sum: int,
-              nullity: Optional[int]) -> bool:
-    """Whether the tree of a code is integral, by its parent array and the
-    sum of its squared degrees.  With no nullity to cross-check, the trace
-    moments alone may turn the tree down before any inertia count; with
-    one, the count at t = 0 is needed anyway, and the moments would stand
-    in only for the count at t = 1, which measured no faster."""
-    if nullity is None and not _moments_admit(len(code), degree_square_sum):
-        return False
-    inertia_nullity, integral = _integrality(range(len(code)), parent)
-    if nullity is not None and inertia_nullity != nullity:
-        raise AssertionError(f"nullity routes disagree on "
-                             f"{','.join(map(str, code))}")
-    return integral
 
 
 def kept_record(config: SearchConfig, code: tuple, parent: list,
@@ -131,9 +127,10 @@ def kept_record(config: SearchConfig, code: tuple, parent: list,
         shard=f"{config.shard[0]}/{config.shard[1]}", timestamp=timestamp)
 
 
-def _cursor_check(cursor: Optional[dict]) -> int:
-    """CRC-32 of an enumeration cursor's canonical JSON (None included)."""
-    text = json.dumps(cursor, sort_keys=True, separators=(",", ":"))
+def _state_check(state: dict) -> int:
+    """CRC-32 of the canonical JSON of every field of a state but check."""
+    fields = {key: value for key, value in state.items() if key != "check"}
+    text = json.dumps(fields, sort_keys=True, separators=(",", ":"))
     return zlib.crc32(text.encode("utf-8"))
 
 
@@ -148,30 +145,25 @@ def _load_resume(config: SearchConfig) -> Optional[dict]:
             raise CursorError(
                 "cursor file was written by a search with different "
                 "parameters; delete it or point --resume elsewhere")
-        if "out_offset" not in state:
+        if state.get("check") != _state_check(state):
             raise CursorError(
-                "cursor file has no output offset (an older cursor format); "
-                "delete it and the output file to start over")
-        if state.get("cursor_check") != _cursor_check(state.get("cursor")):
-            raise CursorError(
-                "cursor file's enumeration cursor does not match its "
-                "check (it was edited, or has no check); delete it and the "
+                "cursor file does not match its check (it was edited, or "
+                "is of an older format with no check); delete it and the "
                 "output file to start over")
-        # refuse what no search writes: the walk would fail on it, or end
-        # the order early
-        order, cursor = state["order"], state.get("cursor")
+        # refuse what no search writes, on which the walk would fail, end
+        # the order early or take other shards' trees: a search saves
+        # (None, 0) at the start of an order, else a canonical sequence of
+        # that order and a positive count
+        order, seq, emitted = (state["order"], state["sequence"],
+                               state["emitted"])
         if not 1 <= order <= config.max_order:
             raise ValueError(f"order {order} is outside 1..{config.max_order}")
-        if cursor:
-            cursor = EnumerationCursor.from_json(json.dumps(cursor))
-            seq = cursor.sequence
-            if (cursor.n != order or cursor.shard != tuple(config.shard)
-                    or cursor.exhausted or cursor.emitted < 0
-                    or len(seq) != order
-                    or Tree.from_code(seq).rooted_code(0) != seq):
-                raise ValueError("the cursor is no position of this search")
+        if (emitted != 0 if seq is None else
+                emitted < 1 or len(seq) != order
+                or list(Tree.from_code(seq).rooted_code(0)) != seq):
+            raise ValueError("the position is no position of this search")
         # the resumed search cuts the output file back to the offset, and a
-        # complete one leaves the file as the cursor records it; standard
+        # complete one leaves the file as the state records it; standard
         # output has no offset to cut back to
         saved, out_path = state["out_path"], config.out_path
         if saved != (os.path.abspath(out_path) if out_path else None):
@@ -185,7 +177,6 @@ def _load_resume(config: SearchConfig) -> Optional[dict]:
             raise CursorError(
                 f"output file {out_path!r} is shorter than the cursor file "
                 "records; restore it or delete the cursor to start over")
-        state["cursor"] = cursor or None
         return state
     except CursorError:
         raise
@@ -195,24 +186,26 @@ def _load_resume(config: SearchConfig) -> Optional[dict]:
 
 
 def _save_cursor(config: SearchConfig, out: TextIO, order: int,
-                 cursor: Optional[EnumerationCursor], complete: bool) -> None:
-    """Flush the records, then persist the resume state together with the
-    output file and the byte offset the records reached in it (both None
-    without an --out file)."""
+                 position: tuple, complete: bool) -> None:
+    """Flush the records, then persist the resume state: the order and the
+    enumerator position to go on from, with the output file and the byte
+    offset the records reached in it (both None without an --out file),
+    all under one CRC-32."""
     out.flush()
     path = config.resume_path
     if not path:
         return
-    cursor_data = cursor.to_dict() if cursor else None
+    sequence, emitted = position
     state = {
         "filters": config.filters_key(),
         "order": order,
-        "cursor": cursor_data,
-        "cursor_check": _cursor_check(cursor_data),
+        "sequence": list(sequence) if sequence is not None else None,
+        "emitted": emitted,
         "complete": complete,
         "out_path": os.path.abspath(config.out_path) if config.out_path else None,
         "out_offset": out.tell() if config.out_path else None,
     }
+    state["check"] = _state_check(state)
     tmp = path + ".tmp"
     with open(tmp, "w", encoding="utf-8") as fh:
         fh.write(json.dumps(state))
@@ -233,14 +226,13 @@ def run_search(config: SearchConfig, out: TextIO, err: TextIO,
     """Run the search; returns {"per_order": {n: hits}}.  Without a
     ``resume`` state already loaded, run_search loads it."""
     resume = resume or _load_resume(config)
-    start_order = 1
-    start_cursor: Optional[EnumerationCursor] = None
+    start_order, start = 1, (None, 0)
     if resume:
         if resume.get("complete"):
             print("search already complete per cursor file", file=err)
             return {"per_order": {}, "resumed_complete": True}
         start_order = resume["order"]
-        start_cursor = resume["cursor"]
+        start = (resume["sequence"], resume["emitted"])
         if config.out_path:
             # drop records written after the last cursor save; the resumed
             # enumeration emits them again
@@ -249,22 +241,21 @@ def run_search(config: SearchConfig, out: TextIO, err: TextIO,
 
     per_order: dict = {}
     for n in config.orders(start_order):
-        cursor = start_cursor if n == start_order else None
-        start_cursor = None
+        position = start if n == start_order else (None, 0)
         hits = 0
         save = partial(_save_cursor, config, out, n, complete=False)
-        for code, parent in kept_codes(config, n, cursor, save):
+        for code, parent in kept_codes(config, n, position, save):
             stamp = datetime.now(timezone.utc).isoformat(timespec="seconds")
             out.write(kept_record(config, code, parent, stamp).to_json() + "\n")
             hits += 1
         per_order[n] = hits
         print(f"order {n}: {hits} matching trees", file=err)
         if n < config.max_order:
-            _save_cursor(config, out, n + 1, None, complete=False)
+            _save_cursor(config, out, n + 1, (None, 0), complete=False)
     # only this save marks the last order done (a resume from an incomplete
     # save there would write it again), also when the nullity's parity
     # skips the last orders, or all of them
-    _save_cursor(config, out, config.max_order, None, complete=True)
+    _save_cursor(config, out, config.max_order, (None, 0), complete=True)
     print("order | matches", file=err)
     for n, hits in per_order.items():
         print(f"{n:5d} | {hits}", file=err)

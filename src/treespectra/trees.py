@@ -20,7 +20,8 @@ class TreeFormatError(ValueError):
 class Tree:
     """Immutable labeled tree on vertices 0..n-1."""
 
-    __slots__ = ("n", "adj", "_code")  # _code: canonical_code's memo
+    __slots__ = ("n", "adj")
+    _code = None  # no memo: read only by perfbench's canonical_code tracer
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
         """The checked constructor, for edges from outside the package:
@@ -64,7 +65,6 @@ class Tree:
             a.sort()
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "adj", tuple(map(tuple, adj)))
-        object.__setattr__(self, "_code", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Tree is immutable")
@@ -174,11 +174,7 @@ class Tree:
 
     @property
     def canonical_code(self) -> tuple[int, ...]:
-        code = self._code
-        if code is None:
-            code = max(self.rooted_code(c) for c in self.centers())
-            object.__setattr__(self, "_code", code)
-        return code
+        return max(self.rooted_code(c) for c in self.centers())
 
     def code_str(self) -> str:
         return ",".join(str(d) for d in self.canonical_code)

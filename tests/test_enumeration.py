@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -6,8 +7,7 @@ from oracles import (_degree_square_sum, _doomed_run_end, _is_center_code,
                      _successor, free_tree_codes_networkx,
                      free_tree_counts_by_recurrence, is_free_tree_code,
                      labeled_tree_codes)
-from treespectra.enumeration import (EnumerationCursor, FreeTreeEnumerator,
-                                     enumerate_free_trees)
+from treespectra.enumeration import FreeTreeEnumerator, enumerate_free_trees
 from treespectra.trees import Tree, code_parents, parent_degrees
 
 # counts for n = 1..12, from the labeled-tree dedup oracle (live below for
@@ -116,8 +116,8 @@ class TestSkippingWalk:
         enum = FreeTreeEnumerator(9)
         full = walk_with_parents(FreeTreeEnumerator(9))
         for done, _ in enumerate(enum, start=1):
-            cursor = EnumerationCursor.from_json(enum.cursor().to_json())
-            rest = walk_with_parents(FreeTreeEnumerator(9, cursor=cursor))
+            rest = walk_with_parents(
+                FreeTreeEnumerator(9, position=enum.position()))
             assert rest == full[done:], done
 
     def test_stream_matches_reference_walk(self):
@@ -135,12 +135,11 @@ class TestSkippingWalk:
         full = reference_codes(10, (1, 3))
         enum = FreeTreeEnumerator(10, (1, 3))
         for done, code in enumerate(enum, start=1):
-            cursor = EnumerationCursor.from_json(enum.cursor().to_json())
-            # the cursor holds the last emitted owned sequence
-            assert cursor.sequence == code
-            rest = list(FreeTreeEnumerator(10, (1, 3), cursor=cursor))
+            # the position holds the last emitted owned sequence
+            assert enum.position()[0] == code
+            rest = list(FreeTreeEnumerator(10, (1, 3), enum.position()))
             assert rest == full[done:], done
-        assert enum.cursor().exhausted
+        assert list(FreeTreeEnumerator(10, (1, 3), enum.position())) == []
 
 
 class TestFreeTreeStream:
@@ -199,7 +198,33 @@ class TestSharding:
             FreeTreeEnumerator(5, (0, 0))
 
 
+def resumed_streams(n, shard):
+    """(stream so far, stream resumed from the position) at every position
+    of a walk: before the first yield, after each yield and after the end;
+    each position goes through JSON, as a search saves it."""
+    enum = FreeTreeEnumerator(n, shard)
+    done = []
+
+    def resumed():
+        position = json.loads(json.dumps(enum.position()))
+        return list(done), list(FreeTreeEnumerator(n, shard, position))
+
+    pairs = [resumed()]
+    for code in enum:
+        done.append(code)
+        pairs.append(resumed())
+    pairs.append(resumed())
+    return pairs
+
+
 class TestCursorResume:
+    @pytest.mark.parametrize("shard", [(0, 1), (1, 3), (2, 4)])
+    def test_resume_from_every_position(self, shard):
+        for n in range(1, 13):
+            full = list(FreeTreeEnumerator(n, shard))
+            for done, rest in resumed_streams(n, shard):
+                assert done + rest == full, (n, len(done))
+
     def test_resume_mid_stream(self):
         rng = random.Random(0)
         for n in (6, 8, 9):
@@ -211,25 +236,29 @@ class TestCursorResume:
                 first.append(code)
                 if len(first) == stop:
                     break
-            cursor = enum.cursor()
-            # serialize through JSON like the search engine does
-            cursor = EnumerationCursor.from_json(cursor.to_json())
-            rest = list(FreeTreeEnumerator(n, cursor=cursor))
+            # through JSON, like the search's state file
+            position = json.loads(json.dumps(enum.position()))
+            rest = list(FreeTreeEnumerator(n, position=position))
             assert first + rest == full
 
     def test_fresh_cursor_resumes_from_start(self):
         enum = FreeTreeEnumerator(5)
-        cursor = enum.cursor()
-        assert [len(c) for c in FreeTreeEnumerator(5, cursor=cursor)] == [5, 5, 5]
+        assert enum.position() == (None, 0)
+        again = FreeTreeEnumerator(5, position=enum.position())
+        assert [len(c) for c in again] == [5, 5, 5]
 
     def test_exhausted_cursor(self):
-        enum = FreeTreeEnumerator(3)
-        list(enum)
-        again = FreeTreeEnumerator(3, cursor=enum.cursor())
-        assert list(again) == []
+        # a finished position yields nothing, whatever the shard
+        for shard in [(0, 1), (1, 3), (2, 4)]:
+            enum = FreeTreeEnumerator(3, shard)
+            list(enum)
+            assert enum.position() == ((0, 1, 1), 1)
+            assert list(FreeTreeEnumerator(3, shard, enum.position())) == []
 
     def test_cursor_mismatch(self):
         enum = FreeTreeEnumerator(5)
         list(enum)
-        with pytest.raises(ValueError):
-            FreeTreeEnumerator(6, cursor=enum.cursor())
+        with pytest.raises(ValueError, match="not of order 6"):
+            FreeTreeEnumerator(6, position=enum.position())
+        with pytest.raises(ValueError, match="nonnegative"):
+            FreeTreeEnumerator(5, position=((0, 1, 2, 1, 1), -1))

@@ -95,8 +95,8 @@ def test_per_tree_command_output(command, digest, capsys):
 
 def test_cursor_at_every_yield():
     enum = FreeTreeEnumerator(10, (1, 3))
-    lines = [enum.cursor().to_json()]
-    lines.extend(enum.cursor().to_json() for _ in enum)
-    lines.append(enum.cursor().to_json())
+    lines = [json.dumps(enum.position())]
+    lines.extend(json.dumps(enum.position()) for _ in enum)
+    lines.append(json.dumps(enum.position()))
     assert sha(lines) == (
-        "0a8a70dcfdfeddc947c4a1d4ece68d7bc3baac7479dc01397bfeeb784583312e")
+        "5ab4b84fd789be38fbae5191257c2de9228f50fd577bb1ce42077271ea34e64c")

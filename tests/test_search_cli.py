@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import zlib
 
 import pytest
 
@@ -48,6 +49,25 @@ class _InterruptingWriter:
 
     def __getattr__(self, name):
         return getattr(self._fh, name)
+
+
+def interrupted_order_9(tmp_path):
+    """(--out file, state file) of a search to order 9 stopped after 60
+    records, mid-order 9, with a state saved every 2 owned trees."""
+    out_path, cursor = tmp_path / "cat.jsonl", tmp_path / "cursor.json"
+    config = SearchConfig(max_order=9, out_path=str(out_path),
+                          resume_path=str(cursor), cursor_every=2)
+    with open(out_path, "w", encoding="utf-8") as fh:
+        with pytest.raises(_Interrupted):
+            run_search(config, _InterruptingWriter(fh, 60), io.StringIO())
+    return out_path, cursor
+
+
+def state_check(state):
+    """The state file's check, computed apart from the package's."""
+    fields = {key: value for key, value in state.items() if key != "check"}
+    text = json.dumps(fields, sort_keys=True, separators=(",", ":"))
+    return zlib.crc32(text.encode("utf-8"))
 
 
 def records_without_timestamp(path):
@@ -245,37 +265,85 @@ class TestSearchEngine:
         ("sequence", [0, 1]),  # the wrong length
         ("sequence", [0, 1, 1, 2, 1, 1, 1, 1, 1]),  # not canonical
         ("sequence", None),
-        ("n", 8),
-        ("shard", [1, 2]),
-        ("exhausted", True),
         ("emitted", -1),
         ("order", 10),
         ("order", 0),
         # a well-formed count that would hand the shard other shards' trees
         pytest.param("emitted", "+1", id="emitted-plus-1"),
+        # a shorter offset would cut records the state counts as written
+        pytest.param("out_offset", "-1", id="out_offset-minus-1"),
+        ("complete", True),
     ])
     def test_mutated_cursor_refused(self, tmp_path, capsys, field, value):
-        out_path = tmp_path / "cat.jsonl"
-        cursor = tmp_path / "cursor.json"
-        config = SearchConfig(max_order=9, out_path=str(out_path),
-                              resume_path=str(cursor), cursor_every=2)
-        with open(out_path, "w", encoding="utf-8") as fh:
-            with pytest.raises(_Interrupted):
-                run_search(config, _InterruptingWriter(fh, 60), io.StringIO())
+        out_path, cursor = interrupted_order_9(tmp_path)
         state = json.loads(cursor.read_text())
-        assert state["order"] == 9 and state["cursor"]["n"] == 9
+        assert state["order"] == 9 and len(state["sequence"]) == 9
         if field == "order":  # as saved at an order boundary
-            state.update(order=value, cursor=None)
-        elif value == "+1":
-            state["cursor"][field] += 1
+            state.update(order=value, sequence=None, emitted=0)
+        elif value in ("+1", "-1"):
+            state[field] += int(value)
         else:
-            state["cursor"][field] = value
+            state[field] = value
         cursor.write_text(json.dumps(state))
         before = out_path.read_bytes()
         assert main(["search", "--max-order", "9", "--out", str(out_path),
                      "--resume", str(cursor), "--cursor-every", "2"]) == 2
         assert out_path.read_bytes() == before
         assert "delete it" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("edit", [
+        {"complete": False},
+        {"order": 4},
+        {"complete": False, "order": 4},
+    ], ids=["incomplete", "order-4", "incomplete-order-4"])
+    def test_edited_finished_state_refused(self, tmp_path, capsys, edit):
+        # run again from an edited state, a finished search would write
+        # its last orders' records a second time
+        out_path, cursor = tmp_path / "o.jsonl", tmp_path / "c.json"
+        args = ["search", "--max-order", "6", "--out", str(out_path),
+                "--resume", str(cursor)]
+        assert main(args) == 0
+        assert len(out_path.read_text().splitlines()) == 14
+        state = json.loads(cursor.read_text())
+        assert state["complete"] and state["order"] == 6
+        state.update(edit)
+        cursor.write_text(json.dumps(state))
+        before = out_path.read_bytes()
+        assert main(args) == 2
+        assert out_path.read_bytes() == before
+        assert "edited" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("edit", [
+        {"sequence": [0, 5, 1, 1, 1, 1, 1, 1, 1]},  # no level sequence
+        {"sequence": [0, 1]},  # the wrong length
+        {"sequence": [0, 1, 1, 2, 1, 1, 1, 1, 1]},  # not canonical
+        {"emitted": -1},
+        {"sequence": None},  # a count with no sequence: other shards' trees
+        {"emitted": 0},
+        {"order": 10, "sequence": None, "emitted": 0},
+        {"order": 0, "sequence": None, "emitted": 0},
+    ], ids=["no-level-sequence", "wrong-length", "not-canonical",
+            "negative-count", "count-without-sequence",
+            "sequence-without-count", "order-10", "order-0"])
+    def test_rechecked_state_refused(self, tmp_path, capsys, edit):
+        # a state no search writes is refused also under a check that
+        # matches it: the check is a CRC-32 of the canonical JSON of every
+        # other field
+        out_path, cursor = interrupted_order_9(tmp_path)
+        state = json.loads(cursor.read_text())
+        assert sorted(state) == ["check", "complete", "emitted", "filters",
+                                 "order", "out_offset", "out_path",
+                                 "sequence"]
+        assert state["check"] == state_check(state)
+        state.update(edit)
+        state["check"] = state_check(state)
+        cursor.write_text(json.dumps(state))
+        before = out_path.read_bytes()
+        assert main(["search", "--max-order", "9", "--out", str(out_path),
+                     "--resume", str(cursor), "--cursor-every", "2"]) == 2
+        assert out_path.read_bytes() == before
+        err = capsys.readouterr().err
+        assert "delete it" in err and "edited" not in err
 
     def test_cursor_mismatch_refused(self, tmp_path):
         cursor = str(tmp_path / "cursor.json")
@@ -339,12 +407,12 @@ class TestCursorSaves:
                     assert json.loads(line)["code"] == ",".join(map(str, code))
                     offset += len(line.encode("utf-8"))
                 if owned % every == 0:
-                    saves.append((n, json.loads(enum.cursor().to_json()),
-                                  False, offset))
+                    sequence, emitted = enum.position()
+                    saves.append((n, list(sequence), emitted, False, offset))
             if n < max_order:
-                saves.append((n + 1, None, False, offset))
+                saves.append((n + 1, None, 0, False, offset))
         assert next(records, None) is None
-        saves.append((max_order, None, True, offset))
+        saves.append((max_order, None, 0, True, offset))
         return saves
 
     @pytest.mark.parametrize("integral", [False, True])
@@ -360,8 +428,8 @@ class TestCursorSaves:
         def capture(*args, **kwargs):
             save(*args, **kwargs)
             state = json.loads(cursor.read_text())
-            saved.append((state["order"], state["cursor"], state["complete"],
-                          state["out_offset"]))
+            saved.append((state["order"], state["sequence"], state["emitted"],
+                          state["complete"], state["out_offset"]))
 
         monkeypatch.setattr(search, "_save_cursor", capture)
         config = SearchConfig(max_order=9, integral_only=integral,
