@@ -103,11 +103,6 @@ def _parse_shard(text: str) -> tuple:
 
 
 def _cmd_search(args) -> int:
-    if args.resume and not args.out:
-        raise ValueError(
-            "--resume needs --out: records already written to standard "
-            "output cannot be taken back, so a resumed run would print "
-            "again every record after the last cursor save")
     config = SearchConfig(
         max_order=args.max_order,
         nullity=args.nullity,

@@ -1,12 +1,13 @@
 """Sharded, resumable search over all trees up to a given order.
 
 The search streams CatalogRecords for every tree passing the configured
-filters.  A cursor file makes interrupted runs restartable, and this module
-alone reads and writes it: one flat JSON record of the search parameters,
-the order and the enumerator position (sequence, emitted) to go on from,
-whether the search is complete, and how far the output file had got, all
-under one CRC-32.  A resumed run cuts the output file back to that offset,
-so no record is written twice; a refused cursor leaves the file as it was.
+filters, the same bytes for the same parameters.  A cursor file makes a
+search into an output file restartable, and this module alone reads and
+writes it: one flat JSON record of the search parameters, the order and
+the enumerator position (sequence, emitted) to go on from, whether the
+search is complete, and how far the output file had got, all under one
+CRC-32.  A resumed run cuts the output file back to that offset, so the
+file ends as an uninterrupted run's; a refused cursor leaves it as it was.
 Shards partition the emitted stream round-robin so that the union over
 shards equals an unsharded run.  kept_codes is the one filtered walk of an
 order: the search, the census and the verifier's nullity checks share it.
@@ -17,8 +18,8 @@ from __future__ import annotations
 import json
 import os
 import zlib
+from contextlib import nullcontext
 from dataclasses import dataclass
-from datetime import datetime, timezone
 from functools import partial
 from typing import Callable, Iterator, Optional, TextIO
 
@@ -54,6 +55,17 @@ class SearchConfig:
             raise ValueError("nullity filter must be nonnegative")
         if self.cursor_every < 1:
             raise ValueError("cursor interval must be positive")
+        if self.resume_path and not self.out_path:
+            raise ValueError(
+                "--resume needs --out: records already written to standard "
+                "output cannot be taken back, so a resumed run would print "
+                "again every record after the last cursor save")
+        # a cursor is saved to its name + ".tmp", then renamed over it
+        if self.resume_path and os.path.abspath(self.out_path) in (
+                os.path.abspath(self.resume_path),
+                os.path.abspath(self.resume_path + ".tmp")):
+            raise ValueError("--out must be neither the cursor file nor "
+                             "its temporary file, the cursor's name + .tmp")
 
     def orders(self, start: int = 1) -> list[int]:
         """Orders from start to max_order that can hold a match: a tree's
@@ -111,8 +123,8 @@ def kept_codes(config: SearchConfig, n: int, position: tuple = (None, 0),
                 since_save = 0
 
 
-def kept_record(config: SearchConfig, code: tuple, parent: list,
-                timestamp: Optional[str] = None) -> CatalogRecord:
+def kept_record(config: SearchConfig, code: tuple,
+                parent: list) -> CatalogRecord:
     """The catalog record of a kept code and parent array: its polynomial,
     folded on them only here, with no Tree built.  Where the polynomial
     and the parent-array filters decide the same fact, they must agree."""
@@ -122,9 +134,8 @@ def kept_record(config: SearchConfig, code: tuple, parent: list,
         raise AssertionError(f"nullity routes disagree on {text}")
     if config.integral_only and not analysis.summary.is_integral:
         raise AssertionError(f"integrality routes disagree on {text}")
-    return CatalogRecord.from_analysis(
-        text, analysis, order_cap=config.max_order,
-        shard=f"{config.shard[0]}/{config.shard[1]}", timestamp=timestamp)
+    return CatalogRecord.from_analysis(text, analysis, config.max_order,
+                                       f"{config.shard[0]}/{config.shard[1]}")
 
 
 def _state_check(state: dict) -> int:
@@ -163,17 +174,14 @@ def _load_resume(config: SearchConfig) -> Optional[dict]:
                 or list(Tree.from_code(seq).rooted_code(0)) != seq):
             raise ValueError("the position is no position of this search")
         # the resumed search cuts the output file back to the offset, and a
-        # complete one leaves the file as the state records it; standard
-        # output has no offset to cut back to
+        # complete one leaves the file as the state records it
         saved, out_path = state["out_path"], config.out_path
-        if saved != (os.path.abspath(out_path) if out_path else None):
+        if saved != os.path.abspath(out_path):
             raise CursorError(
-                (f"cursor file belongs to the output file {saved!r}; pass "
-                 "that as --out or delete the cursor to start over") if saved
-                else ("cursor file belongs to a search to standard output; "
-                      "delete it to start over"))
-        if out_path and (os.path.getsize(out_path) if os.path.exists(out_path)
-                         else 0) < state["out_offset"]:
+                f"cursor file belongs to the output file {saved!r}; pass "
+                "that as --out or delete the cursor to start over")
+        if (os.path.getsize(out_path) if os.path.exists(out_path)
+                else 0) < state["out_offset"]:
             raise CursorError(
                 f"output file {out_path!r} is shorter than the cursor file "
                 "records; restore it or delete the cursor to start over")
@@ -189,8 +197,7 @@ def _save_cursor(config: SearchConfig, out: TextIO, order: int,
                  position: tuple, complete: bool) -> None:
     """Flush the records, then persist the resume state: the order and the
     enumerator position to go on from, with the output file and the byte
-    offset the records reached in it (both None without an --out file),
-    all under one CRC-32."""
+    offset the records reached in it, all under one CRC-32."""
     out.flush()
     path = config.resume_path
     if not path:
@@ -202,8 +209,8 @@ def _save_cursor(config: SearchConfig, out: TextIO, order: int,
         "sequence": list(sequence) if sequence is not None else None,
         "emitted": emitted,
         "complete": complete,
-        "out_path": os.path.abspath(config.out_path) if config.out_path else None,
-        "out_offset": out.tell() if config.out_path else None,
+        "out_path": os.path.abspath(config.out_path),
+        "out_offset": out.tell(),
     }
     state["check"] = _state_check(state)
     tmp = path + ".tmp"
@@ -213,49 +220,45 @@ def _save_cursor(config: SearchConfig, out: TextIO, order: int,
 
 
 def search_to_file(config: SearchConfig, err: TextIO) -> dict:
-    """run_search into config.out_path, opened only once the resume state
-    has passed its checks: to append on a resume, afresh otherwise."""
+    """run_search into config.out_path."""
+    return run_search(config, None, err)
+
+
+def run_search(config: SearchConfig, out: Optional[TextIO],
+               err: TextIO) -> dict:
+    """Run the search into out, or with out None into config.out_path,
+    opened only once the resume state has passed its checks: to append on
+    a resume, afresh otherwise.  Returns {"per_order": {n: hits}}."""
     resume = _load_resume(config)
-    with open(config.out_path, "a" if resume else "w",
-              encoding="utf-8") as fh:
-        return run_search(config, fh, err, resume)
-
-
-def run_search(config: SearchConfig, out: TextIO, err: TextIO,
-               resume: Optional[dict] = None) -> dict:
-    """Run the search; returns {"per_order": {n: hits}}.  Without a
-    ``resume`` state already loaded, run_search loads it."""
-    resume = resume or _load_resume(config)
+    if resume and resume.get("complete"):
+        print("search already complete per cursor file", file=err)
+        return {"per_order": {}, "resumed_complete": True}
     start_order, start = 1, (None, 0)
-    if resume:
-        if resume.get("complete"):
-            print("search already complete per cursor file", file=err)
-            return {"per_order": {}, "resumed_complete": True}
-        start_order = resume["order"]
-        start = (resume["sequence"], resume["emitted"])
-        if config.out_path:
+    per_order: dict = {}
+    with (open(config.out_path, "a" if resume else "w", encoding="utf-8")
+          if out is None else nullcontext(out)) as out:
+        if resume:
+            start_order = resume["order"]
+            start = (resume["sequence"], resume["emitted"])
             # drop records written after the last cursor save; the resumed
             # enumeration emits them again
             out.seek(resume["out_offset"])
             out.truncate()
-
-    per_order: dict = {}
-    for n in config.orders(start_order):
-        position = start if n == start_order else (None, 0)
-        hits = 0
-        save = partial(_save_cursor, config, out, n, complete=False)
-        for code, parent in kept_codes(config, n, position, save):
-            stamp = datetime.now(timezone.utc).isoformat(timespec="seconds")
-            out.write(kept_record(config, code, parent, stamp).to_json() + "\n")
-            hits += 1
-        per_order[n] = hits
-        print(f"order {n}: {hits} matching trees", file=err)
-        if n < config.max_order:
-            _save_cursor(config, out, n + 1, (None, 0), complete=False)
-    # only this save marks the last order done (a resume from an incomplete
-    # save there would write it again), also when the nullity's parity
-    # skips the last orders, or all of them
-    _save_cursor(config, out, config.max_order, (None, 0), complete=True)
+        for n in config.orders(start_order):
+            position = start if n == start_order else (None, 0)
+            hits = 0
+            save = partial(_save_cursor, config, out, n, complete=False)
+            for code, parent in kept_codes(config, n, position, save):
+                out.write(kept_record(config, code, parent).to_json() + "\n")
+                hits += 1
+            per_order[n] = hits
+            print(f"order {n}: {hits} matching trees", file=err)
+            if n < config.max_order:
+                _save_cursor(config, out, n + 1, (None, 0), complete=False)
+        # only this save marks the last order done (a resume from an
+        # incomplete save there would write it again), also when the
+        # nullity's parity skips the last orders, or all of them
+        _save_cursor(config, out, config.max_order, (None, 0), complete=True)
     print("order | matches", file=err)
     for n, hits in per_order.items():
         print(f"{n:5d} | {hits}", file=err)

@@ -35,6 +35,7 @@ from .trees import (Tree, attach_pendants, c_tree, grow, hub_vertices,
                     join_trees, path, s_tree, without_vertex)
 
 _Y = IntPoly.x()  # the squared-eigenvalue variable y = x^2
+_G_ROUNDS = 20  # random (a, b, c) triples per g-identity check
 
 
 @dataclass
@@ -381,8 +382,8 @@ def nullity3_case_polynomials(p: int, q: int, r: int,
         certificate=cert)
 
 
-def _g_identities_hold(rng: random.Random, rounds: int = 20) -> bool:
-    for _ in range(rounds):
+def _g_identities_hold(rng: random.Random) -> bool:
+    for _ in range(_G_ROUNDS):
         a = rng.randrange(0, 40)
         b = rng.randrange(0, a + 1)
         c = rng.randrange(0, b + 1)

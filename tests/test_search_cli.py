@@ -3,7 +3,6 @@ import hashlib
 import io
 import json
 import os
-import re
 import subprocess
 import sys
 import zlib
@@ -15,7 +14,8 @@ from treespectra import search
 from treespectra.catalog import CatalogRecord
 from treespectra.cli import build_parser, main
 from treespectra.enumeration import FreeTreeEnumerator
-from treespectra.search import CursorError, SearchConfig, run_search
+from treespectra.search import (CursorError, SearchConfig, run_search,
+                                search_to_file)
 from treespectra.spectra import _integrality
 from treespectra.trees import Tree, format_tree_text, path, s_tree
 
@@ -70,15 +70,6 @@ def state_check(state):
     return zlib.crc32(text.encode("utf-8"))
 
 
-def records_without_timestamp(path):
-    out = []
-    for line in path.read_text(encoding="utf-8").splitlines():
-        data = json.loads(line)
-        data.pop("timestamp")
-        out.append(data)
-    return out
-
-
 class TestSearchEngine:
     def test_nullity_two_integral(self, tmp_path):
         records, _ = run_engine(tmp_path, max_order=10, nullity=2,
@@ -107,21 +98,19 @@ class TestSearchEngine:
         assert len(merged) == len(set(merged))
 
     def test_resume_no_duplicates(self, tmp_path):
-        cursor = str(tmp_path / "cursor.json")
-        out_path = str(tmp_path / "catalog.jsonl")
+        out_path = tmp_path / "catalog.jsonl"
+        config = SearchConfig(max_order=8, integral_only=True,
+                              out_path=str(out_path),
+                              resume_path=str(tmp_path / "cursor.json"),
+                              cursor_every=2)
         with open(out_path, "w", encoding="utf-8") as fh:
-            run_search(SearchConfig(max_order=8, integral_only=True,
-                                    resume_path=cursor, cursor_every=2),
-                       fh, io.StringIO())
-        first = open(out_path).read().splitlines()
+            run_search(config, fh, io.StringIO())
+        first = out_path.read_bytes()
         # a rerun against the completed cursor adds nothing
         with open(out_path, "a", encoding="utf-8") as fh:
-            summary = run_search(SearchConfig(max_order=8, integral_only=True,
-                                              resume_path=cursor,
-                                              cursor_every=2),
-                                 fh, io.StringIO())
+            summary = run_search(config, fh, io.StringIO())
         assert summary.get("resumed_complete")
-        assert open(out_path).read().splitlines() == first
+        assert out_path.read_bytes() == first
 
     @pytest.mark.parametrize("every", [2, 3])
     def test_resume_after_interrupt_at_every_record(self, tmp_path, every):
@@ -131,9 +120,9 @@ class TestSearchEngine:
 
         full = tmp_path / "full.jsonl"
         assert main(cli_args(full, tmp_path / "full.json")) == 0
-        expected = records_without_timestamp(full)
-        assert len(expected) == 48  # every tree of order 1..8
-        for limit in range(len(expected)):
+        expected = full.read_bytes()
+        assert len(expected.splitlines()) == 48  # every tree of order 1..8
+        for limit in range(48):
             out_path = tmp_path / f"out{limit}.jsonl"
             cursor = tmp_path / f"cursor{limit}.json"
             config = SearchConfig(max_order=8, out_path=str(out_path),
@@ -143,7 +132,7 @@ class TestSearchEngine:
                     run_search(config, _InterruptingWriter(fh, limit),
                                io.StringIO())
             assert main(cli_args(out_path, cursor)) == 0
-            assert records_without_timestamp(out_path) == expected, limit
+            assert out_path.read_bytes() == expected, limit
 
     def test_resume_after_interrupt_before_complete_save(self, tmp_path,
                                                          monkeypatch):
@@ -151,8 +140,8 @@ class TestSearchEngine:
         save that marks it complete, writes no record twice on resume."""
         full = tmp_path / "full.jsonl"
         assert main(["search", "--max-order", "6", "--out", str(full)]) == 0
-        expected = records_without_timestamp(full)
-        assert len(expected) == 14  # every tree of order 1..6
+        expected = full.read_bytes()
+        assert len(expected.splitlines()) == 14  # every tree of order 1..6
         out_path, cursor = tmp_path / "out.jsonl", tmp_path / "cursor.json"
         config = SearchConfig(max_order=6, out_path=str(out_path),
                               resume_path=str(cursor))
@@ -170,18 +159,18 @@ class TestSearchEngine:
                     run_search(config, fh, io.StringIO())
         assert main(["search", "--max-order", "6", "--out", str(out_path),
                      "--resume", str(cursor)]) == 0
-        assert records_without_timestamp(out_path) == expected
+        assert out_path.read_bytes() == expected
 
     def test_cursor_without_offset_refused(self, tmp_path):
         cursor = tmp_path / "cursor.json"
-        config = SearchConfig(max_order=5, resume_path=str(cursor),
-                              cursor_every=2)
-        run_search(config, io.StringIO(), io.StringIO())
+        config = SearchConfig(max_order=5, out_path=str(tmp_path / "o.jsonl"),
+                              resume_path=str(cursor), cursor_every=2)
+        search_to_file(config, io.StringIO())
         state = json.loads(cursor.read_text())
         del state["out_offset"]
         cursor.write_text(json.dumps(state))
         with pytest.raises(CursorError, match="delete it"):
-            run_search(config, io.StringIO(), io.StringIO())
+            search_to_file(config, io.StringIO())
 
     def test_resume_refuses_shortened_output(self, tmp_path):
         out_path = tmp_path / "cat.jsonl"
@@ -217,28 +206,26 @@ class TestSearchEngine:
                      "--resume", str(cursor), "--cursor-every", "2"]) == 2
         assert not missing.exists()
 
-    def test_stdout_cursor_and_out_file_refuse_each_other(self, tmp_path,
-                                                           capsys):
-        # a cursor records no offset into standard output, so a search to a
-        # file cannot resume from it, nor a search to standard output from
-        # a file's cursor
+    def test_stdout_cursor_and_out_file_refuse_each_other(self, tmp_path):
+        # standard output has no offset to cut back to, so a search to it
+        # saves no cursor: the config is refused before anything runs (a
+        # file's cursor refuses every other --out, as tested above)
         cursor = tmp_path / "cursor.json"
-        config = SearchConfig(max_order=7, resume_path=str(cursor),
-                              cursor_every=3)
-        with pytest.raises(_Interrupted):
-            run_search(config, _InterruptingWriter(io.StringIO(), 12),
-                       io.StringIO())
-        out_path = tmp_path / "o.jsonl"
-        assert main(["search", "--max-order", "7", "--out", str(out_path),
-                     "--resume", str(cursor)]) == 2
-        assert "standard output" in capsys.readouterr().err
-        assert not out_path.exists()
-        cursor.unlink()
-        assert main(["search", "--max-order", "7", "--out", str(out_path),
-                     "--resume", str(cursor)]) == 0
-        with pytest.raises(CursorError, match="belongs to the output file"):
-            run_search(SearchConfig(max_order=7, resume_path=str(cursor)),
-                       io.StringIO(), io.StringIO())
+        with pytest.raises(ValueError, match="--resume needs --out"):
+            SearchConfig(max_order=7, resume_path=str(cursor))
+        assert not cursor.exists()
+
+    @pytest.mark.parametrize("name", ["c.json", "c.json.tmp"])
+    def test_out_file_clashing_with_cursor_refused(self, tmp_path, capsys,
+                                                   monkeypatch, name):
+        # a cursor is saved to its name + ".tmp", then renamed over its
+        # name: either as --out would lose the records; the paths are
+        # compared absolute, and the refusal makes no file
+        monkeypatch.chdir(tmp_path)
+        assert main(["search", "--max-order", "7", "--out",
+                     str(tmp_path / name), "--resume", "c.json"]) == 2
+        assert "--out must be neither" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("other", [False, True])
     def test_complete_cursor_checks_out_file(self, tmp_path, capsys, other):
@@ -346,19 +333,20 @@ class TestSearchEngine:
         assert "delete it" in err and "edited" not in err
 
     def test_cursor_mismatch_refused(self, tmp_path):
-        cursor = str(tmp_path / "cursor.json")
-        run_search(SearchConfig(max_order=5, resume_path=cursor),
-                   io.StringIO(), io.StringIO())
+        paths = dict(out_path=str(tmp_path / "o.jsonl"),
+                     resume_path=str(tmp_path / "cursor.json"))
+        search_to_file(SearchConfig(max_order=5, **paths), io.StringIO())
         with pytest.raises(CursorError):
-            run_search(SearchConfig(max_order=6, resume_path=cursor),
-                       io.StringIO(), io.StringIO())
+            search_to_file(SearchConfig(max_order=6, **paths), io.StringIO())
 
     def test_corrupt_cursor_refused(self, tmp_path):
         cursor = tmp_path / "cursor.json"
         cursor.write_text("{not json")
         with pytest.raises(CursorError):
-            run_search(SearchConfig(max_order=5, resume_path=str(cursor)),
-                       io.StringIO(), io.StringIO())
+            search_to_file(SearchConfig(max_order=5,
+                                        out_path=str(tmp_path / "o.jsonl"),
+                                        resume_path=str(cursor)),
+                           io.StringIO())
 
     @pytest.mark.parametrize("existing", [None, b'{"kept": 1}\n'])
     def test_corrupt_cursor_leaves_out_file_untouched(self, tmp_path, capsys,
@@ -693,9 +681,7 @@ class TestParserReuse:
         except SystemExit as exc:
             code = exc.code
         out = capsys.readouterr()
-        # records carry their wall-clock second of discovery
-        stamp = re.compile(r'"timestamp": "[^"]*"')
-        return code, stamp.sub("", out.out), out.err
+        return code, out.out, out.err
 
     def test_reused_parser_matches_fresh_parser(self, capsys):
         fresh = []

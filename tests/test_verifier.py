@@ -29,16 +29,12 @@ def double_star_2_2() -> Tree:
 
 
 def search_records(h: int, order_cap: int, shard: tuple) -> list:
-    """The records an integral search for nullity h writes, as dicts
-    without their timestamps."""
+    """The records an integral search for nullity h writes, as dicts."""
     out = io.StringIO()
     run_search(SearchConfig(max_order=order_cap, nullity=h,
                             integral_only=True, shard=shard),
                out, io.StringIO())
-    records = [json.loads(line) for line in out.getvalue().splitlines()]
-    for data in records:
-        data.pop("timestamp")
-    return records
+    return [json.loads(line) for line in out.getvalue().splitlines()]
 
 
 class TestEigenBounds:
