@@ -15,7 +15,7 @@ from functools import cache
 from typing import Optional
 
 from .reduction import reduce_with_trace, reduced_census
-from .search import CursorError, SearchConfig, run_search, search_to_file
+from .search import CursorError, SearchConfig, run_search
 from .spectra import (SpectrumSummary, TreeSpectrum, _char_poly, _m_value,
                       nullity_matching, nullity_poly)
 from .trees import Tree, TreeFormatError, parse_tree_text
@@ -98,7 +98,7 @@ def _parse_shard(text: str) -> tuple:
     try:
         index, count = text.split("/")
         return int(index), int(count)
-    except Exception:
+    except ValueError:
         raise argparse.ArgumentTypeError(f"shard must look like i/m, got {text!r}")
 
 
@@ -113,10 +113,7 @@ def _cmd_search(args) -> int:
         resume_path=args.resume,
         cursor_every=args.cursor_every,
     )
-    if args.out:
-        search_to_file(config, sys.stderr)
-    else:
-        run_search(config, sys.stdout, sys.stderr)
+    run_search(config, None if args.out else sys.stdout, sys.stderr)
     return EXIT_OK
 
 
@@ -146,71 +143,92 @@ def _add_tree_input(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--code", help="inline canonical code, e.g. 0,1,2,2,1")
 
 
+def _add_search(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--max-order", type=int, required=True)
+    parser.add_argument("--nullity", type=int, default=None)
+    parser.add_argument("--integral", action="store_true")
+    parser.add_argument("--reduced", action="store_true",
+                        help="keep only trees with no pendant length-2 path")
+    parser.add_argument("--shard", type=_parse_shard, default=(0, 1),
+                        metavar="i/m")
+    parser.add_argument("--out", help="JSONL output path (default: stdout)")
+    parser.add_argument("--resume", help="cursor file for restartable runs "
+                                         "(requires --out)")
+    parser.add_argument("--cursor-every", type=int, default=100000,
+                        help="persist the cursor every N owned trees")
+
+
+def _add_verify(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("suite", nargs="?", default="all",
+                        choices=["all"] + sorted(SUITES))
+    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--trials", type=int, default=50)
+    parser.add_argument("--timings", action="store_true",
+                        help="add wall_time_ms to every record: the time "
+                             "since the previous record of its suite (breaks "
+                             "byte determinism)")
+
+
+def _add_census(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--m-value", type=int, required=True)
+    parser.add_argument("--max-order", type=int, required=True)
+
+
+# command name -> (help text, argument adder, handler)
+COMMANDS = {
+    "charpoly": ("characteristic polynomial of a tree",
+                 _add_tree_input, _cmd_charpoly),
+    "spectrum": ("integer spectrum summary of a tree",
+                 _add_tree_input, _cmd_spectrum),
+    "nullity": ("nullity by polynomial and by matching",
+                _add_tree_input, _cmd_nullity),
+    "reduce": ("strip pendant length-2 paths to the core",
+               _add_tree_input, _cmd_reduce),
+    "search": ("sharded resumable search over all trees",
+               _add_search, _cmd_search),
+    "verify": ("run a verification suite", _add_verify, _cmd_verify),
+    "census": ("reduced trees with a given count of eigenvalues in (-1,1)",
+               _add_census, _cmd_census),
+}
+
+
+@cache
+def command_parser(name: str) -> argparse.ArgumentParser:
+    """The parser of one command, built on its first use: the same
+    arguments, usage, help and errors as that command's subparser in
+    build_parser, without building the other commands."""
+    _, add_arguments, handler = COMMANDS[name]
+    parser = argparse.ArgumentParser(prog=f"treespectra {name}")
+    add_arguments(parser)
+    parser.set_defaults(fn=handler)
+    return parser
+
+
 @cache
 def build_parser() -> argparse.ArgumentParser:
-    """The command-line parser, built on the first call and shared by every
-    later one: each parse_args makes a fresh Namespace, and the parser
-    holds only immutable defaults and the _cmd_* functions.  Only callers
-    that run several commands in one process gain; the console script runs
-    one."""
+    """The full parser with every command as a subparser.  main needs it
+    only for what no command parser answers: no command or an unknown
+    one, top-level --help, and arguments left over after a command."""
     parser = argparse.ArgumentParser(
         prog="treespectra",
         description="Exact spectral analysis and search over trees")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("charpoly", help="characteristic polynomial of a tree")
-    _add_tree_input(p)
-    p.set_defaults(fn=_cmd_charpoly)
-
-    p = sub.add_parser("spectrum", help="integer spectrum summary of a tree")
-    _add_tree_input(p)
-    p.set_defaults(fn=_cmd_spectrum)
-
-    p = sub.add_parser("nullity", help="nullity by polynomial and by matching")
-    _add_tree_input(p)
-    p.set_defaults(fn=_cmd_nullity)
-
-    p = sub.add_parser("reduce", help="strip pendant length-2 paths to the core")
-    _add_tree_input(p)
-    p.set_defaults(fn=_cmd_reduce)
-
-    p = sub.add_parser("search", help="sharded resumable search over all trees")
-    p.add_argument("--max-order", type=int, required=True)
-    p.add_argument("--nullity", type=int, default=None)
-    p.add_argument("--integral", action="store_true")
-    p.add_argument("--reduced", action="store_true",
-                   help="keep only trees with no pendant length-2 path")
-    p.add_argument("--shard", type=_parse_shard, default=(0, 1),
-                   metavar="i/m")
-    p.add_argument("--out", help="JSONL output path (default: stdout)")
-    p.add_argument("--resume", help="cursor file for restartable runs "
-                                    "(requires --out)")
-    p.add_argument("--cursor-every", type=int, default=100000,
-                   help="persist the cursor every N owned trees")
-    p.set_defaults(fn=_cmd_search)
-
-    p = sub.add_parser("verify", help="run a verification suite")
-    p.add_argument("suite", nargs="?", default="all",
-                   choices=["all"] + sorted(SUITES))
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--trials", type=int, default=50)
-    p.add_argument("--timings", action="store_true",
-                   help="add wall_time_ms to every record: the time "
-                        "since the previous record of its suite (breaks "
-                        "byte determinism)")
-    p.set_defaults(fn=_cmd_verify)
-
-    p = sub.add_parser("census", help="reduced trees with a given count of "
-                                      "eigenvalues in (-1,1)")
-    p.add_argument("--m-value", type=int, required=True)
-    p.add_argument("--max-order", type=int, required=True)
-    p.set_defaults(fn=_cmd_census)
-
+    for name, (help_text, add_arguments, handler) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        add_arguments(p)
+        p.set_defaults(fn=handler)
     return parser
 
 
 def main(argv: Optional[list] = None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = extras = None
+    if argv and argv[0] in COMMANDS:
+        args, extras = command_parser(argv[0]).parse_known_args(argv[1:])
+    if args is None or extras:
+        # the full parser prints the top-level usage, help and errors,
+        # "unrecognized arguments" included, and exits
+        args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
     except (TreeFormatError, CursorError, ValueError, OSError) as exc:

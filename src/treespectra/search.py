@@ -219,11 +219,6 @@ def _save_cursor(config: SearchConfig, out: TextIO, order: int,
     os.replace(tmp, path)
 
 
-def search_to_file(config: SearchConfig, err: TextIO) -> dict:
-    """run_search into config.out_path."""
-    return run_search(config, None, err)
-
-
 def run_search(config: SearchConfig, out: Optional[TextIO],
                err: TextIO) -> dict:
     """Run the search into out, or with out None into config.out_path,

@@ -647,7 +647,7 @@ def run_suite(name: str, seed: int = 0, trials: int = 50) -> list[VerdictRecord]
     the time since the previous record of its suite (or since the suite
     started), so a suite's times add up to its run time."""
     if trials < 1:
-        raise ValueError("trial count must be nonnegative and nonzero: "
+        raise ValueError(f"trial count must be at least 1, got {trials}: "
                          "a check over no trials checks nothing")
     if name == "all":
         out = []

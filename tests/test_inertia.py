@@ -13,8 +13,7 @@ from oracles import _degree_square_sum, rational_root_multiplicity
 from treespectra import enumeration, search, spectra, trees
 from treespectra.enumeration import FreeTreeEnumerator, enumerate_free_trees
 from treespectra.reduction import pendant_report
-from treespectra.search import (SearchConfig, kept_codes, run_search,
-                               search_to_file)
+from treespectra.search import SearchConfig, kept_codes, run_search
 from treespectra.spectra import (TreeSpectrum, _integrality,
                                  _matching_nullity, _moments_admit,
                                  _signature, char_poly, inertia,
@@ -196,8 +195,8 @@ class TestSearchRoutesAgree:
         err = io.StringIO()
         if "shard" in config:
             out_path = tmp_path / "records.jsonl"
-            search_to_file(SearchConfig(out_path=str(out_path), **config),
-                           err)
+            run_search(SearchConfig(out_path=str(out_path), **config),
+                       None, err)
             lines = out_path.read_text(encoding="utf-8").splitlines()
         else:
             out = io.StringIO()

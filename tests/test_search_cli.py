@@ -12,10 +12,9 @@ import pytest
 import treespectra
 from treespectra import search
 from treespectra.catalog import CatalogRecord
-from treespectra.cli import build_parser, main
+from treespectra.cli import build_parser, command_parser, main
 from treespectra.enumeration import FreeTreeEnumerator
-from treespectra.search import (CursorError, SearchConfig, run_search,
-                                search_to_file)
+from treespectra.search import CursorError, SearchConfig, run_search
 from treespectra.spectra import _integrality
 from treespectra.trees import Tree, format_tree_text, path, s_tree
 
@@ -165,12 +164,12 @@ class TestSearchEngine:
         cursor = tmp_path / "cursor.json"
         config = SearchConfig(max_order=5, out_path=str(tmp_path / "o.jsonl"),
                               resume_path=str(cursor), cursor_every=2)
-        search_to_file(config, io.StringIO())
+        run_search(config, None, io.StringIO())
         state = json.loads(cursor.read_text())
         del state["out_offset"]
         cursor.write_text(json.dumps(state))
         with pytest.raises(CursorError, match="delete it"):
-            search_to_file(config, io.StringIO())
+            run_search(config, None, io.StringIO())
 
     def test_resume_refuses_shortened_output(self, tmp_path):
         out_path = tmp_path / "cat.jsonl"
@@ -335,18 +334,19 @@ class TestSearchEngine:
     def test_cursor_mismatch_refused(self, tmp_path):
         paths = dict(out_path=str(tmp_path / "o.jsonl"),
                      resume_path=str(tmp_path / "cursor.json"))
-        search_to_file(SearchConfig(max_order=5, **paths), io.StringIO())
+        run_search(SearchConfig(max_order=5, **paths), None, io.StringIO())
         with pytest.raises(CursorError):
-            search_to_file(SearchConfig(max_order=6, **paths), io.StringIO())
+            run_search(SearchConfig(max_order=6, **paths), None,
+                       io.StringIO())
 
     def test_corrupt_cursor_refused(self, tmp_path):
         cursor = tmp_path / "cursor.json"
         cursor.write_text("{not json")
         with pytest.raises(CursorError):
-            search_to_file(SearchConfig(max_order=5,
-                                        out_path=str(tmp_path / "o.jsonl"),
-                                        resume_path=str(cursor)),
-                           io.StringIO())
+            run_search(SearchConfig(max_order=5,
+                                    out_path=str(tmp_path / "o.jsonl"),
+                                    resume_path=str(cursor)),
+                       None, io.StringIO())
 
     @pytest.mark.parametrize("existing", [None, b'{"kept": 1}\n'])
     def test_corrupt_cursor_leaves_out_file_untouched(self, tmp_path, capsys,
@@ -423,7 +423,7 @@ class TestCursorSaves:
         config = SearchConfig(max_order=9, integral_only=integral,
                               shard=shard, out_path=str(out_path),
                               resume_path=str(cursor), cursor_every=every)
-        search.search_to_file(config, io.StringIO())
+        search.run_search(config, None, io.StringIO())
         lines = out_path.read_text(encoding="utf-8").splitlines(keepends=True)
         assert saved == self.expected_saves(9, shard, every, integral, lines)
 
@@ -597,13 +597,25 @@ class TestCli:
         assert main(["verify", "rhocat", "--trials", "-3"]) == 2
         out = capsys.readouterr()
         assert out.out == ""
-        assert "trial count must be nonnegative" in out.err
+        assert "trial count must be at least 1, got -3" in out.err
 
     def test_verify_zero_trials_refused(self, capsys):
         assert main(["verify", "parter", "--trials", "0"]) == 2
         out = capsys.readouterr()
         assert out.out == ""
-        assert "a check over no trials checks nothing" in out.err
+        assert out.err == ("error: trial count must be at least 1, got 0: "
+                           "a check over no trials checks nothing\n")
+
+    @pytest.mark.parametrize("shard", ["1", "a/b", "1/2/3"])
+    def test_malformed_shard_refused(self, capsys, shard):
+        with pytest.raises(SystemExit) as exc:
+            main(["search", "--max-order", "3", "--shard", shard])
+        assert exc.value.code == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.endswith(
+            "treespectra search: error: argument --shard: "
+            f"shard must look like i/m, got {shard!r}\n")
 
     def test_census_order_cap_below_one_refused(self, capsys):
         assert main(["census", "--m-value", "0", "--max-order", "0"]) == 2
@@ -622,8 +634,8 @@ class TestCli:
 
 
 def _count_parsers(monkeypatch) -> list:
-    """Record every ArgumentParser construction from here on: subparsers
-    are ArgumentParsers too."""
+    """Record the prog of every ArgumentParser built from here on:
+    subparsers are ArgumentParsers too."""
     built = []
     init = argparse.ArgumentParser.__init__
 
@@ -635,17 +647,36 @@ def _count_parsers(monkeypatch) -> list:
     return built
 
 
-class TestParserReuse:
-    # one top-level parser and seven subcommands
-    PARSERS = 8
+def _clear_parsers() -> None:
+    command_parser.cache_clear()
+    build_parser.cache_clear()
 
+
+def _run(route, argv, capsys):
+    """Exit code, stdout and stderr of route(argv); an argparse exit counts
+    as the exit code it carries."""
+    try:
+        code = route(argv)
+    except SystemExit as exc:
+        code = exc.code
+    out = capsys.readouterr()
+    return code, out.out, out.err
+
+
+class TestParserReuse:
     def test_parser_built_once_per_process(self, capsys, monkeypatch):
-        build_parser.cache_clear()
+        _clear_parsers()
         built = _count_parsers(monkeypatch)
         for _ in range(10):
             assert main(["spectrum", "--code", "0,1,2,1"]) == 0
-        assert len(built) == self.PARSERS
+        assert built == ["treespectra spectrum"]
         assert len(capsys.readouterr().out.splitlines()) == 10
+
+    def test_command_builds_only_its_own_parser(self, capsys, monkeypatch):
+        _clear_parsers()
+        built = _count_parsers(monkeypatch)
+        assert main(["search", "--max-order", "3"]) == 0
+        assert built == ["treespectra search"]
 
     def test_import_builds_no_parser(self):
         src = os.path.dirname(os.path.dirname(treespectra.__file__))
@@ -674,22 +705,46 @@ class TestParserReuse:
         ["verify", "eq3", "--seed", "1", "--trials", "1"],
     ]
 
-    @staticmethod
-    def _run(argv, capsys):
-        try:
-            code = main(argv)
-        except SystemExit as exc:
-            code = exc.code
-        out = capsys.readouterr()
-        return code, out.out, out.err
-
     def test_reused_parser_matches_fresh_parser(self, capsys):
         fresh = []
         for argv in self.CALLS:
-            build_parser.cache_clear()
-            fresh.append(self._run(argv, capsys))
-        build_parser.cache_clear()
-        reused = [self._run(argv, capsys) for argv in self.CALLS]
+            _clear_parsers()
+            fresh.append(_run(main, argv, capsys))
+        _clear_parsers()
+        reused = [_run(main, argv, capsys) for argv in self.CALLS]
+        # only --help needs the full parser; verify, search and spectrum
+        # each build their own parser once
         assert build_parser.cache_info().misses == 1
+        assert command_parser.cache_info().misses == 3
         assert [code for code, _, _ in fresh] == [2, 0, 0, 0, 0, 0]
         assert reused == fresh
+
+    PARITY = [
+        [],
+        ["--help"],
+        ["nosuch"],
+        ["search"],
+        ["search", "--help"],
+        ["search", "--max-order", "x"],
+        ["search", "--max-order", "3", "--bogus"],
+        ["spectrum", "a.txt", "b.txt"],
+        ["verify", "nosuch"],
+        ["spectrum", "--code", "0,1,2,1"],
+        ["verify", "eq3"],
+        ["census"],
+    ]
+
+    @staticmethod
+    def _full_parser_route(argv):
+        args = build_parser().parse_args(argv)
+        return args.fn(args)
+
+    def test_main_matches_the_full_parser(self, capsys):
+        _clear_parsers()
+        expected = [_run(self._full_parser_route, argv, capsys)
+                    for argv in self.PARITY]
+        _clear_parsers()
+        got = [_run(main, argv, capsys) for argv in self.PARITY]
+        assert [code for code, _, _ in expected] == [2, 0, 2, 2, 0, 2, 2, 2,
+                                                     2, 0, 0, 2]
+        assert got == expected

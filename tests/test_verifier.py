@@ -347,7 +347,7 @@ class TestSuiteRunner:
             run_suite("nope")
 
     def test_zero_trials_refused(self):
-        with pytest.raises(ValueError, match="nonzero"):
+        with pytest.raises(ValueError, match="at least 1, got 0"):
             run_suite("all", trials=0)
 
     def test_record_json_fields(self):
