@@ -6,7 +6,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .spectra import TreeSpectrum
+from .spectra import TreeSpectrum, _char_poly
 from .trees import Tree
 
 
@@ -59,7 +59,7 @@ class CatalogRecord:
 
     def roundtrip_ok(self) -> bool:
         """Re-derive everything from the code and compare to stored fields."""
-        tree = Tree.from_code(self.code)
+        code, order, parent = Tree.from_code(self.code).canonical_rooting()
         return self == CatalogRecord.from_analysis(
-            tree.code_str(), TreeSpectrum.analyze(tree), self.order_cap,
-            self.shard)
+            ",".join(map(str, code)), TreeSpectrum.of(_char_poly(order, parent)),
+            self.order_cap, self.shard)

@@ -14,10 +14,11 @@ import sys
 from functools import cache
 from typing import Optional
 
+from .polys import even_part
 from .reduction import reduce_with_trace, reduced_census
 from .search import CursorError, SearchConfig, run_search
-from .spectra import (SpectrumSummary, TreeSpectrum, _char_poly, _m_value,
-                      nullity_matching, nullity_poly)
+from .spectra import (SpectrumSummary, TreeSpectrum, _char_poly,
+                      _matching_nullity, _m_value)
 from .trees import Tree, TreeFormatError, parse_tree_text
 from .verifier import SUITES, run_suite
 
@@ -59,10 +60,10 @@ def _cmd_charpoly(args) -> int:
 
 def _cmd_spectrum(args) -> int:
     tree = _load_tree(args)
-    order, parent = tree.rooted_order()
+    code, order, parent = tree.canonical_rooting()
     analysis = TreeSpectrum.of(_char_poly(order, parent))
     print(json.dumps({
-        "code": tree.code_str(),
+        "code": ",".join(map(str, code)),
         "order": tree.n,
         "integer_roots": {str(k): m for k, m in sorted(analysis.summary.roots.items())},
         "residual": analysis.summary.residual.to_text(),
@@ -74,9 +75,9 @@ def _cmd_spectrum(args) -> int:
 
 
 def _cmd_nullity(args) -> int:
-    tree = _load_tree(args)
-    by_poly = nullity_poly(tree)
-    by_matching = nullity_matching(tree)
+    order, parent = _load_tree(args).rooted_order()
+    by_poly = even_part(_char_poly(order, parent))[0]
+    by_matching = _matching_nullity(order, parent)
     print(json.dumps({"by_polynomial": by_poly, "by_matching": by_matching}))
     if by_poly != by_matching:
         print("nullity routes disagree", file=sys.stderr)

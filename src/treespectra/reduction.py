@@ -78,12 +78,13 @@ def reduce_with_trace(tree: Tree) -> tuple[Tree, list[dict]]:
         v = next(i for i, c in enumerate(report.per_vertex) if c)
         m_before = m_value(current) if m_after is None else m_after
         current = strip_pendant_p2(current, v)
-        m_after = m_value(current)
+        code, order, parent = current.canonical_rooting()
+        m_after = _m_value(order, parent)
         steps.append({
             "vertex": v,
             "m_before": m_before,
             "m_after": m_after,
-            "code_after": current.code_str(),
+            "code_after": ",".join(map(str, code)),
         })
 
 

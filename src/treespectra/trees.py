@@ -3,13 +3,15 @@
 A Tree is immutable once built.  Its canonical code is the level sequence of
 the tree rooted at its center (the lexicographically larger choice when two
 centers exist), with children ordered by their subtree codes descending; two
-trees are isomorphic exactly when their codes are equal.  Past the input
-boundary a tree is one rooted order and parent array, and without_vertex
-cuts T - v from the one the caller holds.
+trees are isomorphic exactly when their codes are equal.  Every code comes
+from one fold of bracket strings on one rooting (_bracket_fold).  Past the
+input boundary a tree is one rooted order and parent array, and
+without_vertex cuts T - v from the one the caller holds.
 """
 
 from __future__ import annotations
 
+from itertools import accumulate
 from typing import Iterable, Sequence
 
 
@@ -126,55 +128,27 @@ class Tree:
     def rooted_code(self, root: int) -> tuple[int, ...]:
         """Canonical level sequence of the tree rooted at the given vertex:
         the depths in preorder, with children visited in decreasing order
-        of their subtree codes.
-
-        Siblings share a depth, so their codes need only be ranked against
-        vertices of the same depth.  Deepest level first, a vertex's key is
-        its children's ranks in decreasing order; comparing keys as tuples
-        compares the codes (a code that is a proper prefix of another is
-        the smaller one, and so is a shorter key), so sorting one level by
-        key ranks it for the level above.
-        """
-        n = self.n
+        of their subtree codes."""
         order, parent = self.rooted_order(root)
-        depth = [0] * n
-        kids: list = [[] for _ in range(n)]
-        for v in order[1:]:
-            depth[v] = depth[parent[v]] + 1
-            kids[parent[v]].append(v)
-        rank = [0] * n
-        key: list = [()] * n
-        end = n
-        while end:  # breadth-first order: one level is one slice
-            start = end - 1
-            level_depth = depth[order[start]]
-            while start and depth[order[start - 1]] == level_depth:
-                start -= 1
-            level = order[start:end]
-            for v in level:
-                ks = kids[v]
-                if ks:
-                    ks.sort(key=rank.__getitem__, reverse=True)
-                    key[v] = tuple([rank[c] for c in ks])
-            level.sort(key=key.__getitem__)
-            r, last = 0, None
-            for v in level:
-                if key[v] != last:
-                    r += 1
-                    last = key[v]
-                rank[v] = r
-            end = start
-        code = []
-        stack = [root]
-        while stack:
-            v = stack.pop()
-            code.append(depth[v])
-            stack.extend(reversed(kids[v]))
-        return tuple(code)
+        return _level_sequence(_bracket(_bracket_fold(order, parent)[root]))
+
+    def canonical_rooting(self) -> tuple[tuple[int, ...], list, list]:
+        """The canonical code, with the rooted order and parent array at the
+        first center c1 that it is folded on.  A second center c2 is a
+        child of c1; rooted at c2, c1 without c2 is one more child."""
+        c1, *second = self.centers()
+        order, parent = self.rooted_order(c1)
+        kids = _bracket_fold(order, parent)
+        code = _bracket(kids[c1])
+        for c2 in second:
+            kids[c1].remove(_bracket(kids[c2]))
+            code = max(code, _bracket(sorted(kids[c2] + [_bracket(kids[c1])],
+                                             reverse=True)))
+        return _level_sequence(code), order, parent
 
     @property
     def canonical_code(self) -> tuple[int, ...]:
-        return max(self.rooted_code(c) for c in self.centers())
+        return self.canonical_rooting()[0]
 
     def code_str(self) -> str:
         return ",".join(str(d) for d in self.canonical_code)
@@ -197,6 +171,30 @@ class Tree:
             if not 1 <= code[v] <= code[v - 1] + 1:
                 raise ValueError(f"level jump at position {v}")
         return cls._build(len(code), enumerate(code_parents(code)[1:], 1))
+
+
+def _bracket_fold(order, parent: list) -> list[list[str]]:
+    """Each vertex's children's bracket strings in decreasing order, by one
+    bottom-up pass on a rooted order (AHU): a vertex's string is "1", its
+    children's strings, then "0".  With "1" > "0", string order is level-
+    sequence order, a proper prefix the smaller, as the code orders them."""
+    kids: list = [[] for _ in parent]
+    for v in reversed(order):
+        kids[v].sort(reverse=True)
+        if parent[v] >= 0:
+            kids[parent[v]].append(_bracket(kids[v]))
+    return kids
+
+
+def _bracket(kids: list[str]) -> str:
+    return "1" + "".join(kids) + "0"
+
+
+def _level_sequence(bracket: str) -> tuple[int, ...]:
+    """The depth of each "1" of a bracket string: one below the "1" before
+    it, less one per "0" between them."""
+    runs = bracket.split("1")[1:-1]
+    return tuple(accumulate((1 - len(run) for run in runs), initial=0))
 
 
 def without_vertex(order, parent: list, v: int) -> tuple[list, list]:

@@ -138,6 +138,11 @@ KEPT_FOR_OUTSIDE_CALLERS = {
     "format_tree_text": "perfbench/workloads.py, writing tree files",
     "multiplicity": "library API: the multiplicity of one integer "
                     "eigenvalue; the package reads inertia directly",
+    "nullity_matching": "library API: the nullity of one tree by matching; "
+                        "the nullity command folds _matching_nullity on "
+                        "the order it also folds the polynomial on",
+    "nullity_poly": "library API: the nullity of one tree by polynomial; "
+                    "the nullity command folds _char_poly directly",
     "parter_witness": "library API: a Parter vertex of one tree; verify "
                       "parter scans through its helper _witness",
     "reduce_core": "library API: the reduced core of one tree",

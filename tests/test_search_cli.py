@@ -556,26 +556,24 @@ class TestCli:
         lines = capsys.readouterr().out.splitlines()
         assert len(lines) == 1 and json.loads(lines[0])["code"] == "0,1"
 
-    def test_census_roots_no_tree(self, capsys, monkeypatch):
+    def test_census_roots_no_tree(self, tmp_path, capsys, code_folds):
         # the census prints the codes the walk yields: no tree is rooted
         # at its centres again to recompute one
-        calls = []
-        rooted_code = Tree.rooted_code
-
-        def counted(self, root):
-            calls.append(root)
-            return rooted_code(self, root)
-
-        monkeypatch.setattr(Tree, "rooted_code", counted)
         assert main(["census", "--m-value", "3", "--max-order", "12"]) == 0
         assert len(capsys.readouterr().out.splitlines()) == 4
-        assert calls == []
+        assert code_folds == []
+        # the same counter sees the one fold of a spectrum call
+        f = tmp_path / "tree.txt"
+        f.write_text(format_tree_text(path(6)))
+        assert main(["spectrum", str(f)]) == 0
+        assert json.loads(capsys.readouterr().out)["code"] == "0,1,2,3,1,2"
+        assert code_folds == [6]
 
     def test_spectrum_roots_the_tree_once_for_phi_and_m(self, tmp_path,
                                                         capsys, monkeypatch):
         # one rooted order from vertex 0 for the parse's connectivity check,
-        # one that both the polynomial and m(T) fold on, and one per center
-        # for the printed code
+        # and one at the first center that the printed code, the
+        # polynomial and m(T) all fold on
         calls = []
         rooted_order = Tree.rooted_order
 
@@ -591,7 +589,7 @@ class TestCli:
             assert main(["spectrum", str(f)]) == 0
             data = json.loads(capsys.readouterr().out)
             assert data["order"] == tree.n
-            assert calls == [0, 0] + centers
+            assert calls == [0, centers[0]]
 
     def test_verify_negative_trials_refused(self, capsys):
         assert main(["verify", "rhocat", "--trials", "-3"]) == 2

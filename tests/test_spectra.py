@@ -75,18 +75,13 @@ class TestCharPoly:
             phi = char_poly(t)
             assert phi.is_monic and phi.degree == t.n
 
-    def test_no_canonical_code_is_computed(self, monkeypatch):
-        calls = []
-        rooted_code = Tree.rooted_code
-
-        def counted(self, root):
-            calls.append(root)
-            return rooted_code(self, root)
-
-        monkeypatch.setattr(Tree, "rooted_code", counted)
+    def test_no_canonical_code_is_computed(self, code_folds):
         char_poly(c_tree([2, 3]))
         TreeSpectrum.analyze(s_tree([1, 2]))
-        assert calls == []
+        assert code_folds == []
+        # the counter sees a code when one is built
+        assert s_tree([1, 2]).canonical_code
+        assert code_folds == [s_tree([1, 2]).n]
 
 
 def fibonacci(k: int) -> int:

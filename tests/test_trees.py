@@ -1,9 +1,11 @@
+import hashlib
 import random
 
 import pytest
 
 from oracles import (delete_vertex, eccentricities, prufer_tree,
                      rooted_code_by_shifting)
+from treespectra.cli import main
 from treespectra.enumeration import enumerate_free_trees
 from treespectra.trees import (Tree, TreeFormatError, attach_pendants,
                                bipartition, c_tree, format_tree_text,
@@ -310,6 +312,56 @@ class TestRootedCodeBuilders:
                     tree, center)
             relabelled = shuffled_copy(tree, rng)
             assert relabelled.canonical_code == tree.canonical_code
+
+    def test_canonical_code_up_to_order_12(self):
+        # the larger of the center rootings, relabelled so that the first
+        # center is not always the one the enumerator put first
+        rng = random.Random(29)
+        for n in range(1, 13):
+            for code in enumerate_free_trees(n):
+                tree = shuffled_copy(code, rng)
+                assert tree.canonical_code == max(
+                    rooted_code_by_shifting(tree, c)
+                    for c in tree.centers()), code.code_str()
+
+    def test_canonical_code_of_seeded_prufer_trees_up_to_order_180(self):
+        rng = random.Random(29)
+        kinds = set()
+        for n in list(range(13, 181, 7)) + [180] * 5:
+            tree = shuffled_copy(prufer_tree(rng, n), rng)
+            centers = tree.centers()
+            kinds.add(len(centers))
+            code, order, parent = tree.canonical_rooting()
+            assert code == tree.canonical_code == max(
+                rooted_code_by_shifting(tree, c) for c in centers)
+            assert (order, parent) == tree.rooted_order(centers[0])
+        assert kinds == {1, 2}
+
+    def test_bicentral_tree_coded_from_its_second_center(self):
+        # 3-2-1-0-4-6 is the longest path and 5 hangs at 0: the centers
+        # are 0 and 1, and the rooting at 1 is the larger
+        tree = Tree(7, [(0, 1), (1, 2), (2, 3), (0, 4), (0, 5), (4, 6)])
+        assert tree.centers() == (0, 1)
+        assert tree.rooted_code(0) == (0, 1, 2, 3, 1, 2, 1)
+        assert tree.rooted_code(1) == (0, 1, 2, 3, 2, 1, 2)
+        code, order, parent = tree.canonical_rooting()
+        assert code == tree.canonical_code == tree.rooted_code(1)
+        assert order[0] == 0 and parent[0] == -1
+
+    def test_spectrum_output_of_seeded_prufer_trees(self, tmp_path, capsys):
+        # sha256 of spectrum FILE stdout, orders 20-180 with both one and
+        # two centers, taken from the rank-sorting code before the bracket
+        # fold replaced it
+        rng = random.Random(29)
+        out = []
+        for n in range(20, 181, 10):
+            f = tmp_path / "tree.txt"
+            f.write_text(format_tree_text(shuffled_copy(prufer_tree(rng, n),
+                                                        rng)))
+            assert main(["spectrum", str(f)]) == 0
+            out.append(capsys.readouterr().out)
+        assert hashlib.sha256("".join(out).encode("utf-8")).hexdigest() == (
+            "6b8a702b6a8f02c11454b307dadb8f09560c1099d591fee8a114181c3a7a4821")
 
 
 class TestTreeValidation:
