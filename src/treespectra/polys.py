@@ -3,13 +3,14 @@
 Everything here is certificate-grade: coefficients are arbitrary-precision
 integers, interval endpoints are rationals, and no floating point is used
 anywhere.  Root counting goes through Sturm chains on square-free parts;
-multiplicities are recovered by exact division.  IntPoly's sums and
-products run on the coefficient-list kernels _add and _mul.  The
-matching-number fold in spectra runs on packed ints instead (Kronecker
-substitution): a polynomial with coefficients in [0, 2^w) is its value at
-x = 2^w, _slot_width gives the w that holds every matching count of a
-forest, and _unpack reads the coefficients back.  lift_square is the one
-x^2 lift.
+multiplicities are recovered by exact division.  One remainder sequence
+serves gcds and Sturm chains; one Sturm evaluation serves every point,
++infinity included.  IntPoly's sums and products run on the
+coefficient-list kernels _add and _mul.  The matching-number fold in
+spectra runs on packed ints instead (Kronecker substitution): a polynomial
+with coefficients in [0, 2^w) is its value at x = 2^w, _slot_width gives
+the w that holds every matching count of a forest, and _unpack reads the
+coefficients back.  lift_square is the one x^2 lift.
 The module knows integer polynomials and their real roots; the format of
 a tree's integer spectrum, SpectrumSummary, belongs to spectra.
 """
@@ -186,6 +187,8 @@ class IntPoly:
     # -- arithmetic ---------------------------------------------------
 
     def __add__(self, other: "IntPoly") -> "IntPoly":
+        if not isinstance(other, IntPoly):
+            return NotImplemented
         return IntPoly(_add(self.coeffs, other.coeffs))
 
     def __sub__(self, other: "IntPoly") -> "IntPoly":
@@ -197,6 +200,8 @@ class IntPoly:
     def __mul__(self, other) -> "IntPoly":
         if isinstance(other, int):
             return IntPoly(c * other for c in self.coeffs)
+        if not isinstance(other, IntPoly):
+            return NotImplemented
         return IntPoly(_mul(self.coeffs, other.coeffs))
 
     __rmul__ = __mul__
@@ -287,6 +292,25 @@ def _pseudo_rem(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
     return _strip(tuple(rem))
 
 
+def _remainders(a: tuple[int, ...], b: tuple[int, ...]) -> list:
+    """Signed remainders a, b, -rem(a, b), ... (len(a) >= len(b)),
+    content-reduced: the last is gcd(a, b) up to a constant, and for
+    b = a' with a square-free the sequence is a's Sturm chain."""
+    seq = [a, b]
+    while len(seq[-1]) > 1:
+        a, b = seq[-2], seq[-1]
+        r = _pseudo_rem(a, b)
+        if not r:
+            break
+        # the sequence takes minus the remainder, and r is lc(b)^(len(a) -
+        # len(b) + 1) times it: negate r unless that scale is negative
+        g = gcd(*r)
+        if b[-1] > 0 or (len(a) - len(b)) % 2:
+            g = -g
+        seq.append(tuple(c // g for c in r))
+    return seq
+
+
 def poly_gcd(p: IntPoly, q: IntPoly) -> IntPoly:
     """Primitive gcd with positive leading coefficient (primitive PRS)."""
     a, b = p.primitive(), q.primitive()
@@ -296,10 +320,7 @@ def poly_gcd(p: IntPoly, q: IntPoly) -> IntPoly:
         return a
     if a.degree < b.degree:
         a, b = b, a
-    while not b.is_zero:
-        r = IntPoly(_pseudo_rem(a.coeffs, b.coeffs)).primitive()
-        a, b = b, r
-    return a
+    return IntPoly(_remainders(a.coeffs, b.coeffs)[-1]).primitive()
 
 
 def square_free_decomposition(p: IntPoly) -> list[tuple[IntPoly, int]]:
@@ -331,24 +352,6 @@ def square_free_decomposition(p: IntPoly) -> list[tuple[IntPoly, int]]:
 # Sturm chains and root counting
 
 
-def _sturm_chain(p: IntPoly) -> tuple[tuple[int, ...], ...]:
-    """Sturm chain of a square-free polynomial of degree at least 1,
-    content-reduced each step."""
-    chain = [p.coeffs, p.derivative().coeffs]
-    while len(chain[-1]) > 1:
-        a, b = chain[-2], chain[-1]
-        r = _pseudo_rem(a, b)
-        if not r:
-            break
-        # the chain takes minus the remainder, and r is lc(b)^(len(a) -
-        # len(b) + 1) times it: negate r unless that scale is negative
-        g = gcd(*r)
-        if b[-1] > 0 or (len(a) - len(b)) % 2:
-            g = -g
-        chain.append(tuple(c // g for c in r))
-    return tuple(chain)
-
-
 def _eval_scaled(coeffs: tuple[int, ...], num: int, den: int) -> int:
     """den^deg * p(num/den), exact; sign equals sign of p(num/den)."""
     acc = coeffs[-1]
@@ -373,35 +376,25 @@ class RootCount(NamedTuple):
 @lru_cache(maxsize=4096)
 def _sturm_factors(p: IntPoly) -> tuple[tuple[int, tuple], ...]:
     """(multiplicity, Sturm chain) of each square-free factor of p."""
-    return tuple((mult, _sturm_chain(factor))
-                 for factor, mult in square_free_decomposition(p))
+    return tuple((mult, tuple(_remainders(f.coeffs, f.derivative().coeffs)))
+                 for f, mult in square_free_decomposition(p))
 
 
-def _sturm_point(p: IntPoly, t: Fraction) -> tuple[tuple[int, int, bool], ...]:
+def _sturm_point(p: IntPoly, t) -> tuple[tuple[int, int, bool], ...]:
     """One Sturm evaluation of p at the rational t, in integers only: for
     each square-free factor of p, its multiplicity, the sign variations of
-    its chain at t and whether the factor vanishes at t.
+    its chain at t and whether the factor vanishes at t.  t None is
+    +infinity, where each chain member has its leading coefficient's sign.
 
     For a square-free f, V(lo) - V(hi) counts its distinct roots in
     (lo, hi], zeros in the chain being skipped."""
-    num, den = t.numerator, t.denominator
     out = []
     for mult, chain in _sturm_factors(p):
-        values = [_eval_scaled(c, num, den) for c in chain]
+        values = [c[-1] if t is None else
+                  _eval_scaled(c, t.numerator, t.denominator) for c in chain]
         signs = [v > 0 for v in values if v]
         out.append((mult, sum(a != b for a, b in zip(signs, signs[1:])),
                     not values[0]))
-    return tuple(out)
-
-
-def _plus_infinity(p: IntPoly) -> tuple[tuple[int, int, bool], ...]:
-    """_sturm_point at +infinity, where each member of a chain has the sign
-    of its leading coefficient."""
-    out = []
-    for mult, chain in _sturm_factors(p):
-        signs = [c[-1] > 0 for c in chain]
-        out.append((mult, sum(a != b for a, b in zip(signs, signs[1:])),
-                    False))
     return tuple(out)
 
 
@@ -436,7 +429,8 @@ def count_roots_open(p: IntPoly, lo, hi) -> RootCount:
 
 def count_roots_above(p: IntPoly, t) -> RootCount:
     """Real roots of p strictly above t: V(t) - V(+infinity) per factor."""
-    return _count_between(_sturm_point(p, _as_fraction(t)), _plus_infinity(p))
+    return _count_between(_sturm_point(p, _as_fraction(t)),
+                          _sturm_point(p, None))
 
 
 def _deflate(coeffs: list, t) -> tuple[int, list]:
@@ -520,7 +514,7 @@ _FIRST_WIDTH = Fraction(1, 4)
 def count_roots_at_least(p: IntPoly, t) -> int:
     """Real roots of p at or above t, counted with multiplicity."""
     at_t = _sturm_point(p, _as_fraction(t))
-    return (_count_between(at_t, _plus_infinity(p)).with_multiplicity
+    return (_count_between(at_t, _sturm_point(p, None)).with_multiplicity
             + _multiplicity_at(at_t))
 
 
@@ -541,8 +535,8 @@ class RealRoot:
     candidate.  Any other rational root is found when a bisection midpoint
     hits it.
 
-    While it bisects, the root keeps its Sturm evaluations at lo, hi and
-    +infinity, so a step evaluates only at its midpoint.
+    While it bisects, the root keeps its Sturm evaluations at lo and hi, so
+    a step evaluates only at its midpoint; +infinity is read at root_bound.
     """
 
     def __init__(self, p: IntPoly, k: int):
@@ -555,7 +549,7 @@ class RealRoot:
         self.lo, self.hi = Fraction(-bound), Fraction(bound)
         self._at_lo = _sturm_point(p, self.lo)
         self._at_hi = _sturm_point(p, self.hi)
-        self._at_inf = _plus_infinity(p)
+        self._at_inf = self._at_hi
         rc = _count_between(self._at_lo, self._at_hi)
         if k > rc.with_multiplicity:
             raise ValueError(f"polynomial has only {rc.with_multiplicity} "

@@ -23,8 +23,7 @@ from .catalog import CatalogRecord
 from .enumeration import enumerate_free_trees
 from .polys import (DivisibilityError, IntPoly, RealRoot,
                     count_roots_above, count_roots_at_least,
-                    count_roots_open, even_part, lift_square, poly_gcd,
-                    root_bound)
+                    count_roots_open, even_part, lift_square, poly_gcd)
 from .reduction import (pendant_report, pendant_growth_holds,
                         strip_monotonicity_holds)
 from .search import SearchConfig, kept_codes, kept_record
@@ -461,7 +460,7 @@ def pendant_bundle_shape_check(r: Sequence[int],
         cert["extra_factor"] = extra.to_text()
         stable_ok = q1.degree - g.degree <= k
         # a constant extra factor has no roots, and degree 0
-        positive = count_roots_open(extra, 0, root_bound(extra))
+        positive = count_roots_above(extra, 0)
         extra_ok = positive.with_multiplicity == extra.degree
     passed = cert["matches_merged_construction"] and degree_ok and stable_ok and extra_ok
     return VerdictRecord(

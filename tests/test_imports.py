@@ -5,7 +5,8 @@ and class is read somewhere in the package or named in an allowlist with
 the outside caller that keeps it, and no function body imports anything:
 a module's dependencies are all at its top.  The free-tree stream is
 walked in one place: only enumerate_free_trees and the search's
-kept_codes construct a FreeTreeEnumerator.  The unchecked Tree._build is
+kept_codes construct a FreeTreeEnumerator.  Remainder sequences are taken
+in one place: only polys._remainders calls _pseudo_rem.  The unchecked Tree._build is
 private to trees.py: no other module names it.  The test oracles take no
 private name from the package, so they share no code path with it beyond
 its public API."""
@@ -192,9 +193,9 @@ def test_function_local_import_is_found():
     assert local_imports(tree) == {"outer", "inner", "to_json"}
 
 
-def enumerator_constructions(tree: ast.Module) -> set:
-    """The innermost function (or "<module>") around each call that
-    constructs a FreeTreeEnumerator, by name or as a module attribute."""
+def call_scopes(tree: ast.Module, callee: str) -> set:
+    """The innermost function (or "<module>") around each call to callee,
+    by name or as a module attribute."""
     found = set()
 
     def visit(node, scope):
@@ -202,7 +203,7 @@ def enumerator_constructions(tree: ast.Module) -> set:
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 visit(child, child.name)
                 continue
-            if isinstance(child, ast.Call) and "FreeTreeEnumerator" in (
+            if isinstance(child, ast.Call) and callee in (
                     getattr(child.func, "id", None),
                     getattr(child.func, "attr", None)):
                 found.add(scope)
@@ -210,6 +211,11 @@ def enumerator_constructions(tree: ast.Module) -> set:
 
     visit(tree, "<module>")
     return found
+
+
+def enumerator_constructions(tree: ast.Module) -> set:
+    """The scopes that construct a FreeTreeEnumerator."""
+    return call_scopes(tree, "FreeTreeEnumerator")
 
 
 def test_one_walk_constructs_the_enumerator():
@@ -229,6 +235,24 @@ def test_enumerator_construction_is_found():
                      "        return enumeration.FreeTreeEnumerator(n)\n"
                      "    return FreeTreeEnumerator\n")
     assert enumerator_constructions(tree) == {"<module>", "inner"}
+
+
+def test_one_loop_takes_pseudo_remainders():
+    found = {(path.name, scope) for path in SOURCES
+             for scope in call_scopes(
+                 ast.parse(path.read_text(encoding="utf-8")), "_pseudo_rem")}
+    assert found == {("polys.py", "_remainders")}
+
+
+def test_pseudo_remainder_caller_is_found():
+    tree = ast.parse("from . import polys\n"
+                     "def _remainders(a, b):\n"
+                     "    return [a, b, _pseudo_rem(a, b)]\n"
+                     "def poly_gcd(p, q):\n"
+                     "    while q:\n"
+                     "        p, q = q, polys._pseudo_rem(p, q)\n"
+                     "    return p\n")
+    assert call_scopes(tree, "_pseudo_rem") == {"_remainders", "poly_gcd"}
 
 
 def builder_references(tree: ast.Module) -> set:

@@ -12,6 +12,8 @@ from treespectra.polys import (DivisibilityError, IntPoly, PrecisionExhausted,
                                count_roots_open, even_part, poly_gcd,
                                root_bound, square_free_decomposition,
                                taylor_shift, _sum_poly)
+from treespectra.enumeration import enumerate_free_trees
+from treespectra.spectra import char_poly
 from treespectra.verifier import run_suite
 
 X = IntPoly.x()
@@ -69,6 +71,19 @@ class TestArithmetic:
         with pytest.raises(ValueError):
             IntPoly.from_text(text)
 
+    @pytest.mark.parametrize("operation", [
+        lambda p: p * 2.5, lambda p: 2.5 * p, lambda p: p * Fraction(1, 2),
+        lambda p: Fraction(1, 2) * p, lambda p: p + 3, lambda p: 3 + p,
+        lambda p: p - 1, lambda p: p + 0.5],
+        ids=["p*float", "float*p", "p*Fraction", "Fraction*p", "p+int",
+             "int+p", "p-int", "p+float"])
+    def test_non_polynomial_operand_refused(self, operation):
+        # a TypeError from Python's operator protocol, not an
+        # AttributeError on the operand's missing coeffs
+        with pytest.raises(TypeError, match="unsupported operand"):
+            operation(IntPoly((1, 2)))
+        assert IntPoly((1, 2)) * 3 == 3 * IntPoly((1, 2)) == IntPoly((3, 6))
+
     def test_str_form(self):
         assert str(IntPoly((1, 0, -3, 0, 1))) == "x^4 - 3x^2 + 1"
 
@@ -87,6 +102,39 @@ class TestGcdSquareFree:
 
     def test_gcd_coprime(self):
         assert poly_gcd(lin(1), lin(2)).degree == 0
+
+    def test_gcd_against_sympy(self):
+        sympy = pytest.importorskip("sympy")
+        x = sympy.Symbol("x")
+        rng = random.Random(29)
+
+        def draw(degree):
+            # nonzero leading coefficient of either sign, non-monic at will
+            return IntPoly([rng.randrange(-9, 10) for _ in range(degree)]
+                           + [rng.choice((-3, -2, -1, 1, 2, 3))])
+
+        pairs = [
+            (IntPoly.zero(), IntPoly.zero()),
+            (IntPoly.zero(), IntPoly((4, -2))),
+            (IntPoly((-6, 0, 6)), IntPoly.zero()),
+            (IntPoly.const(6), IntPoly((1, 0, 1))),
+            (IntPoly.const(-4), IntPoly.const(6)),
+            (-(lin(1) * lin(-2)), IntPoly((3, -3))),
+            (IntPoly((-1, 0, 1)), IntPoly((1, 2, 1))),
+            (IntPoly((-1, 2)) * IntPoly((1, 3)), IntPoly((-1, 2)) * lin(-5)),
+        ]
+        for _ in range(60):
+            common = draw(rng.randrange(0, 3))
+            pairs.append((common * draw(rng.randrange(0, 4)),
+                          common * draw(rng.randrange(0, 4))))
+        for p, q in pairs:
+            expected = sympy.gcd(
+                sympy.Poly(sum(c * x ** i for i, c in enumerate(p.coeffs)),
+                           x, domain="ZZ"),
+                sympy.Poly(sum(c * x ** i for i, c in enumerate(q.coeffs)),
+                           x, domain="ZZ"))
+            expected = IntPoly(expected.all_coeffs()[::-1]).primitive()
+            assert poly_gcd(p, q) == expected == poly_gcd(q, p)
 
     def test_square_free_cube(self):
         assert square_free_decomposition(IntPoly((0, 0, 0, 1))) == [(X, 3)]
@@ -159,6 +207,39 @@ class TestRootCounting:
             with pytest.raises(TypeError, match="cannot be interpreted as an"):
                 call()
         assert root.compare(Fraction(7, 5)) == 1 and root.compare(2) == -1
+
+    def test_plus_infinity_is_the_point_at_the_root_bound(self):
+        # no root lies at or above root_bound(p), so the Sturm evaluation
+        # there equals the one at +infinity, as RealRoot relies on
+        seen = 0
+        for n in range(1, 11):
+            for tree in enumerate_free_trees(n):
+                phi = char_poly(tree)
+                for p in (phi, even_part(phi)[1]):
+                    at_inf = polys._sturm_point(p, None)
+                    assert at_inf == polys._sturm_point(
+                        p, Fraction(root_bound(p)))
+                    assert not any(zero for _, _, zero in at_inf)
+                    seen += len(at_inf)
+        assert seen > 0
+
+    def test_no_root_at_or_above_the_bound(self):
+        rng = random.Random(37)
+        for _ in range(40):
+            p = IntPoly([rng.randrange(-9, 10)
+                         for _ in range(rng.randrange(1, 7))]
+                        + [rng.choice((-2, -1, 1, 2))])
+            b = root_bound(p)
+            for t in (b, Fraction(2 * b + 1, 2), 10 ** 6):
+                assert count_roots_above(p, t) == (0, 0)
+                assert count_roots_at_least(p, t) == 0
+            # control: every real root lies above -b
+            assert count_roots_at_least(p, -b) == count_roots_open(
+                p, -b, b).with_multiplicity
+        for c in (1, -7):
+            assert count_roots_above(IntPoly.const(c), -10 ** 6) == (0, 0)
+            assert count_roots_at_least(IntPoly.const(c), -10 ** 6) == 0
+        assert count_roots_at_least(lin(5), 5) == 1
 
     def test_rational_root_multiplicity(self):
         p = IntPoly((1, 2, 1)) * lin(3)
@@ -399,6 +480,18 @@ class TestRealRoot:
         # bisection from the root bound lands on the dyadic root exactly
         assert root.refine(Fraction(1, 64)).exact == Fraction(1, 2)
         assert root.compare(RealRoot(lin(1) * IntPoly((-1, 2)), 2)) == 0
+
+    def test_root_comparison_past_the_cap_raises(self):
+        # sqrt(2) against sqrt(2 + 2^-140): distinct, with no common factor
+        # to certify a tie, and apart by far less than the width cap
+        sqrt2 = RealRoot(IntPoly((-2, 0, 1)), 1)
+        near = RealRoot(IntPoly((-(2 ** 141 + 1), 0, 2 ** 140)), 1)
+        with pytest.raises(PrecisionExhausted):
+            sqrt2.compare(near)
+        # control: apart by about 2^-42, above the cap, they are separated
+        sqrt2 = RealRoot(IntPoly((-2, 0, 1)), 1)
+        near = RealRoot(IntPoly((-(2 ** 41 + 1), 0, 2 ** 40)), 1)
+        assert sqrt2.compare(near) == -1 and near.compare(sqrt2) == 1
 
     def test_compare_unequal_coprime_roots(self):
         sqrt5, sqrt6 = RealRoot(IntPoly((-5, 0, 1)), 1), RealRoot(IntPoly((-6, 0, 1)), 1)

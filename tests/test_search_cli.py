@@ -10,7 +10,7 @@ import zlib
 import pytest
 
 import treespectra
-from treespectra import search
+from treespectra import cli, search, verifier
 from treespectra.catalog import CatalogRecord
 from treespectra.cli import build_parser, command_parser, main
 from treespectra.enumeration import FreeTreeEnumerator
@@ -457,6 +457,16 @@ class TestCli:
         data = json.loads(capsys.readouterr().out)
         assert data["by_polynomial"] == data["by_matching"] == 1
 
+    def test_nullity_routes_disagreeing_exit_one(self, capsys, monkeypatch):
+        matching = cli._matching_nullity
+        monkeypatch.setattr(cli, "_matching_nullity",
+                            lambda order, parent: matching(order, parent) + 1)
+        assert main(["nullity", "--code", "0,1,2,1,2,1,2"]) == 1
+        out = capsys.readouterr()
+        data = json.loads(out.out)
+        assert data["by_matching"] == data["by_polynomial"] + 1
+        assert out.err == "nullity routes disagree\n"
+
     def test_reduce(self, capsys):
         assert main(["reduce", "--code", path(5).code_str()]) == 0
         lines = capsys.readouterr().out.splitlines()
@@ -504,6 +514,19 @@ class TestCli:
         assert "search already complete" in capsys.readouterr().err
         assert out_file.read_text() == first
 
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--nullity", "-1", "nullity filter must be nonnegative"),
+        ("--cursor-every", "0", "cursor interval must be positive")])
+    def test_search_config_refused(self, tmp_path, capsys, flag, value,
+                                   message):
+        out_file = tmp_path / "cat.jsonl"
+        assert main(["search", "--max-order", "5", flag, value,
+                     "--out", str(out_file)]) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == f"error: {message}\n"
+        assert not out_file.exists()
+
     def test_search_resume_without_out_refused(self, tmp_path, capsys):
         cursor = tmp_path / "cur.json"
         assert main(["search", "--max-order", "5",
@@ -520,6 +543,17 @@ class TestCli:
         assert "checks passed" in out.err
         for line in out.out.splitlines():
             assert json.loads(line)["verdict"] == "pass"
+
+    def test_verify_failure_exits_one(self, capsys, monkeypatch):
+        def failing(rng, trials):
+            yield verifier.VerdictRecord(check="planted", instance={},
+                                         passed=False)
+
+        monkeypatch.setitem(verifier.SUITES, "rhocat", failing)
+        assert main(["verify", "rhocat", "--trials", "2"]) == 1
+        out = capsys.readouterr()
+        assert json.loads(out.out)["verdict"] == "fail"
+        assert out.err == "0/1 checks passed\n"
 
     def test_verify_deterministic(self, capsys):
         main(["verify", "eigencat", "--seed", "7", "--trials", "3"])
