@@ -13,20 +13,19 @@ from .polys import (DivisibilityError, IntPoly, PrecisionExhausted, RealRoot,
                     poly_gcd, root_bound, square_free_decomposition,
                     taylor_shift)
 from .reduction import (PendantReport, pendant_growth_holds, pendant_report,
-                        reduce_core, reduce_with_trace, reduced_census,
+                        reduce_with_trace, reduced_census,
                         strip_monotonicity_holds, strip_pendant_p2)
 from .search import CursorError, SearchConfig, run_search
 from .spectra import (SpectrumSummary, TreeSpectrum, char_poly,
                       char_poly_ring_with_pendants, courant_weyl_check,
                       inertia, inertia_integrality, join_formula, m_value,
-                      multiplicity, nullity_matching, nullity_poly,
-                      squared_shift_check)
+                      nullity_matching, squared_shift_check)
 from .trees import (Tree, TreeFormatError, attach_pendants, bipartition,
                     c_tree, format_tree_text, hub_vertices, join_trees,
-                    parse_tree_text, path, s_tree, star, without_vertex)
+                    parse_tree_text, path, s_tree, without_vertex)
 from .verifier import (SUITES, VerdictRecord, eigencat_check,
                        nullity3_case_polynomials, nullity_classification,
-                       nullity_one_class_check, parter_sweep, parter_witness,
+                       nullity_one_class_check, parter_sweep,
                        pendant_bundle_shape_check, random_tree, rhocat_check,
                        ring_subdivision_check, run_suite, s_nonintegral_scan)
 

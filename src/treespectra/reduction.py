@@ -56,18 +56,14 @@ def strip_pendant_p2(tree: Tree, v: int) -> Tree:
     return _induced_subtree(tree, keep)
 
 
-def reduce_core(tree: Tree) -> Tree:
-    """Strip pendant P2s until none remain.
+def reduce_with_trace(tree: Tree) -> tuple[Tree, list[dict]]:
+    """Strip pendant P2s until none remain; return the core and one trace
+    entry per strip (vertex, m before and after, the code after).
 
     Strips at the smallest vertex carrying one (smallest midpoint first), so
     the returned labeled tree is deterministic; the isomorphism class is
     independent of strip order, which the test suite asserts on small orders.
     """
-    return reduce_with_trace(tree)[0]
-
-
-def reduce_with_trace(tree: Tree) -> tuple[Tree, list[dict]]:
-    """reduce_core plus one trace entry per strip (vertex and m before/after)."""
     steps = []
     current = tree
     m_after = None

@@ -234,16 +234,6 @@ def _m_value(order, parent: list) -> int:
     return 2 * _signature(order, parent, 1, 1)[0] - len(order)
 
 
-def multiplicity(tree: Tree, eigenvalue: int) -> int:
-    """Exact multiplicity of an integer eigenvalue, by inertia."""
-    return inertia(tree, eigenvalue)[1]
-
-
-def nullity_poly(tree: Tree) -> int:
-    """Multiplicity of 0, read off as the valuation of the char polynomial."""
-    return even_part(char_poly(tree))[0]
-
-
 def nullity_matching(tree: Tree) -> int:
     """Nullity as order minus twice the maximum matching size."""
     return _matching_nullity(*tree.rooted_order())

@@ -79,10 +79,6 @@ class Tree:
     def degree(self, v: int) -> int:
         return len(self.adj[v])
 
-    @property
-    def degrees(self) -> tuple[int, ...]:
-        return tuple(len(a) for a in self.adj)
-
     def edges(self) -> list[tuple[int, int]]:
         return [(u, v) for u in range(self.n) for v in self.adj[u] if u < v]
 
@@ -152,9 +148,6 @@ class Tree:
 
     def code_str(self) -> str:
         return ",".join(str(d) for d in self.canonical_code)
-
-    def is_isomorphic(self, other: "Tree") -> bool:
-        return self.canonical_code == other.canonical_code
 
     @classmethod
     def from_code(cls, code: Sequence[int] | str) -> "Tree":
@@ -262,13 +255,6 @@ def path(n: int) -> Tree:
     if n < 1:
         raise ValueError("path needs n >= 1")
     return grow(_VERTEX, range(n - 1))
-
-
-def star(k: int) -> Tree:
-    """The star K_{1,k} of order k+1, center labeled 0."""
-    if k < 0:
-        raise ValueError("star needs k >= 0")
-    return grow(_VERTEX, [0] * k)
 
 
 def _caterpillar_parents(r: Sequence[int]) -> list[int]:

@@ -169,32 +169,14 @@ def s_nonintegral_scan(n: int, r_max: int) -> VerdictRecord:
 # multiplicity-raising witness
 
 
-def parter_witness(tree: Tree, eigenvalue: int) -> Optional[int]:
-    """A vertex whose deletion raises the multiplicity of the eigenvalue by
-    one, or None when no vertex works (which the theorem forbids).  The
-    count in T and in every T - v is read off one rooted order of T."""
-    order, parent = tree.rooted_order()
-    base = _signature(order, parent, eigenvalue, 1)[1]
-    if base < 2:
-        raise ValueError("witness search needs multiplicity at least 2")
-    return _witness(order, parent, eigenvalue, base)
-
-
-def _witness(order, parent: list, k: int, base: int) -> Optional[int]:
-    """parter_witness on one rooted order of a tree whose eigenvalue k has
-    multiplicity base there."""
-    for v in range(len(parent)):
-        if _signature(*without_vertex(order, parent, v), k, 1)[1] == base + 1:
-            return v
-    return None
-
-
 def _parter_scan(trees: Iterable[Tree]) -> tuple[int, list]:
     """Witness search for every integer eigenvalue of multiplicity at least
     two of each tree, in the order 0, -1, 1, -2, 2, ...; returns (pairs
-    checked, misses).  The multiplicity of k is the inertia count at k for
-    k^2 <= n-1 (the trace bound).  T and every T - v are bipartite, so -k
-    has the multiplicity of k in each: one search at k answers for both."""
+    checked, misses).  A witness is a vertex whose deletion raises the
+    multiplicity by one; the search stops at the first.  The multiplicity
+    of k is the inertia count at k for k^2 <= n-1 (the trace bound).  T
+    and every T - v are bipartite, so -k has the multiplicity of k in
+    each: one search at k answers for both."""
     misses = []
     checked = 0
     for tree in trees:
@@ -204,7 +186,9 @@ def _parter_scan(trees: Iterable[Tree]) -> tuple[int, list]:
             if base >= 2:
                 pair = (-k, k) if k else (0,)
                 checked += len(pair)
-                if _witness(order, parent, k, base) is None:
+                raised = (_signature(*without_vertex(order, parent, v),
+                                     k, 1)[1] for v in range(tree.n))
+                if base + 1 not in raised:
                     misses += [{"code": tree.code_str(), "eigenvalue": eig}
                                for eig in pair]
     return checked, misses

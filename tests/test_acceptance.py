@@ -8,13 +8,13 @@ from itertools import product
 from conftest import ACCEPTANCE_LINES
 from oracles import free_tree_counts_by_recurrence, labeled_tree_codes
 from treespectra.enumeration import FreeTreeEnumerator, enumerate_free_trees
-from treespectra.polys import IntPoly
+from treespectra.polys import IntPoly, even_part
 from treespectra.reduction import (pendant_report, pendant_growth_holds,
                                    strip_monotonicity_holds)
 from treespectra.spectra import (char_poly, courant_weyl_check,
                                  join_formula, nullity_matching,
-                                 nullity_poly, squared_shift_check)
-from treespectra.trees import join_trees, path, s_tree, star
+                                 squared_shift_check)
+from treespectra.trees import join_trees, path, s_tree
 from treespectra.verifier import (eigencat_check, nullity3_case_polynomials,
                                   nullity_classification,
                                   nullity_one_class_check, parter_sweep,
@@ -55,7 +55,7 @@ def test_criterion_02_nullity_two_unique():
 def test_criterion_03_nullity_three_unique():
     records = nullity_classification(3, 14)
     ok = (len(records) == 1 and records[0].order == 5
-          and records[0].code == star(4).code_str())
+          and records[0].code == "0,1,1,1,1")
     report(3, ok, "orders <= 14: unique integral tree with nullity 3 "
                   "(the order-5 star)")
     assert ok
@@ -131,7 +131,7 @@ def test_criterion_09_nullity_cross_oracle():
     for n in range(1, 13):
         for tree in enumerate_free_trees(n):
             checked += 1
-            if nullity_poly(tree) != nullity_matching(tree):
+            if even_part(char_poly(tree))[0] != nullity_matching(tree):
                 ok = False
     report(9, ok, f"polynomial nullity equals matching nullity on all "
                   f"{checked} trees up to order 12")

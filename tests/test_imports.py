@@ -1,8 +1,9 @@
 """Every name a package module imports is used in it (__init__.py is left
 out: it imports names to re-export them), every private module-level
 name is used somewhere in the package, every public module-level function
-and class is read somewhere in the package or named in an allowlist with
-the outside caller that keeps it, and no function body imports anything:
+and class, and every public method and property of a package class, is
+read somewhere in the package or named in an allowlist with the benchmark
+function that keeps it, and no function body imports anything:
 a module's dependencies are all at its top.  The free-tree stream is
 walked in one place: only enumerate_free_trees and the search's
 kept_codes construct a FreeTreeEnumerator.  Remainder sequences are taken
@@ -82,15 +83,20 @@ def private_definitions(tree: ast.Module):
                 yield name, node
 
 
+def names_read(node: ast.AST) -> set:
+    """Names a node reads, as a name or an attribute."""
+    names = used_names(node)
+    names.update(sub.attr for sub in ast.walk(node)
+                 if isinstance(sub, ast.Attribute))
+    return names
+
+
 def referenced_names(node: ast.AST) -> set:
     """Names a statement reads: plain names, attributes and the names it
     imports."""
-    names = used_names(node)
-    for sub in ast.walk(node):
-        if isinstance(sub, ast.Attribute):
-            names.add(sub.attr)
-        elif isinstance(sub, ast.ImportFrom):
-            names.update(a.name for a in sub.names)
+    names = names_read(node)
+    names.update(a.name for sub in ast.walk(node)
+                 if isinstance(sub, ast.ImportFrom) for a in sub.names)
     return names
 
 
@@ -114,46 +120,88 @@ def test_dead_private_name_is_found():
     assert dead_private_names(modules) == {"_LIMIT", "_loop"}
 
 
-def unread_public_names(modules: list) -> set:
-    """Public module-level functions and classes that no statement reads,
-    as a name or an attribute, but the one that defines them.  An import
-    is not a read, so __init__.py's re-exports keep nothing alive."""
-    reads = []
+def read_units(modules: list):
+    """(top-level statement, part, names the part reads): a top-level
+    class is cut into the statements of its body and its header (bases,
+    keywords and decorators); any other top-level statement is one part,
+    itself."""
     for m in modules:
         for s in m.body:
-            names = used_names(s)
-            names.update(sub.attr for sub in ast.walk(s)
-                         if isinstance(sub, ast.Attribute))
-            reads.append((s, names))
-    return {node.name for m in modules for node in m.body
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                 ast.ClassDef))
-            and not node.name.startswith("_")
-            and not any(node.name in names for s, names in reads
-                        if s is not node)}
+            if not isinstance(s, ast.ClassDef):
+                yield s, s, names_read(s)
+                continue
+            for part in s.body:
+                yield s, part, names_read(part)
+            header = set()
+            for node in s.bases + s.keywords + s.decorator_list:
+                header |= names_read(node)
+            yield s, s, header
 
 
-# Public names nothing in the package reads, each with what keeps it.
+def unread_public_names(modules: list) -> set:
+    """Public module-level functions and classes that no statement reads,
+    as a name or an attribute, but the one that defines them; and, as
+    "Class.name", public methods and properties of a module-level class
+    that nothing reads but their own definition (another method of the
+    class may read them).  Dunder methods are left out.  An import is not
+    a read, so __init__.py's re-exports keep nothing alive."""
+    units = list(read_units(modules))
+    unread = set()
+    for m in modules:
+        for node in m.body:
+            if (not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                      ast.ClassDef))
+                    or node.name.startswith("_")):
+                continue
+            if not any(node.name in names for s, _, names in units
+                       if s is not node):
+                unread.add(node.name)
+            if not isinstance(node, ast.ClassDef):
+                continue
+            for method in node.body:
+                if (isinstance(method, (ast.FunctionDef,
+                                        ast.AsyncFunctionDef))
+                        and not method.name.startswith("_")
+                        and not any(method.name in names
+                                    for _, part, names in units
+                                    if part is not method)):
+                    unread.add(f"{node.name}.{method.name}")
+    return unread
+
+
+# Public names nothing in the package reads, each with the benchmark
+# function (perfbench/<file>::<function>) that reads it.
 KEPT_FOR_OUTSIDE_CALLERS = {
-    "clear_char_poly_cache": "perfbench/workloads.py, between repetitions",
-    "format_tree_text": "perfbench/workloads.py, writing tree files",
-    "multiplicity": "library API: the multiplicity of one integer "
-                    "eigenvalue; the package reads inertia directly",
-    "nullity_matching": "library API: the nullity of one tree by matching; "
-                        "the nullity command folds _matching_nullity on "
-                        "the order it also folds the polynomial on",
-    "nullity_poly": "library API: the nullity of one tree by polynomial; "
-                    "the nullity command folds _char_poly directly",
-    "parter_witness": "library API: a Parter vertex of one tree; verify "
-                      "parter scans through its helper _witness",
-    "reduce_core": "library API: the reduced core of one tree",
-    "star": "library API: the star K_(1,n-1)",
+    "clear_char_poly_cache": "perfbench/workloads.py::_clear_memo, "
+                             "between repetitions",
+    "format_tree_text": "perfbench/workloads.py::make_spectrum_inputs, "
+                        "writing the tree files spectrum reads",
+    "nullity_matching": "perfbench/workloads.py::check_spectrum, checking "
+                        "each printed nullity",
+    "IntPoly.from_text": "perfbench/workloads.py::check_spectrum, parsing "
+                         "each printed residual",
+    "SpectrumSummary.reassemble": "perfbench/workloads.py::check_spectrum, "
+                                  "rebuilding each printed polynomial",
+    "CatalogRecord.from_json": "perfbench/workloads.py::check_search, "
+                               "parsing each record line",
+    "CatalogRecord.roundtrip_ok": "perfbench/workloads.py::check_search, "
+                                  "checking each record's round trip",
 }
 
 
 def test_every_public_name_is_read():
     modules = [ast.parse(p.read_text(encoding="utf-8")) for p in SOURCES]
     assert unread_public_names(modules) == set(KEPT_FOR_OUTSIDE_CALLERS)
+
+
+@pytest.mark.parametrize("name", sorted(KEPT_FOR_OUTSIDE_CALLERS))
+def test_kept_name_is_read_where_its_entry_says(name):
+    path, function = KEPT_FOR_OUTSIDE_CALLERS[name].split(",")[0].split("::")
+    tree = ast.parse((PACKAGE.parents[1] / path).read_text(encoding="utf-8"))
+    caller = next(node for node in ast.walk(tree)
+                  if isinstance(node, ast.FunctionDef)
+                  and node.name == function)
+    assert name.split(".")[-1] in names_read(caller)
 
 
 def test_unread_public_name_is_found():
@@ -166,6 +214,23 @@ def test_unread_public_name_is_found():
                          "from . import a\n"
                          "x: 'Spectrum' = a.method_target()\n")]
     assert unread_public_names(modules) == {"walk", "helper"}
+
+
+def test_unread_method_and_property_are_found():
+    modules = [ast.parse("class Box:\n"
+                         "    def used(self):\n        return self.size\n"
+                         "    @property\n"
+                         "    def size(self):\n        return 1\n"
+                         "    def unread(self):\n        return self.used()\n"
+                         "    @property\n"
+                         "    def hidden(self):\n        return self.hidden\n"
+                         "    @classmethod\n"
+                         "    def make(cls):\n        return cls()\n"
+                         "    def __len__(self):\n        return 0\n"
+                         "    def _private(self):\n        pass\n"),
+               ast.parse("from a import Box\n"
+                         "print(Box.make().used())\n")]
+    assert unread_public_names(modules) == {"Box.unread", "Box.hidden"}
 
 
 def local_imports(tree: ast.Module) -> set:

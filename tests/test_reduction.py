@@ -5,10 +5,11 @@ import pytest
 from oracles import delete_vertex
 from treespectra.enumeration import enumerate_free_trees
 from treespectra.reduction import (pendant_report, pendant_growth_holds,
-                                   reduce_core, reduce_with_trace,
+                                   reduce_with_trace,
                                    reduced_census, strip_monotonicity_holds,
                                    strip_pendant_p2)
-from treespectra.spectra import m_value, multiplicity
+from treespectra.search import SearchConfig, kept_codes
+from treespectra.spectra import _m_value, inertia, m_value
 from treespectra.trees import Tree, attach_pendants, path, s_tree
 
 
@@ -44,12 +45,13 @@ class TestPendantReport:
 
 class TestStrip:
     def test_path5(self):
-        assert strip_pendant_p2(path(5), 2).is_isomorphic(path(3))
+        assert strip_pendant_p2(path(5), 2).canonical_code == (0, 1, 1)
 
     def test_spider(self):
         spider = s_tree([1])
         center = next(v for v in range(7) if spider.degree(v) == 3)
-        assert strip_pendant_p2(spider, center).is_isomorphic(path(5))
+        assert (strip_pendant_p2(spider, center).canonical_code
+                == path(5).canonical_code)
 
     def test_no_pendant_error(self):
         with pytest.raises(ValueError):
@@ -62,9 +64,9 @@ class TestStrip:
 
 class TestReduceCore:
     def test_examples(self):
-        assert reduce_core(path(5)).is_isomorphic(path(1))
-        assert reduce_core(path(2)).is_isomorphic(path(2))
-        assert reduce_core(s_tree([1])).is_isomorphic(path(1))
+        assert reduce_with_trace(path(5))[0].canonical_code == (0,)
+        assert reduce_with_trace(path(2))[0].canonical_code == (0, 1)
+        assert reduce_with_trace(s_tree([1]))[0].canonical_code == (0,)
 
     def test_trace(self):
         core, steps = reduce_with_trace(path(5))
@@ -82,15 +84,15 @@ class TestReduceCore:
     def test_idempotent(self):
         for n in range(1, 10):
             for tree in enumerate_free_trees(n):
-                core = reduce_core(tree)
-                again = reduce_core(core)
+                core = reduce_with_trace(tree)[0]
+                again = reduce_with_trace(core)[0]
                 assert again.canonical_code == core.canonical_code
 
     def test_strip_order_invariance(self):
         rng = random.Random(21)
         for n in range(2, 10):
             for tree in enumerate_free_trees(n):
-                expected = reduce_core(tree).canonical_code
+                expected = reduce_with_trace(tree)[0].canonical_code
                 for _ in range(3):
                     current = tree
                     while True:
@@ -113,12 +115,13 @@ class TestStripAndGrowth:
         # m stays 1, multiplicity of 1 goes from 0 to 1... measured directly
         assert pendant_growth_holds(path(5), 2)
         grown = attach_pendants(path(5), [(2, 1)])
-        assert grown.is_isomorphic(s_tree([0, 0])) or grown.n == 7
+        assert (grown.canonical_code == s_tree([0, 0]).canonical_code
+                or grown.n == 7)
 
     def test_growth_spider(self):
         spider = s_tree([1])
         center = next(v for v in range(7) if spider.degree(v) == 3)
-        assert multiplicity(spider, 1) == 2
+        assert inertia(spider, 1)[1] == 2
         assert pendant_growth_holds(spider, center)
 
     def test_growth_path3_endpoint(self):
@@ -159,3 +162,28 @@ class TestReducedCensus:
             for tree in enumerate_free_trees(n):
                 if pendant_report(tree).is_reduced and tree.n not in (1, 2):
                     assert m_value(tree) >= 2
+
+
+class TestCoreBound:
+    """A conjecture, checked here to order 16 and not proved in this
+    package: every reduced tree R but K2 has |R| <= 3 m(R), m(R) its count
+    of eigenvalues in (-1, 1).  To order 16, equality holds for exactly one
+    tree at each of orders 6, 9, 12 and 15: a path on |R| - 4 vertices with
+    two leaves at each end."""
+
+    def test_order_at_most_three_times_m_to_order_16(self):
+        config = SearchConfig(max_order=16, reduced_only=True)
+        over, equal, checked = [], [], 0
+        for n in config.orders():
+            for code, parent in kept_codes(config, n):
+                checked += 1
+                m = _m_value(range(n), parent)
+                if n > 3 * m:
+                    over.append(code)
+                elif n == 3 * m:
+                    equal.append(",".join(map(str, code)))
+        assert checked == 3152
+        assert over == [(0, 1)]  # K2, with m = 0
+        assert equal == ["0,1,2,2,1,1", "0,1,2,3,3,1,2,3,3",
+                         "0,1,2,3,4,5,5,1,2,3,4,4",
+                         "0,1,2,3,4,5,6,6,1,2,3,4,5,6,6"]

@@ -50,6 +50,78 @@ class _InterruptingWriter:
         return getattr(self._fh, name)
 
 
+class _Crash(BaseException):
+    """A process killed in the middle of a call: no handler of the package
+    catches it, and the files it had open lose what they had not flushed."""
+
+
+_os_replace = os.replace
+
+
+class _FaultyFiles:
+    """Counts each write, flush and os.replace the search makes, on every
+    file it opens; call number crash_at raises _Crash instead (0: none
+    does).  A file holds its writes in memory until it is flushed, and a
+    crash drops them, as a killed process drops its buffers; a crash in a
+    flush writes half of them first, a torn write."""
+
+    def __init__(self, crash_at: int):
+        self.crash_at = crash_at
+        self.calls = []
+
+    def tick(self, kind: str) -> None:
+        self.calls.append(kind)
+        if len(self.calls) == self.crash_at:
+            raise _Crash(kind)
+
+    def open(self, *args, **kwargs):
+        return _FaultyFile(self, open(*args, **kwargs))
+
+    def replace(self, src, dst) -> None:
+        self.tick("replace")
+        _os_replace(src, dst)
+
+
+class _FaultyFile:
+    def __init__(self, files: _FaultyFiles, fh):
+        self._files = files
+        self._fh = fh
+        self._pending = []
+
+    def write(self, text):
+        self._files.tick("write")
+        self._pending.append(text)
+        return len(text)
+
+    def flush(self):
+        data = "".join(self._pending)
+        self._pending.clear()
+        try:
+            self._files.tick("flush")
+        except _Crash:
+            self._fh.write(data[:len(data) // 2])  # reaches the disk at close
+            raise
+        self._fh.write(data)
+        self._fh.flush()
+
+    def tell(self):
+        assert not self._pending, "tell before a flush"
+        return self._fh.tell()
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, kind, *rest):
+        try:
+            if kind is None:
+                self.flush()  # closing flushes
+        finally:
+            self._fh.close()
+
+    def __getattr__(self, name):
+        return getattr(self._fh, name)
+
+
 def interrupted_order_9(tmp_path):
     """(--out file, state file) of a search to order 9 stopped after 60
     records, mid-order 9, with a state saved every 2 owned trees."""
@@ -159,6 +231,43 @@ class TestSearchEngine:
         assert main(["search", "--max-order", "6", "--out", str(out_path),
                      "--resume", str(cursor)]) == 0
         assert out_path.read_bytes() == expected
+
+    @pytest.mark.parametrize("every", [1, 2, 3])
+    def test_resume_after_a_crash_in_any_file_call(self, tmp_path,
+                                                   monkeypatch, every):
+        """A search killed in any write, flush or os.replace it makes, its
+        records' and its cursor's alike, resumes to the bytes of a run that
+        was never interrupted."""
+        def cli_args(name):
+            return ["search", "--max-order", "8",
+                    "--out", str(tmp_path / f"{name}.jsonl"),
+                    "--resume", str(tmp_path / f"{name}.json"),
+                    "--cursor-every", str(every)]
+
+        def run_until(name, crash_at):
+            files = _FaultyFiles(crash_at)
+            with monkeypatch.context() as patch:
+                patch.setattr(search, "open", files.open, raising=False)
+                patch.setattr(search.os, "replace", files.replace)
+                if crash_at:
+                    with pytest.raises(_Crash):
+                        main(cli_args(name))
+                else:
+                    assert main(cli_args(name)) == 0
+            return files.calls
+
+        assert main(cli_args("full")) == 0
+        expected = (tmp_path / "full.jsonl").read_bytes()
+        assert len(expected.splitlines()) == 48  # every tree of order 1..8
+        calls = run_until("counted", 0)
+        assert (tmp_path / "counted.jsonl").read_bytes() == expected
+        assert {"write", "flush", "replace"} == set(calls)
+        for crash_at in range(1, len(calls) + 1):
+            name = f"crash{crash_at}"
+            run_until(name, crash_at)
+            assert main(cli_args(name)) == 0, (crash_at, calls[crash_at - 1])
+            assert (tmp_path / f"{name}.jsonl").read_bytes() == expected, (
+                crash_at, calls[crash_at - 1])
 
     def test_cursor_without_offset_refused(self, tmp_path):
         cursor = tmp_path / "cursor.json"

@@ -10,7 +10,7 @@ from treespectra.enumeration import enumerate_free_trees
 from treespectra.trees import (Tree, TreeFormatError, attach_pendants,
                                bipartition, c_tree, format_tree_text,
                                hub_vertices, join_trees, parse_tree_text,
-                               path, s_tree, star, without_vertex)
+                               path, s_tree, without_vertex)
 from treespectra.verifier import _attach_cases, random_tree
 
 
@@ -24,12 +24,15 @@ class TestConstructors:
     def test_paths(self):
         assert path(1).n == 1 and path(1).edges() == []
         assert path(2).edges() == [(0, 1)]
-        assert sorted(path(5).degrees) == [1, 1, 2, 2, 2]
+        assert sorted(map(len, path(5).adj)) == [1, 1, 2, 2, 2]
 
     def test_stars(self):
-        assert star(0).n == 1
-        assert star(4).n == 5 and star(4).degree(0) == 4
-        assert star(2).is_isomorphic(path(3))
+        # the star K_(1,k) is the level sequence 0 then k ones
+        assert Tree.from_code([0]).n == 1
+        star = Tree.from_code([0, 1, 1, 1, 1])
+        assert star.n == 5 and star.degree(0) == 4
+        assert (Tree.from_code([0, 1, 1]).canonical_code
+                == path(3).canonical_code)
 
     def test_c_tree_figure(self):
         t = c_tree([1, 3, 0, 2])
@@ -38,8 +41,8 @@ class TestConstructors:
         assert [t.degree(h) for h in hub_vertices([1, 3, 0, 2])] == [3, 5, 2, 4]
 
     def test_c_tree_small(self):
-        assert c_tree([0]).is_isomorphic(path(3))
-        assert c_tree([2]).is_isomorphic(star(4))
+        assert c_tree([0]).canonical_code == path(3).canonical_code
+        assert c_tree([2]).canonical_code == (0, 1, 1, 1, 1)
         with pytest.raises(ValueError):
             c_tree([])
 
@@ -47,13 +50,13 @@ class TestConstructors:
         for r in ([1, 3, 0, 2], [0], [5], [2, 2]):
             t = c_tree(r)
             n = len(r)
-            assert sum(t.degrees) == 2 * (2 * n + sum(r))
+            assert sum(map(len, t.adj)) == 2 * (2 * n + sum(r))
 
     def test_s_tree_small(self):
-        assert s_tree([0]).is_isomorphic(path(5))
+        assert s_tree([0]).canonical_code == path(5).canonical_code
         spider = s_tree([1])
         assert spider.n == 7
-        assert sorted(spider.degrees) == [1, 1, 1, 2, 2, 2, 3]
+        assert sorted(map(len, spider.adj)) == [1, 1, 1, 2, 2, 2, 3]
         with pytest.raises(ValueError):
             s_tree([])
 
@@ -78,15 +81,16 @@ class TestConstructors:
 
 class TestAttachPendants:
     def test_single_vertex(self):
-        assert attach_pendants(path(1), [(0, 1)]).is_isomorphic(path(3))
+        assert (attach_pendants(path(1), [(0, 1)]).canonical_code
+                == path(3).canonical_code)
 
     def test_path3_center(self):
         grown = attach_pendants(path(3), [(1, 1)])
         assert grown.n == 5
-        assert sorted(grown.degrees) == [1, 1, 1, 2, 3]
+        assert sorted(map(len, grown.adj)) == [1, 1, 1, 2, 3]
 
     def test_star_center_order(self):
-        grown = attach_pendants(star(3), [(0, 2)])
+        grown = attach_pendants(Tree.from_code([0, 1, 1, 1]), [(0, 2)])
         assert grown.n == 8 and grown.degree(0) == 5
 
     def test_spec_permutation_invariance(self):
@@ -117,7 +121,8 @@ class TestLabels:
     codes, and so the verify digests, cannot see a relabelling."""
 
     def test_star(self):
-        assert star(3).edges() == [(0, 1), (0, 2), (0, 3)]
+        # from_code labels in preorder: the star's center is 0
+        assert Tree.from_code([0, 1, 1, 1]).edges() == [(0, 1), (0, 2), (0, 3)]
 
     def test_c_tree(self):
         # spine 0..6, then one leaf at hub 1 and two at hub 5
@@ -206,7 +211,8 @@ class TestDeleteVertex:
     """T - v as without_vertex cuts it from a rooted order of the tree."""
 
     def test_star_center(self):
-        order, parent = without_vertex(*star(4).rooted_order(), 0)
+        order, parent = without_vertex(
+            *Tree.from_code([0, 1, 1, 1, 1]).rooted_order(), 0)
         assert roots_and_sizes(order, parent) == {1: 1, 2: 1, 3: 1, 4: 1}
 
     def test_path_leaf(self):
@@ -261,9 +267,8 @@ class TestCanonicalCodes:
             assert shuffled_copy(t, rng).canonical_code == t.canonical_code
 
     def test_distinct_small_trees(self):
-        assert not path(4).is_isomorphic(star(3))
         assert path(4).canonical_code == (0, 1, 2, 1)
-        assert star(3).canonical_code == (0, 1, 1, 1)
+        assert Tree(4, [(3, 0), (3, 1), (3, 2)]).canonical_code == (0, 1, 1, 1)
 
     def test_code_roundtrip(self):
         rng = random.Random(6)
@@ -386,8 +391,9 @@ class TestTreeValidation:
 class TestJoinAndBipartition:
     def test_join_structure(self):
         joined = join_trees(path(1), 0, path(2), 0, 2)
-        assert joined.is_isomorphic(path(5))
-        assert join_trees(path(1), 0, path(1), 0, 4).is_isomorphic(star(4))
+        assert joined.canonical_code == path(5).canonical_code
+        assert join_trees(path(1), 0, path(1), 0, 4).canonical_code == (
+            0, 1, 1, 1, 1)
 
     def test_bipartition_classes(self):
         side0, side1 = bipartition(path(4))
@@ -472,7 +478,6 @@ class TestUncheckedBuilds:
         from itertools import product
 
         built = [path(n) for n in range(1, 12)]
-        built += [star(k) for k in range(10)]
         for size in range(1, 4):
             for r in product(range(3), repeat=size):
                 built += [c_tree(r), s_tree(r)]

@@ -4,7 +4,6 @@ import itertools
 import json
 import random
 import types
-from math import isqrt
 
 import pytest
 
@@ -12,13 +11,13 @@ from treespectra import spectra, verifier
 from treespectra.enumeration import enumerate_free_trees
 from treespectra.polys import DivisibilityError, IntPoly, count_roots_open
 from treespectra.search import SearchConfig, run_search
-from treespectra.spectra import TreeSpectrum, char_poly, multiplicity
-from treespectra.trees import Tree, path, s_tree, star
+from treespectra.spectra import TreeSpectrum, char_poly
+from treespectra.trees import Tree, s_tree
 from treespectra.verifier import (SUITES, eigencat_check,
                                   nullity3_case_polynomials,
                                   nullity_classification,
                                   nullity_one_class_check, parter_sweep,
-                                  parter_witness, pendant_bundle_shape_check,
+                                  pendant_bundle_shape_check,
                                   random_tree, rhocat_check,
                                   ring_subdivision_check, run_suite,
                                   s_nonintegral_scan)
@@ -127,21 +126,8 @@ class TestNonIntegralScan:
 
 class TestParterWitness:
     def test_double_star_zero(self):
-        t = double_star_2_2()
-        v = parter_witness(t, 0)
-        assert v is not None
-
-    def test_spider_one(self):
-        spider = s_tree([1])
-        w = parter_witness(spider, 1)
-        assert w is not None and spider.degree(w) == 3
-
-    def test_star_zero(self):
-        assert parter_witness(star(4), 0) == 0
-
-    def test_precondition(self):
-        with pytest.raises(ValueError):
-            parter_witness(path(2), 1)
+        # 0 is the one repeated eigenvalue of x^2 (x^2 - 1) (x^2 - 4)
+        assert verifier._parter_scan([double_star_2_2()]) == (1, [])
 
     def test_sweep_small(self):
         v = parter_sweep(9)
@@ -159,14 +145,8 @@ class TestParterWitness:
             return build(cls, *args, **kwargs)
 
         monkeypatch.setattr(Tree, "_build", classmethod(recording))
-        pairs = 0
-        for tree in trees:
-            bound = isqrt(tree.n - 1)
-            for k in range(-bound, bound + 1):
-                if multiplicity(tree, k) >= 2:
-                    assert parter_witness(tree, k) is not None
-                    pairs += 1
-        assert pairs > 100 and built == []
+        checked, misses = verifier._parter_scan(trees)
+        assert checked > 100 and misses == [] and built == []
 
     @pytest.mark.parametrize("order_cap", [0, -2])
     def test_sweep_below_order_one_refused(self, order_cap):
