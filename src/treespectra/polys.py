@@ -606,12 +606,11 @@ class RealRoot:
         """Sign of (this root - other), decided exactly.
 
         ``other`` is a rational or another RealRoot.  A rational is decided
-        by root counting, never by refinement; a RealRoot as _compare_root
-        says, with a tie certified at the first width where the intervals
-        overlap on a root of gcd(p, q).
+        by root counting, never by refinement; a RealRoot by compare_sum
+        with one term, which certifies a tie as a root of gcd(p, q).
         """
         if isinstance(other, RealRoot):
-            return self._compare_root(other)
+            return compare_sum(self, other)
         t = _as_fraction(other)
         if self.exact is not None:
             return _sign(self.exact - t)
@@ -625,33 +624,6 @@ class RealRoot:
         if above >= self.index:
             return 1
         return 0 if above + _multiplicity_at(at_t) >= self.index else -1
-
-    def _compare_root(self, other: "RealRoot") -> int:
-        """Refine both roots in lockstep through 1/4, 1/16, ... until their
-        intervals separate, so both are left at the first width that does.
-        Equal roots are found as a root of gcd(p, q) inside both isolating
-        intervals."""
-        common: Optional[IntPoly] = None
-        width = _FIRST_WIDTH
-        while width >= WIDTH_CAP:
-            self.refine(width)
-            other.refine(width)
-            if self.exact is not None:
-                return -other.compare(self.exact)
-            if other.exact is not None:
-                return self.compare(other.exact)
-            if self.hi <= other.lo:
-                return -1
-            if other.hi <= self.lo:
-                return 1
-            if common is None:
-                common = poly_gcd(self.poly, other.poly)
-            if common.degree >= 1 and count_roots_open(
-                    common, max(self.lo, other.lo),
-                    min(self.hi, other.hi)).distinct:
-                return 0
-            width /= 4
-        raise PrecisionExhausted(f"root comparison unresolved at width {WIDTH_CAP}")
 
 
 def _power_sums(f: IntPoly, count: int) -> list[int]:
@@ -684,41 +656,55 @@ def _sum_poly(f: IntPoly, g: IntPoly) -> IntPoly:
     return IntPoly(b[::-1])
 
 
-def compare_sum(root: RealRoot, a: RealRoot, b: RealRoot) -> int:
-    """Sign of root - (a + b), refining the three roots in lockstep through
-    1/4, 1/16, ... until root's interval separates from the sum interval
-    (alo + blo, ahi + bhi).
+def compare_sum(root: RealRoot, *terms: RealRoot) -> int:
+    """Sign of root - (the sum of one or two terms), refining every root in
+    lockstep through 1/4, 1/16, ... to the first width that decides it, so
+    each is left at that width.
 
-    A tie is decided at once when all three are rational.  For monic a and
-    b it is certified at every width where the intervals still overlap:
-    r = _sum_poly(a, b) has a + b as its only distinct root in the sum
-    interval, and gcd(root.poly, r) has a root in both intervals, which can
-    then only be root and a + b at once.  An unresolved comparison (a
-    non-tie still unseparated at the cap, or a tie of non-monic a or b)
-    raises PrecisionExhausted.
+    Once every root but one is rational, one root count at the rational
+    the others leave decides.  Otherwise the loop separates root's enclosure
+    from the sum of the terms' enclosures, or certifies a tie on the open
+    intervals (a rational root's pinch included): r has the sum as its only
+    distinct root in the sum interval, and gcd(root.poly, r) has a root in
+    both intervals, which can then only be root and the sum at once.  For
+    one term r is its own polynomial, whose isolating interval makes it so
+    with no count; for two monic terms r = _sum_poly of theirs, and its one
+    root in the sum interval is counted.  An unresolved comparison (a
+    non-tie still unseparated at the cap, or a tie of two terms not both
+    monic) raises PrecisionExhausted.
     """
-    monic = a.poly.is_monic and b.poly.is_monic
+    if len(terms) not in (1, 2):
+        raise ValueError("compare_sum takes one or two terms")
+    roots = (root, *terms)
+    one = len(terms) == 1
+    certify = one or all(x.poly.is_monic for x in terms)
     common: Optional[IntPoly] = None
     width = _FIRST_WIDTH
     while width >= WIDTH_CAP:
-        for x in (root, a, b):
+        for x in roots:
             x.refine(width)
-        (lo, hi), (alo, ahi), (blo, bhi) = root.bounds, a.bounds, b.bounds
-        if lo == hi and alo == ahi and blo == bhi:
-            return _sign(lo - alo - blo)
-        if lo >= ahi + bhi:
+        exact = [x.exact for x in roots]
+        if exact.count(None) <= 1:
+            i = exact.index(None) if None in exact else 0
+            t = sum(e for e in exact[1:] if e is not None)
+            return root.compare(t) if i == 0 else -roots[i].compare(
+                exact[0] - t)
+        lo, hi = root.bounds
+        if lo >= sum(x.bounds[1] for x in terms):
             return 1
-        if hi <= alo + blo:
+        if hi <= sum(x.bounds[0] for x in terms):
             return -1
-        if monic:
+        if certify:
             if common is None:
-                r = _sum_poly(a.poly, b.poly)
+                r = terms[0].poly if one else _sum_poly(terms[0].poly,
+                                                        terms[1].poly)
                 common = poly_gcd(root.poly, r)
-            sum_lo, sum_hi = a.lo + b.lo, a.hi + b.hi
+            sum_lo, sum_hi = sum(x.lo for x in terms), sum(x.hi for x in terms)
             both_lo, both_hi = max(root.lo, sum_lo), min(root.hi, sum_hi)
             if (common.degree >= 1 and both_lo < both_hi
                     and count_roots_open(common, both_lo, both_hi).distinct
-                    and count_roots_open(r, sum_lo, sum_hi).distinct == 1):
+                    and (one or count_roots_open(r, sum_lo,
+                                                 sum_hi).distinct == 1)):
                 return 0
         width /= 4
-    raise PrecisionExhausted(f"sum comparison unresolved at width {WIDTH_CAP}")
+    raise PrecisionExhausted(f"comparison unresolved at width {WIDTH_CAP}")

@@ -163,15 +163,22 @@ def _load_resume(config: SearchConfig) -> Optional[dict]:
                 "output file to start over")
         # refuse what no search writes, on which the walk would fail, end
         # the order early or take other shards' trees: a search saves
-        # (None, 0) at the start of an order, else a canonical sequence of
-        # that order and a positive count
-        order, seq, emitted = (state["order"], state["sequence"],
-                               state["emitted"])
+        # (None, 0) at the start of an order, else the canonical code of a
+        # free tree of that order and a positive count, all as ints, and a
+        # byte offset that is an int of at least 0
+        order, seq, emitted, offset = (state["order"], state["sequence"],
+                                       state["emitted"], state["out_offset"])
+        if any(type(x) is not int
+               for x in [order, emitted, offset, *(seq or [])]):
+            raise ValueError("the order, the count, the offset and the "
+                             "sequence must hold integers")
+        if offset < 0:
+            raise ValueError(f"offset {offset} is negative")
         if not 1 <= order <= config.max_order:
             raise ValueError(f"order {order} is outside 1..{config.max_order}")
         if (emitted != 0 if seq is None else
                 emitted < 1 or len(seq) != order
-                or list(Tree.from_code(seq).rooted_code(0)) != seq):
+                or list(Tree.from_code(seq).canonical_code) != seq):
             raise ValueError("the position is no position of this search")
         # the resumed search cuts the output file back to the offset, and a
         # complete one leaves the file as the state records it
@@ -181,7 +188,7 @@ def _load_resume(config: SearchConfig) -> Optional[dict]:
                 f"cursor file belongs to the output file {saved!r}; pass "
                 "that as --out or delete the cursor to start over")
         if (os.path.getsize(out_path) if os.path.exists(out_path)
-                else 0) < state["out_offset"]:
+                else 0) < offset:
             raise CursorError(
                 f"output file {out_path!r} is shorter than the cursor file "
                 "records; restore it or delete the cursor to start over")

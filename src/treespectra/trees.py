@@ -121,13 +121,6 @@ class Tree:
         parent[root] = -1
         return order, parent
 
-    def rooted_code(self, root: int) -> tuple[int, ...]:
-        """Canonical level sequence of the tree rooted at the given vertex:
-        the depths in preorder, with children visited in decreasing order
-        of their subtree codes."""
-        order, parent = self.rooted_order(root)
-        return _level_sequence(_bracket(_bracket_fold(order, parent)[root]))
-
     def canonical_rooting(self) -> tuple[tuple[int, ...], list, list]:
         """The canonical code, with the rooted order and parent array at the
         first center c1 that it is folded on.  A second center c2 is a

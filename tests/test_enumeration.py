@@ -6,7 +6,7 @@ import pytest
 from oracles import (_degree_square_sum, _doomed_run_end, _is_center_code,
                      _successor, free_tree_codes_networkx,
                      free_tree_counts_by_recurrence, is_free_tree_code,
-                     labeled_tree_codes)
+                     labeled_tree_codes, rooted_code_by_shifting)
 from treespectra.enumeration import FreeTreeEnumerator, enumerate_free_trees
 from treespectra.trees import Tree, code_parents, parent_degrees
 
@@ -30,7 +30,7 @@ class TestSuccessorRule:
             seq = list(range(n))
             while seq is not None:
                 tree = Tree.from_code(seq)
-                assert tree.rooted_code(0) == tuple(seq)
+                assert rooted_code_by_shifting(tree, 0) == tuple(seq)
                 seq = _successor(seq)
 
     def test_emission_rule_matches_built_tree(self):

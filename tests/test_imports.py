@@ -7,8 +7,9 @@ function that keeps it, and no function body imports anything:
 a module's dependencies are all at its top.  The free-tree stream is
 walked in one place: only enumerate_free_trees and the search's
 kept_codes construct a FreeTreeEnumerator.  Remainder sequences are taken
-in one place: only polys._remainders calls _pseudo_rem.  The unchecked Tree._build is
-private to trees.py: no other module names it.  The test oracles take no
+in one place: only polys._remainders calls _pseudo_rem.  Roots are refined
+in lockstep in one loop: only polys.compare_sum reads _FIRST_WIDTH.  The
+unchecked Tree._build is private to trees.py: no other module names it.  The test oracles take no
 private name from the package, so they share no code path with it beyond
 its public API."""
 
@@ -258,9 +259,9 @@ def test_function_local_import_is_found():
     assert local_imports(tree) == {"outer", "inner", "to_json"}
 
 
-def call_scopes(tree: ast.Module, callee: str) -> set:
-    """The innermost function (or "<module>") around each call to callee,
-    by name or as a module attribute."""
+def hit_scopes(tree: ast.Module, hit) -> set:
+    """The innermost function (or "<module>") around each node that
+    hit(node) accepts."""
     found = set()
 
     def visit(node, scope):
@@ -268,14 +269,20 @@ def call_scopes(tree: ast.Module, callee: str) -> set:
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 visit(child, child.name)
                 continue
-            if isinstance(child, ast.Call) and callee in (
-                    getattr(child.func, "id", None),
-                    getattr(child.func, "attr", None)):
+            if hit(child):
                 found.add(scope)
             visit(child, scope)
 
     visit(tree, "<module>")
     return found
+
+
+def call_scopes(tree: ast.Module, callee: str) -> set:
+    """The scopes of the calls to callee, by name or as a module
+    attribute."""
+    return hit_scopes(tree, lambda node: isinstance(node, ast.Call) and (
+        callee in (getattr(node.func, "id", None),
+                   getattr(node.func, "attr", None))))
 
 
 def enumerator_constructions(tree: ast.Module) -> set:
@@ -318,6 +325,35 @@ def test_pseudo_remainder_caller_is_found():
                      "        p, q = q, polys._pseudo_rem(p, q)\n"
                      "    return p\n")
     assert call_scopes(tree, "_pseudo_rem") == {"_remainders", "poly_gcd"}
+
+
+def read_scopes(tree: ast.Module, name: str) -> set:
+    """The scopes of the reads of name, bare or as a module attribute; an
+    assignment to it is no read."""
+    return hit_scopes(tree, lambda node: isinstance(
+        getattr(node, "ctx", None), ast.Load) and name in (
+            getattr(node, "id", None), getattr(node, "attr", None)))
+
+
+def test_one_loop_reads_the_first_width():
+    found = {(path.name, scope) for path in SOURCES
+             for scope in read_scopes(
+                 ast.parse(path.read_text(encoding="utf-8")), "_FIRST_WIDTH")}
+    assert found == {("polys.py", "compare_sum")}
+
+
+def test_first_width_reader_is_found():
+    tree = ast.parse("from . import polys\n"
+                     "_FIRST_WIDTH = 1\n"
+                     "def compare_sum(root, *terms):\n"
+                     "    width = _FIRST_WIDTH\n"
+                     "class RealRoot:\n"
+                     "    def _compare_root(self, other):\n"
+                     "        width = polys._FIRST_WIDTH\n"
+                     "def reset(width):\n"
+                     "    polys._FIRST_WIDTH = width\n")
+    assert read_scopes(tree, "_FIRST_WIDTH") == {"compare_sum",
+                                                 "_compare_root"}
 
 
 def builder_references(tree: ast.Module) -> set:

@@ -384,6 +384,14 @@ class TestIsolation:
             assert count_roots_open(p, -bound, bound).with_multiplicity == p.degree
 
 
+@pytest.fixture
+def no_sum_poly(monkeypatch):
+    """A comparison of one root with another takes no sum polynomial."""
+    def refuse(f, g):
+        raise AssertionError("a root-against-root comparison took _sum_poly")
+    monkeypatch.setattr(polys, "_sum_poly", refuse)
+
+
 def _random_real_rooted(rng):
     """Product of linear factors (some non-monic, so bisection midpoints can
     hit rational roots) and x^2 - m factors with nonsquare m."""
@@ -443,6 +451,13 @@ class TestRealRoot:
         with pytest.raises(ValueError, match="width must be positive"):
             root.refine(width)
 
+    @pytest.mark.usefixtures("no_sum_poly")
+    def test_root_against_root_suites(self):
+        for name in ("rhocat", "cskvarithm"):
+            records = run_suite(name, seed=0, trials=5)
+            assert records and all(r.passed for r in records), name
+
+    @pytest.mark.usefixtures("no_sum_poly")
     def test_compare_sqrt_against_quadratic_irrational(self):
         """mu + sqrt(m) is the larger root of the primitive minimal
         polynomial (den x - num)^2 - m den^2 of mu = num/den."""
@@ -463,13 +478,19 @@ class TestRealRoot:
         with pytest.raises(TypeError):  # no (mu, m) pair form
             RealRoot(IntPoly((-5, 0, 1)), 1).compare((0, 5))
 
+    @pytest.mark.usefixtures("no_sum_poly")
     def test_compare_roots_sharing_a_factor(self):
         shared = IntPoly((-5, 0, 1))
         p, q = shared * lin(3), shared * lin(-1)
         assert RealRoot(p, 2).compare(RealRoot(q, 1)) == 0
         assert RealRoot(p, 1).compare(RealRoot(q, 1)) == 1
         assert RealRoot(q, 2).compare(RealRoot(p, 2)) == -1
+        # non-monic: sqrt(5)/2, a root of 4x^2 - 5, (x - 3) and (3x + 1)
+        half = IntPoly((-5, 0, 4))
+        assert RealRoot(half * lin(3), 2).compare(
+            RealRoot(half * IntPoly((1, 3)), 1)) == 0
 
+    @pytest.mark.usefixtures("no_sum_poly")
     def test_compare_rational_root_hit_exactly(self):
         p = IntPoly((-1, 2)) * IntPoly((-3, 0, 1))  # roots sqrt(3), 1/2, -sqrt(3)
         root = RealRoot(p, 2)
@@ -481,6 +502,7 @@ class TestRealRoot:
         assert root.refine(Fraction(1, 64)).exact == Fraction(1, 2)
         assert root.compare(RealRoot(lin(1) * IntPoly((-1, 2)), 2)) == 0
 
+    @pytest.mark.usefixtures("no_sum_poly")
     def test_root_comparison_past_the_cap_raises(self):
         # sqrt(2) against sqrt(2 + 2^-140): distinct, with no common factor
         # to certify a tie, and apart by far less than the width cap
@@ -493,6 +515,7 @@ class TestRealRoot:
         near = RealRoot(IntPoly((-(2 ** 41 + 1), 0, 2 ** 40)), 1)
         assert sqrt2.compare(near) == -1 and near.compare(sqrt2) == 1
 
+    @pytest.mark.usefixtures("no_sum_poly")
     def test_compare_unequal_coprime_roots(self):
         sqrt5, sqrt6 = RealRoot(IntPoly((-5, 0, 1)), 1), RealRoot(IntPoly((-6, 0, 1)), 1)
         assert sqrt5.compare(sqrt6) == -1
@@ -527,6 +550,26 @@ class TestRealRoot:
         with pytest.raises(PrecisionExhausted):
             compare_sum(sqrt(2), RealRoot(IntPoly((-1, 0, 2)), 1),
                         RealRoot(IntPoly((-1, 0, 2)), 1))
+
+    def test_compare_sum_decided_by_one_root_count(self):
+        # 3 - 1 against sqrt(4 + 2^-30), which lies above 2 by about
+        # 2^-33: with 3 and 1 exact, one root count at 2 decides, and the
+        # irrational is left at the first width, not refined to separate
+        near_two = RealRoot(IntPoly((-(2 ** 32 + 1), 0, 2 ** 30)), 1)
+        assert compare_sum(RealRoot(lin(3), 1), RealRoot(lin(1), 1),
+                           near_two) == -1
+        assert Fraction(1, 16) < near_two.hi - near_two.lo <= Fraction(1, 4)
+        # the same with the irrational first among the terms, and as root
+        assert compare_sum(RealRoot(lin(3), 1), near_two,
+                           RealRoot(lin(1), 1)) == -1
+        assert compare_sum(near_two, RealRoot(lin(1), 1),
+                           RealRoot(lin(1), 1)) == 1
+
+    @pytest.mark.parametrize("count", [0, 3])
+    def test_compare_sum_takes_one_or_two_terms(self, count):
+        terms = [RealRoot(IntPoly((-2, 0, 1)), 1) for _ in range(count)]
+        with pytest.raises(ValueError, match="one or two terms"):
+            compare_sum(RealRoot(IntPoly((-5, 0, 1)), 1), *terms)
 
     def test_sum_poly_has_the_sums_as_roots(self):
         f = lin(1) * lin(-2) * lin(-2)

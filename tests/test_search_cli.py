@@ -417,9 +417,25 @@ class TestSearchEngine:
         {"emitted": 0},
         {"order": 10, "sequence": None, "emitted": 0},
         {"order": 0, "sequence": None, "emitted": 0},
+        # a rooted code of P4 that is no free tree's canonical code
+        {"order": 4, "sequence": [0, 1, 2, 3], "emitted": 1},
+        # the order, the count, the offset and the sequence hold ints, not
+        # floats, bools or strings, and the offset is not negative
+        {"sequence": [0, True, 1, 1, 1, 1, 1, 1, 1]},
+        {"out_offset": 1.0},
+        {"out_offset": True},
+        {"out_offset": -1},
+        {"order": 4.0, "sequence": None, "emitted": 0},
+        {"order": True, "sequence": None, "emitted": 0},
+        {"emitted": 1.0},
+        {"emitted": True},
+        {"emitted": "1"},
     ], ids=["no-level-sequence", "wrong-length", "not-canonical",
             "negative-count", "count-without-sequence",
-            "sequence-without-count", "order-10", "order-0"])
+            "sequence-without-count", "order-10", "order-0",
+            "rooted-code-of-p4", "sequence-bool", "offset-float",
+            "offset-bool", "offset-negative", "order-float", "order-bool",
+            "emitted-float", "emitted-bool", "emitted-str"])
     def test_rechecked_state_refused(self, tmp_path, capsys, edit):
         # a state no search writes is refused also under a check that
         # matches it: the check is a CRC-32 of the canonical JSON of every

@@ -253,9 +253,6 @@ class TestDeleteVertex:
         for root in (-1, 3):
             with pytest.raises(ValueError, match=f"vertex {root} out of range"):
                 path(3).rooted_order(root)
-        for root in (-1, 3):
-            with pytest.raises(ValueError, match=f"vertex {root} out of range"):
-                path(3).rooted_code(root)
 
 
 class TestCanonicalCodes:
@@ -297,24 +294,26 @@ class TestCanonicalCodes:
 
 
 class TestRootedCodeBuilders:
-    """The one-pass rooted code against the bottom-up builder that shifts
-    and concatenates child codes (tests/oracles.py)."""
+    """The canonical code against the bottom-up builder that shifts and
+    concatenates child codes (tests/oracles.py)."""
 
     def test_every_root_of_every_tree_up_to_order_12(self):
+        # the tree rebuilt from its code at any root has the same code
         for n in range(1, 13):
             for code in enumerate_free_trees(n):
-                tree = Tree(code.n, code.edges())  # no code kept
                 for root in range(n):
-                    assert tree.rooted_code(root) == rooted_code_by_shifting(
-                        tree, root), (code.code_str(), root)
+                    rebuilt = Tree.from_code(rooted_code_by_shifting(code,
+                                                                     root))
+                    assert rebuilt.canonical_code == code.canonical_code, (
+                        code.code_str(), root)
 
     def test_seeded_prufer_trees_up_to_order_180(self):
         rng = random.Random(12)
         for n in list(range(13, 181, 7)) + [180] * 5:
             tree = prufer_tree(rng, n)
             for center in tree.centers():
-                assert tree.rooted_code(center) == rooted_code_by_shifting(
-                    tree, center)
+                assert Tree.from_code(rooted_code_by_shifting(
+                    tree, center)).canonical_code == tree.canonical_code
             relabelled = shuffled_copy(tree, rng)
             assert relabelled.canonical_code == tree.canonical_code
 
@@ -347,10 +346,10 @@ class TestRootedCodeBuilders:
         # are 0 and 1, and the rooting at 1 is the larger
         tree = Tree(7, [(0, 1), (1, 2), (2, 3), (0, 4), (0, 5), (4, 6)])
         assert tree.centers() == (0, 1)
-        assert tree.rooted_code(0) == (0, 1, 2, 3, 1, 2, 1)
-        assert tree.rooted_code(1) == (0, 1, 2, 3, 2, 1, 2)
+        assert rooted_code_by_shifting(tree, 0) == (0, 1, 2, 3, 1, 2, 1)
+        assert rooted_code_by_shifting(tree, 1) == (0, 1, 2, 3, 2, 1, 2)
         code, order, parent = tree.canonical_rooting()
-        assert code == tree.canonical_code == tree.rooted_code(1)
+        assert code == tree.canonical_code == (0, 1, 2, 3, 2, 1, 2)
         assert order[0] == 0 and parent[0] == -1
 
     def test_spectrum_output_of_seeded_prufer_trees(self, tmp_path, capsys):
