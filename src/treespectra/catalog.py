@@ -1,5 +1,7 @@
 """Persisted records for discovered trees (one JSON object per line), each
-a pure function of its tree's code and the parameters of its search."""
+a pure function of its tree's code and the parameters of its search.
+CatalogRecord.of builds each one, and from_json reads back exactly the
+seven keys to_json writes: a missing or unknown key raises TypeError."""
 
 from __future__ import annotations
 
@@ -24,20 +26,20 @@ class CatalogRecord:
     shard: str
 
     @classmethod
-    def from_analysis(cls, code: str, analysis: TreeSpectrum,
-                      order_cap: int, shard: str) -> "CatalogRecord":
-        """The record of canonical code text and its analysis."""
-        return cls(
-            code=code,
-            order=analysis.char_poly.degree,
-            nullity=analysis.summary.nullity,
-            spectrum={str(k): m for k, m in sorted(analysis.summary.roots.items())},
-            char_poly=analysis.char_poly.to_text(),
-            order_cap=order_cap,
-            shard=shard,
-        )
+    def of(cls, code: tuple, order, parent: list, order_cap: int,
+           shard: str) -> "CatalogRecord":
+        """The record of a canonical code, with the polynomial folded on the
+        rooted order and parent array of that tree."""
+        phi = _char_poly(order, parent)
+        summary = TreeSpectrum.of(phi).summary
+        return cls(code=",".join(map(str, code)), order=phi.degree,
+                   nullity=summary.nullity,
+                   spectrum={str(k): m for k, m in sorted(summary.roots.items())},
+                   char_poly=phi.to_text(), order_cap=order_cap, shard=shard)
 
     def to_json(self) -> str:
+        # the bytes of json.dumps(vars(self), sort_keys=True); perfbench's
+        # planted-wrong-answer test edits this payload's char_poly line
         payload = {
             "code": self.code,
             "order": self.order,
@@ -51,15 +53,10 @@ class CatalogRecord:
 
     @classmethod
     def from_json(cls, line: str) -> "CatalogRecord":
-        data = json.loads(line)
-        return cls(code=data["code"], order=int(data["order"]),
-                   nullity=int(data["nullity"]), spectrum=dict(data["spectrum"]),
-                   char_poly=data["char_poly"], order_cap=data["order_cap"],
-                   shard=data["shard"])
+        return cls(**json.loads(line))
 
     def roundtrip_ok(self) -> bool:
         """Re-derive everything from the code and compare to stored fields."""
-        code, order, parent = Tree.from_code(self.code).canonical_rooting()
-        return self == CatalogRecord.from_analysis(
-            ",".join(map(str, code)), TreeSpectrum.of(_char_poly(order, parent)),
-            self.order_cap, self.shard)
+        return self == CatalogRecord.of(
+            *Tree.from_code(self.code).canonical_rooting(), self.order_cap,
+            self.shard)

@@ -25,8 +25,7 @@ from typing import Callable, Iterator, Optional, TextIO
 
 from .catalog import CatalogRecord
 from .enumeration import FreeTreeEnumerator
-from .spectra import (TreeSpectrum, _char_poly, _integrality,
-                      _matching_nullity, _moments_admit)
+from .spectra import _integrality, _matching_nullity, _moments_admit
 from .trees import Tree, _is_reduced
 
 
@@ -125,17 +124,16 @@ def kept_codes(config: SearchConfig, n: int, position: tuple = (None, 0),
 
 def kept_record(config: SearchConfig, code: tuple,
                 parent: list) -> CatalogRecord:
-    """The catalog record of a kept code and parent array: its polynomial,
-    folded on them only here, with no Tree built.  Where the polynomial
-    and the parent-array filters decide the same fact, they must agree."""
-    text = ",".join(map(str, code))
-    analysis = TreeSpectrum.of(_char_poly(range(len(code)), parent))
-    if config.nullity not in (None, analysis.summary.nullity):
-        raise AssertionError(f"nullity routes disagree on {text}")
-    if config.integral_only and not analysis.summary.is_integral:
-        raise AssertionError(f"integrality routes disagree on {text}")
-    return CatalogRecord.from_analysis(text, analysis, config.max_order,
-                                       f"{config.shard[0]}/{config.shard[1]}")
+    """The catalog record of a kept code and parent array, with no Tree
+    built.  Where the record and the parent-array filters decide the same
+    fact, they must agree."""
+    record = CatalogRecord.of(code, range(len(code)), parent,
+                              config.max_order, "{}/{}".format(*config.shard))
+    if config.nullity not in (None, record.nullity):
+        raise AssertionError(f"nullity routes disagree on {record.code}")
+    if config.integral_only and sum(record.spectrum.values()) != record.order:
+        raise AssertionError(f"integrality routes disagree on {record.code}")
+    return record
 
 
 def _state_check(state: dict) -> int:
@@ -166,8 +164,9 @@ def _load_resume(config: SearchConfig) -> Optional[dict]:
         # (None, 0) at the start of an order, else the canonical code of a
         # free tree of that order and a positive count, all as ints, and a
         # byte offset that is an int of at least 0
-        order, seq, emitted, offset = (state["order"], state["sequence"],
-                                       state["emitted"], state["out_offset"])
+        order, seq, emitted, offset, complete = (
+            state["order"], state["sequence"], state["emitted"],
+            state["out_offset"], state["complete"])
         if any(type(x) is not int
                for x in [order, emitted, offset, *(seq or [])]):
             raise ValueError("the order, the count, the offset and the "
@@ -180,6 +179,9 @@ def _load_resume(config: SearchConfig) -> Optional[dict]:
                 emitted < 1 or len(seq) != order
                 or list(Tree.from_code(seq).canonical_code) != seq):
             raise ValueError("the position is no position of this search")
+        if type(complete) is not bool or complete and (
+                order, seq) != (config.max_order, None):
+            raise ValueError("complete is a bool, true only at the end")
         # the resumed search cuts the output file back to the offset, and a
         # complete one leaves the file as the state records it
         saved, out_path = state["out_path"], config.out_path
@@ -232,7 +234,7 @@ def run_search(config: SearchConfig, out: Optional[TextIO],
     opened only once the resume state has passed its checks: to append on
     a resume, afresh otherwise.  Returns {"per_order": {n: hits}}."""
     resume = _load_resume(config)
-    if resume and resume.get("complete"):
+    if resume and resume["complete"]:
         print("search already complete per cursor file", file=err)
         return {"per_order": {}, "resumed_complete": True}
     start_order, start = 1, (None, 0)

@@ -6,8 +6,10 @@ read somewhere in the package or named in an allowlist with the benchmark
 function that keeps it, and no function body imports anything:
 a module's dependencies are all at its top.  The free-tree stream is
 walked in one place: only enumerate_free_trees and the search's
-kept_codes construct a FreeTreeEnumerator.  Remainder sequences are taken
-in one place: only polys._remainders calls _pseudo_rem.  Roots are refined
+kept_codes construct a FreeTreeEnumerator.  Catalog records are built in
+one place: only CatalogRecord.of and from_json construct one.  Remainder
+sequences are taken in one place: only polys._remainders calls
+_pseudo_rem.  Roots are refined
 in lockstep in one loop: only polys.compare_sum reads _FIRST_WIDTH.  The
 unchecked Tree._build is private to trees.py: no other module names it.  The test oracles take no
 private name from the package, so they share no code path with it beyond
@@ -307,6 +309,42 @@ def test_enumerator_construction_is_found():
                      "        return enumeration.FreeTreeEnumerator(n)\n"
                      "    return FreeTreeEnumerator\n")
     assert enumerator_constructions(tree) == {"<module>", "inner"}
+
+
+def record_constructions(tree: ast.Module) -> set:
+    """The scopes that construct a CatalogRecord: by calling the class, by
+    name or as a module attribute, or by calling cls in its methods."""
+    found = call_scopes(tree, "CatalogRecord")
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef) and node.name == "CatalogRecord":
+            found |= call_scopes(node, "cls")
+    return found
+
+
+def test_one_builder_constructs_a_record():
+    found = {(path.name, scope) for path in SOURCES
+             for scope in record_constructions(
+                 ast.parse(path.read_text(encoding="utf-8")))}
+    assert found == {("catalog.py", "of"), ("catalog.py", "from_json")}
+
+
+def test_record_construction_is_found():
+    tree = ast.parse("from . import catalog\n"
+                     "from .catalog import CatalogRecord\n"
+                     "EMPTY = CatalogRecord('0', 1, 1, {}, 'x', 1, '0/1')\n"
+                     "def kept_record(code):\n"
+                     "    return catalog.CatalogRecord(code)\n"
+                     "class CatalogRecord:\n"
+                     "    @classmethod\n"
+                     "    def of(cls, code):\n"
+                     "        return cls(code)\n"
+                     "    def again(self):\n"
+                     "        return CatalogRecord.of(self.code)\n"
+                     "class Verdict:\n"
+                     "    @classmethod\n"
+                     "    def make(cls):\n"
+                     "        return cls()\n")
+    assert record_constructions(tree) == {"<module>", "kept_record", "of"}
 
 
 def test_one_loop_takes_pseudo_remainders():

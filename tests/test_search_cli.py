@@ -3,6 +3,8 @@ import hashlib
 import io
 import json
 import os
+import random
+import signal
 import subprocess
 import sys
 import zlib
@@ -269,6 +271,38 @@ class TestSearchEngine:
             assert (tmp_path / f"{name}.jsonl").read_bytes() == expected, (
                 crash_at, calls[crash_at - 1])
 
+    def test_resume_after_sigkill(self, tmp_path):
+        """A search process SIGKILLed at seeded times, its unflushed records
+        lost with it, resumes to the bytes of a run that was never
+        interrupted."""
+        def cli_args(name):
+            return ["search", "--max-order", "14", "--cursor-every", "37",
+                    "--out", str(tmp_path / f"{name}.jsonl"),
+                    "--resume", str(tmp_path / f"{name}.json")]
+
+        assert main(cli_args("full")) == 0
+        src = os.path.dirname(os.path.dirname(treespectra.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        command = [sys.executable, "-m", "treespectra.cli",
+                   *cli_args("killed")]
+        rng = random.Random(7)
+        kills = 0
+        # one child at a time, each waited on; the last runs to the end
+        for delay in [rng.uniform(0.05, 0.35) for _ in range(4)] + [60]:
+            child = subprocess.Popen(command, env=env,
+                                     stdout=subprocess.DEVNULL,
+                                     stderr=subprocess.DEVNULL)
+            try:
+                returncode = child.wait(timeout=delay)
+            except subprocess.TimeoutExpired:
+                child.kill()
+                returncode = child.wait(timeout=60)
+                kills += returncode == -signal.SIGKILL
+        assert returncode == 0 and kills >= 1
+        assert json.loads((tmp_path / "killed.json").read_text())["complete"]
+        assert ((tmp_path / "killed.jsonl").read_bytes()
+                == (tmp_path / "full.jsonl").read_bytes())
+
     def test_cursor_without_offset_refused(self, tmp_path):
         cursor = tmp_path / "cursor.json"
         config = SearchConfig(max_order=5, out_path=str(tmp_path / "o.jsonl"),
@@ -430,12 +464,22 @@ class TestSearchEngine:
         {"emitted": 1.0},
         {"emitted": True},
         {"emitted": "1"},
+        # complete is a bool, and true only as the final save writes it:
+        # at the last order, with no sequence and a count of 0
+        {"order": 5, "sequence": None, "emitted": 0, "complete": 1,
+         "out_offset": 0},
+        {"order": 9, "sequence": None, "emitted": 0, "complete": "yes"},
+        {"order": 3, "sequence": [0, 1, 1], "emitted": 1, "complete": True},
+        {"order": 5, "sequence": None, "emitted": 0, "complete": True},
+        {"complete": True},
     ], ids=["no-level-sequence", "wrong-length", "not-canonical",
             "negative-count", "count-without-sequence",
             "sequence-without-count", "order-10", "order-0",
             "rooted-code-of-p4", "sequence-bool", "offset-float",
             "offset-bool", "offset-negative", "order-float", "order-bool",
-            "emitted-float", "emitted-bool", "emitted-str"])
+            "emitted-float", "emitted-bool", "emitted-str",
+            "complete-int-order-5", "complete-str", "complete-mid-order-3",
+            "complete-order-5", "complete-mid-order-9"])
     def test_rechecked_state_refused(self, tmp_path, capsys, edit):
         # a state no search writes is refused also under a check that
         # matches it: the check is a CRC-32 of the canonical JSON of every
@@ -491,11 +535,27 @@ class TestSearchEngine:
 
     def test_record_roundtrip(self, tmp_path):
         records, _ = run_engine(tmp_path, max_order=7, integral_only=True)
-        for record in records:
+        sharded, _ = run_engine(tmp_path, max_order=7, nullity=2,
+                                shard=(1, 3))
+        assert records and sharded
+        for record in records + sharded:
             assert record.roundtrip_ok()
             parsed = CatalogRecord.from_json(record.to_json())
-            assert parsed.code == record.code
-            assert parsed.spectrum == record.spectrum
+            assert parsed == record
+            assert parsed.to_json() == record.to_json()
+
+    @pytest.mark.parametrize("edit", ["missing", "extra"])
+    def test_record_line_with_missing_or_extra_key_refused(self, tmp_path,
+                                                           edit):
+        # a TypeError, which perfbench's check_search counts as a miss
+        records, _ = run_engine(tmp_path, max_order=4)
+        data = json.loads(records[-1].to_json())
+        if edit == "missing":
+            del data["shard"]
+        else:
+            data["timestamp"] = "2000-01-01T00:00:00+00:00"
+        with pytest.raises(TypeError):
+            CatalogRecord.from_json(json.dumps(data))
 
     def test_bad_config(self):
         with pytest.raises(ValueError):
