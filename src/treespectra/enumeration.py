@@ -16,33 +16,33 @@ parent w lowers degree[o] and raises degree[w] by 1, so the square sum
 loses 2 d_o - 1 and gains 2 d_w + 1 (the degrees before the move).
 
 With k the position of the second 1 (n if none), H = max(seq) and d =
-max(seq[k:]), each computed at most once per candidate (k and H only when
-a step rewrites seq[:k+1]), the root is a center only when the rest
-seq[k:] reaches depth H - 1, which needs H - 1 vertices.  A canonical
-code of height H starts 0, 1, ..., H, as the deepest subtree of every
-vertex comes first, so max(seq[:i]) = min(i - 1, H).  Runs of candidates
-whose root is no center are jumped over whole, by writing 1s over the
-tail; the walk goes on at the successor of the run's end, which rewrites
-the parent array from a position before the 1s.
+max(seq[k:]) (k and H recomputed only when a step rewrites seq[:k+1]), a
+candidate is a free tree's canonical code exactly when its root is a
+center and, when vertex 1 is the other center, the sequence is at least
+the code rooted there.  The root has eccentricity H and vertex 1 has
+max(H - 1, d + 1): the root is the only center if d == H, and no center
+if d < H - 1.  If d == H - 1, the code rooted at vertex 1 is [0, 1], the
+root's side one level down, then vertex 1's subtrees one level up; it is
+compared entry by entry with the sequence up to the first difference, and
+never built.  A canonical code of height H starts 0, 1, ..., H, as the
+deepest subtree of every vertex comes first, so max(seq[:i]) =
+min(i - 1, H); a later candidate with the same seq[:k] has a smaller, so
+no deeper, rest.  Each rule that rejects a candidate gives the end m of a
+prefix that rejects every later candidate keeping seq[:m+1].  The run is
+jumped whole through one exit, 1s written over seq[m+1:], and the walk
+goes on at the successor of the run's end, which rewrites the parent
+array from a position before the 1s.  Only non-canonical candidates are
+skipped, so each isomorphism class appears once, as its canonical code.
 
 - Rule B, the first subtree is too big (k + H - 1 > n, a leaf root
-  included): with i the largest in [2, k) such that
-  n - i >= max(seq[:i]) - 1, every candidate down to
-  seq[:i+1] + [1]*(n-i-1) keeps seq[:i+1], so its second 1 comes after
-  position i and too few vertices are left for its rest.
-- Rule A, the rest is too shallow (d < H - 1): every candidate down to
-  seq[:k] + [1]*(n-k) keeps seq[:k], hence k and H, and has a smaller, so
-  no deeper, rest.
-
-A candidate that neither rule jumps is a free tree's canonical code
-exactly when its root is a center and, when vertex 1 is the other center,
-the sequence is at least the code rooted there.  The root has eccentricity
-H and vertex 1 has max(H - 1, d + 1).  If d == H, the root is the only
-center.  Otherwise d == H - 1, the centers are the root and vertex 1, and
-the code rooted at vertex 1 is [0, 1], the root's side shifted one level
-down, then vertex 1's subtrees shifted one level up; it is compared entry
-by entry with the sequence, up to the first difference, and never built.
-So each isomorphism class appears once, as its canonical code.
+  included): m is the largest in [2, k) with n - m >= max(seq[:m]) - 1,
+  so a later candidate's second 1 comes after m, too late for its rest.
+- Rule A, the rest is too shallow (d < H - 1): m = k - 1.
+- The second center wins (d == H - 1, the sequence below the code rooted
+  at vertex 1): with i the first difference, read against position
+  j = i + k - 2 (j + 2 - n past n), m = max(i, min(j, n - 1)).  A later
+  candidate keeps k and H, as j >= k, and has no deeper rest: Rule A
+  takes it, or its comparison reads only seq[:m+1] and ends as here.
 
 Sharding hands out emitted trees round-robin by emission index, which keeps
 shard unions exactly equal to the unsharded stream.  A walk's position is
@@ -50,9 +50,9 @@ the pair (sequence, emitted): the last candidate examined and the global
 emission count.  A walk started from a position goes on with the rest of
 the stream; the last candidate of a finished walk has no successor, so it
 yields nothing.  The search owns the file that stores a position; this
-module reads and writes none.  The enumerator yields
-the canonical codes of the trees the shard owns, as tuples, and builds no
-tree: a filter or a catalog record needs only the code and parent array.
+module reads and writes none.  The enumerator yields the canonical codes
+of the trees the shard owns, as tuples, and builds no tree: a filter or a
+catalog record needs only the code and parent array.
 enumerate_free_trees builds each Tree with the checked Tree.from_code.
 """
 
@@ -126,35 +126,34 @@ class FreeTreeEnumerator:
                         degree[old], degree[new] = d_old - 1, d_new + 1
                         square_sum += (2 * d_new + 1) - (2 * d_old - 1)
             step = True
-            if p <= k:  # else seq[:k+1] is kept, and with it k, H and Rule B
+            if p <= k:  # else seq[:k+1] is kept, and with it k and H
                 try:
                     k = seq.index(1, 2)
                 except ValueError:
                     k = n
                 h = max(seq)
-                if k + h - 1 > n:  # Rule B
-                    i = k - 1
-                    while n - i < min(i - 1, h) - 1:
-                        i -= 1
-                    seq[i + 1:] = [1] * (n - i - 1)
-                    continue
-            if k < n:  # else n <= 2, and the root is a center
-                d = max(seq[k:])
-                if d < h - 1:  # Rule A
-                    seq[k:] = [1] * (n - k)
-                    continue
-                if d < h:
-                    # seq[2:] against the code rooted at vertex 1 past its
-                    # [0, 1]: seq[k:] one level deeper, then seq[2:k] one
-                    # level shallower; the first difference decides
-                    shift = k - 2
-                    for i in range(2, n):
-                        j = i + shift
-                        x = seq[j] + 1 if j < n else seq[j + 2 - n] - 1
-                        if seq[i] != x:
-                            break
-                    if seq[i] < x:
-                        continue  # the code rooted at vertex 1 is larger
+            m = n  # a rejected candidate's run keeps seq[:m+1]
+            if k + h - 1 > n:  # Rule B, never true when p > k
+                m = k - 1
+                while n - m < min(m - 1, h) - 1:
+                    m -= 1
+            elif k < n and (d := max(seq[k:])) < h - 1:  # Rule A
+                m = k - 1
+            elif k < n and d < h:
+                # seq[2:] against the code rooted at vertex 1 past its
+                # [0, 1]: seq[k:] one level deeper, then seq[2:k] one
+                # level shallower; the first difference decides
+                shift = k - 2
+                for i in range(2, n):
+                    j = i + shift
+                    x = seq[j] + 1 if j < n else seq[j + 2 - n] - 1
+                    if seq[i] != x:
+                        break
+                if seq[i] < x:  # the code rooted at vertex 1 is larger
+                    m = max(i, min(j, n - 1))
+            if m < n:  # the one exit of every rejection
+                seq[m + 1:] = [1] * (n - m - 1)
+                continue
             take = self._emitted % count == index
             self._emitted += 1
             if take:

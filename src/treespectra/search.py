@@ -160,10 +160,10 @@ def _load_resume(config: SearchConfig) -> Optional[dict]:
                 "is of an older format with no check); delete it and the "
                 "output file to start over")
         # refuse what no search writes, on which the walk would fail, end
-        # the order early or take other shards' trees: a search saves
-        # (None, 0) at the start of an order, else the canonical code of a
-        # free tree of that order and a positive count, all as ints, and a
-        # byte offset that is an int of at least 0
+        # the order early, take other shards' trees or be dropped: a search
+        # saves (None, 0) at the start of an order, else, at an order it
+        # walks, the canonical code of a free tree of that order and a
+        # positive count, all as ints, and an int byte offset of at least 0
         order, seq, emitted, offset, complete = (
             state["order"], state["sequence"], state["emitted"],
             state["out_offset"], state["complete"])
@@ -177,6 +177,7 @@ def _load_resume(config: SearchConfig) -> Optional[dict]:
             raise ValueError(f"order {order} is outside 1..{config.max_order}")
         if (emitted != 0 if seq is None else
                 emitted < 1 or len(seq) != order
+                or order not in config.orders(order)
                 or list(Tree.from_code(seq).canonical_code) != seq):
             raise ValueError("the position is no position of this search")
         if type(complete) is not bool or complete and (

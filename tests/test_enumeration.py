@@ -7,6 +7,7 @@ from oracles import (_degree_square_sum, _doomed_run_end, _is_center_code,
                      _successor, free_tree_codes_networkx,
                      free_tree_counts_by_recurrence, is_free_tree_code,
                      labeled_tree_codes, rooted_code_by_shifting)
+from treespectra import enumeration
 from treespectra.enumeration import FreeTreeEnumerator, enumerate_free_trees
 from treespectra.trees import Tree, code_parents, parent_degrees
 
@@ -101,16 +102,36 @@ def code_state(code):
 class TestSkippingWalk:
     def test_in_place_walk_matches_reference_and_code_parents(self):
         # codes, the parent array and the degrees kept in step with it at
-        # every yield, for every shard
-        for n in range(1, 15):
+        # every yield: unsharded to order 16, for every shard to order 14.
+        # The reference jumps only Rules A and B, so the walk's jump over
+        # second-center rejections must skip no canonical code
+        for n in range(1, 17):
             full = skipping_reference_codes(n)
-            for count in (1, 3, 4):
+            for count in (1, 3, 4) if n <= 14 else (1,):
                 for index in range(count):
                     ours = walk_with_parents(
                         FreeTreeEnumerator(n, (index, count)))
                     assert ours == [code_state(code)
                                     for code in full[index::count]], (
                         n, index, count)
+
+    @pytest.mark.parametrize("n, trees, calls", [(14, 3159, 5723),
+                                                 (16, 19320, 30419)])
+    def test_second_center_rejections_jump(self, monkeypatch, n, trees,
+                                           calls):
+        # max runs once per candidate past Rule B and once per new prefix
+        # that decides k and H; a walk that rejected the second-center
+        # candidates one at a time made 6,474 calls at order 14 and
+        # 36,611 at order 16
+        counted = []
+
+        def counting_max(*args, **kwargs):
+            counted.append(1)
+            return max(*args, **kwargs)
+
+        monkeypatch.setattr(enumeration, "max", counting_max, raising=False)
+        assert sum(1 for _ in FreeTreeEnumerator(n)) == trees
+        assert len(counted) == calls
 
     def test_resume_at_every_yield_gives_rest_and_parents(self):
         enum = FreeTreeEnumerator(9)

@@ -7,7 +7,10 @@ function that keeps it, and no function body imports anything:
 a module's dependencies are all at its top.  The free-tree stream is
 walked in one place: only enumerate_free_trees and the search's
 kept_codes construct a FreeTreeEnumerator.  Catalog records are built in
-one place: only CatalogRecord.of and from_json construct one.  Remainder
+one place: only CatalogRecord.of and from_json construct one.  Every
+candidate the free-tree walk rejects leaves it through one jump: the only
+slice write to seq in FreeTreeEnumerator.__iter__ writes [1] * ... over
+the tail.  Remainder
 sequences are taken in one place: only polys._remainders calls
 _pseudo_rem.  Roots are refined
 in lockstep in one loop: only polys.compare_sum reads _FIRST_WIDTH.  The
@@ -345,6 +348,43 @@ def test_record_construction_is_found():
                      "    def make(cls):\n"
                      "        return cls()\n")
     assert record_constructions(tree) == {"<module>", "kept_record", "of"}
+
+
+def walk_slice_writes(tree: ast.Module) -> list:
+    """The source text of each value that FreeTreeEnumerator.__iter__
+    assigns to a slice of seq."""
+    return [ast.unparse(node.value)
+            for cls in tree.body if isinstance(cls, ast.ClassDef)
+            and cls.name == "FreeTreeEnumerator"
+            for method in cls.body if isinstance(method, ast.FunctionDef)
+            and method.name == "__iter__"
+            for node in ast.walk(method) if isinstance(node, ast.Assign)
+            and any(isinstance(target, ast.Subscript)
+                    and isinstance(target.slice, ast.Slice)
+                    and getattr(target.value, "id", None) == "seq"
+                    for target in node.targets)]
+
+
+def test_one_jump_leaves_the_walk():
+    writes = walk_slice_writes(
+        ast.parse((PACKAGE / "enumeration.py").read_text(encoding="utf-8")))
+    assert len(writes) == 1 and writes[0].startswith("[1] * ")
+
+
+def test_second_jump_write_is_found():
+    tree = ast.parse("class FreeTreeEnumerator:\n"
+                     "    def __iter__(self):\n"
+                     "        seq, tail = [0, 1, 2], []\n"
+                     "        seq[m + 1:] = [1] * (n - m - 1)\n"
+                     "        if k < n:\n"
+                     "            seq[k:] = [1] * (n - k)\n"
+                     "        seq[2] = 1\n"
+                     "        tail[1:] = [1]\n"
+                     "    def position(self):\n"
+                     "        seq[1:] = [2]\n"
+                     "def walk(seq):\n"
+                     "    seq[1:] = [1]\n")
+    assert walk_slice_writes(tree) == ["[1] * (n - m - 1)", "[1] * (n - k)"]
 
 
 def test_one_loop_takes_pseudo_remainders():

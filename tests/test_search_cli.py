@@ -472,6 +472,11 @@ class TestSearchEngine:
         {"order": 3, "sequence": [0, 1, 1], "emitted": 1, "complete": True},
         {"order": 5, "sequence": None, "emitted": 0, "complete": True},
         {"complete": True},
+        # a sequence at an order the nullity's parity skips: the resumed
+        # search would start at the next order it walks
+        {"filters": {"max_order": 9, "nullity": 2, "integral_only": False,
+                     "reduced_only": False, "shard": [0, 1]},
+         "order": 5, "sequence": [0, 1, 2, 2, 1], "emitted": 1},
     ], ids=["no-level-sequence", "wrong-length", "not-canonical",
             "negative-count", "count-without-sequence",
             "sequence-without-count", "order-10", "order-0",
@@ -479,11 +484,12 @@ class TestSearchEngine:
             "offset-bool", "offset-negative", "order-float", "order-bool",
             "emitted-float", "emitted-bool", "emitted-str",
             "complete-int-order-5", "complete-str", "complete-mid-order-3",
-            "complete-order-5", "complete-mid-order-9"])
+            "complete-order-5", "complete-mid-order-9",
+            "mid-order-5-under-nullity-2"])
     def test_rechecked_state_refused(self, tmp_path, capsys, edit):
         # a state no search writes is refused also under a check that
         # matches it: the check is a CRC-32 of the canonical JSON of every
-        # other field
+        # other field; the resumed search takes the state's nullity
         out_path, cursor = interrupted_order_9(tmp_path)
         state = json.loads(cursor.read_text())
         assert sorted(state) == ["check", "complete", "emitted", "filters",
@@ -494,8 +500,10 @@ class TestSearchEngine:
         state["check"] = state_check(state)
         cursor.write_text(json.dumps(state))
         before = out_path.read_bytes()
+        nullity = state["filters"]["nullity"]
         assert main(["search", "--max-order", "9", "--out", str(out_path),
-                     "--resume", str(cursor), "--cursor-every", "2"]) == 2
+                     "--resume", str(cursor), "--cursor-every", "2"]
+                    + (["--nullity", str(nullity)] if nullity else [])) == 2
         assert out_path.read_bytes() == before
         err = capsys.readouterr().err
         assert "delete it" in err and "edited" not in err
